@@ -3,8 +3,8 @@
 Rank <= 2 tensors only. Each primitive computes its forward value eagerly
 and registers a reverse rule; `backward` walks the tape in deterministic
 topological order. 64-bit precision is the default (test mode), in which
-non-finite values are rejected at node creation; 32-bit fast mode is
-available through VEPM_PRECISION=f32.
+non-finite values are rejected at node creation; VEPM_PRECISION=f32 runs
+in 32-bit precision without that check.
 
 Gradients of constants are never materialized: an op whose inputs all have
 requires_grad=False folds into a fresh constant.
@@ -16,6 +16,7 @@ import os
 from typing import Callable, Iterable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import digamma, expit
 from scipy.special import gammaln as _sp_gammaln
 
@@ -128,35 +129,15 @@ def _make(op, value, parents, vjp) -> Node:
                 requires_grad=True, needs=needs)
 
 
-_INCIDENCE_CACHE: dict = {}
-
-
-def _incidence(indices: np.ndarray, n_rows: int):
-    """Sparse (n_rows x E) selector with a 1 at (indices[e], e).
-
-    Cached per index array; the cache holds a reference to the keyed array
-    so its id cannot be recycled. Scatter indices are shared across layers
-    and epochs (the adjacency support is fixed), so this builds once."""
-    key = (id(indices), indices.shape[0], n_rows)
-    hit = _INCIDENCE_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    import scipy.sparse as sp
-
-    e = indices.shape[0]
-    mat = sp.csr_matrix((np.ones(e), (indices, np.arange(e))), shape=(n_rows, e))
-    if len(_INCIDENCE_CACHE) > 64:
-        _INCIDENCE_CACHE.clear()
-    _INCIDENCE_CACHE[key] = (indices, mat)
-    return mat
-
-
 def _segment_sum(values: np.ndarray, indices: np.ndarray, n_rows: int) -> np.ndarray:
     """out[indices[e]] += values[e]."""
     if values.ndim == 1:
         return np.bincount(indices, weights=values, minlength=n_rows).astype(
             values.dtype, copy=False)
-    return np.asarray(_incidence(indices, n_rows) @ values)
+    # (E x n_rows) selector with a 1 at (e, indices[e]), built in O(E)
+    e = indices.shape[0]
+    select = sp.csr_matrix((np.ones(e), indices, np.arange(e + 1)), shape=(e, n_rows))
+    return np.asarray(select.T @ values)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -219,7 +200,7 @@ def sparse_dense_matmul(s: SparseMatrix, b: Node) -> Node:
 
     The sparse values are constants here; gradients flow to the dense side
     only. Aggregation over differentiable edge weights goes through
-    gather/scatter instead.
+    `edge_spmm` instead.
     """
     if b.value.ndim != 2 or s.n_cols != b.value.shape[0]:
         raise DiffMathError("sparse_dense_matmul shape mismatch")
@@ -229,6 +210,29 @@ def sparse_dense_matmul(s: SparseMatrix, b: Node) -> Node:
         return (np.asarray(s.transpose_scipy() @ g),)
 
     return _make("spmm", val, (b,), vjp)
+
+
+def edge_spmm(adj: SparseMatrix, w: Node, m: Node) -> Node:
+    """A_w @ m, where A_w is `adj`'s support carrying one weight per stored
+    entry (w has shape (nnz,), in adj's row-major entry order).
+
+    The reverse rule is A_w^T @ g for m and the sampled dense-dense
+    product sum(g[rows] * m[cols], 1) for w; the w half is skipped when w
+    is constant.
+    """
+    if w.value.shape != (adj.nnz,):
+        raise DiffMathError(f"edge_spmm expects {adj.nnz} edge weights, got {w.value.shape}")
+    if m.value.ndim != 2 or m.value.shape[0] != adj.n_cols:
+        raise DiffMathError("edge_spmm shape mismatch")
+    a_w = adj.csr_with(w.value)
+    mv = m.value
+    val = np.asarray(a_w @ mv)
+
+    def vjp(g, needs):
+        gw = np.einsum("ij,ij->i", g[adj.rows], mv[adj.cols]) if needs[0] else None
+        return (gw, np.asarray(a_w.T @ g) if needs[1] else None)
+
+    return _make("edge_spmm", val, (w, m), vjp)
 
 
 def relu(a: Node) -> Node:
@@ -314,6 +318,20 @@ def slice_columns(a: Node, j0: int, j1: int) -> Node:
         return (out,)
 
     return _make("slice_cols", val, (a,), vjp)
+
+
+def slice_rows(a: Node, i0: int, i1: int) -> Node:
+    if a.value.ndim != 2:
+        raise DiffMathError("slice_rows expects a matrix")
+    val = a.value[i0:i1]
+    shape = a.value.shape
+
+    def vjp(g, needs):
+        out = np.zeros(shape, dtype=g.dtype)
+        out[i0:i1] = g
+        return (out,)
+
+    return _make("slice_rows", val, (a,), vjp)
 
 
 def reshape(a: Node, shape: tuple) -> Node:

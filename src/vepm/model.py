@@ -6,7 +6,9 @@ tasks, and sum aggregation with a learnable self-weight and a two-layer
 per-node transform for graph tasks. Each partitioned graph is normalized
 with its own weighted degrees, differentiably, so gradients reach the
 partition weights (and through them the affiliations and activations); the
-binary support of the adjacency stays constant.
+binary support of the adjacency stays constant, and every weighted
+aggregation over it is one `edge_spmm`. Node features are kept as a CSR
+constant and multiplied with the sparse kernel.
 """
 
 from __future__ import annotations
@@ -106,6 +108,15 @@ class EdgePartition:
     cols: np.ndarray
     edge_vals: np.ndarray
     weights: Node
+    support: Optional[SparseMatrix] = None
+
+    def __post_init__(self):
+        if self.support is None:
+            self.support = SparseMatrix(self.n, self.n, self.rows, self.cols,
+                                        self.edge_vals)
+            if not (np.array_equal(self.support.rows, self.rows)
+                    and np.array_equal(self.support.cols, self.cols)):
+                raise ModelError("partition entries must be in row-major order")
 
     def weight_values(self) -> np.ndarray:
         return self.weights.value
@@ -131,7 +142,7 @@ class PreparedGraph:
     task: str
     n_classes: int
     a_norm: SparseMatrix = field(init=False)
-    x_const: Node = field(init=False)
+    x_csr: SparseMatrix = field(init=False)
     graph_ids: Optional[np.ndarray] = None
     graph_labels: Optional[np.ndarray] = None
 
@@ -139,7 +150,7 @@ class PreparedGraph:
         if self.task not in ("node", "graph"):
             raise ModelError("task must be 'node' or 'graph'")
         self.a_norm = normalize_adjacency(self.graph.adjacency)
-        self.x_const = dm.constant(self.graph.features)
+        self.x_csr = SparseMatrix.from_dense(self.graph.features)
         if self.task == "graph":
             if self.graph_ids is None or self.graph_labels is None:
                 raise ModelError("graph task requires graph_ids and graph_labels")
@@ -248,12 +259,14 @@ def encode_communities(prep: PreparedGraph, store: ParameterStore, cfg: ModelCon
     mapped through softplus; the sample is the inverse-CDF transform of the
     supplied uniforms, differentiable in both halves.
     """
-    h = prep.x_const
+    h = None
     for li in range(cfg.encoder_layers):
-        if training and li > 0:
-            h = dm.dropout(h, cfg.dropout, substream(seed, "dropout", "enc", li, step), True)
-        w, b = store[f"enc.{li}.W"], store[f"enc.{li}.b"]
-        h = dm.sparse_dense_matmul(prep.a_norm, dm.matmul(h, w) + b)
+        name = f"enc.{li}"
+        if li == 0:
+            m = dm.sparse_dense_matmul(prep.x_csr, store[f"{name}.W"]) + store[f"{name}.b"]
+        else:
+            m = _linear(h, store, name, cfg, training, step, seed, ("enc", li), first=False)
+        h = dm.sparse_dense_matmul(prep.a_norm, m)
         if li < cfg.encoder_layers - 1:
             h = dm.relu(h)
     c = cfg.total_communities
@@ -312,50 +325,50 @@ def partition_edges(adjacency: SparseMatrix, z: Optional[Node], gamma: Optional[
         soft = dm.constant(draw_random_partition_weights(adjacency, cfg, seed))
     weights = dm.scale_rows(soft, dm.constant(vals))
     return EdgePartition(n=adjacency.n_rows, k=k, rows=rows, cols=cols,
-                         edge_vals=vals, weights=weights)
+                         edge_vals=vals, weights=weights, support=adjacency)
 
 
 # ---------------------------------------------------------------------------
-# aggregation layers
+# layers
 
 
-def _gcn_layer(h, w_edge, rows, cols, n, store, name, cfg, training, step, seed,
-               drop_tag, first, pre=None):
-    """Degree-normalized propagation over differentiable edge weights.
+def _linear(h, store, name, cfg, training, step, seed, drop_tag, first):
+    """h @ W + b, with dropout on every input but a module's first."""
+    if training and not first:
+        h = dm.dropout(h, cfg.dropout, substream(seed, "dropout", *drop_tag, step), True)
+    return dm.matmul(h, store[f"{name}.W"]) + store[f"{name}.b"]
 
-    Weighted degrees include the unit self-loop; each part is normalized by
-    its own D^{-1/2} (A^(k) + I) D^{-1/2}. `pre` short-circuits the linear
-    transform when it was computed jointly for all communities.
+
+def _gcn_normalization(weights: Node, support: SparseMatrix) -> tuple[Node, Node]:
+    """Per-part normalization D^{-1/2} (A^(k) + I) D^{-1/2} of K weighted
+    edge sets on one support, differentiable in the weights.
+
+    Column k of `weights` (E x K) is A^(k); its weighted degrees include
+    the unit self-loop. Returns the normalized edge weights (E x K) and
+    the self-loop weights 1/d (N x K).
     """
-    if pre is None:
-        if training and not first:
-            h = dm.dropout(h, cfg.dropout,
-                           substream(seed, "dropout", *drop_tag, step), True)
-        m = dm.matmul(h, store[f"{name}.W"]) + store[f"{name}.b"]
-    else:
-        m = pre
-    deg = dm.scatter_add_rows(w_edge, rows, n) + dm.constant(1.0)
+    deg = dm.scatter_add_rows(weights, support.rows, support.n_rows) + dm.constant(1.0)
     dinv_sqrt = dm.power(deg, -0.5)
     ew = dm.elementwise_mul(
-        w_edge, dm.elementwise_mul(dm.gather_rows(dinv_sqrt, rows),
-                                   dm.gather_rows(dinv_sqrt, cols)))
-    agg = dm.scatter_add_rows(dm.scale_rows(dm.gather_rows(m, cols), ew), rows, n)
-    return agg + dm.scale_rows(m, dm.power(deg, -1.0))
+        weights, dm.elementwise_mul(dm.gather_rows(dinv_sqrt, support.rows),
+                                    dm.gather_rows(dinv_sqrt, support.cols)))
+    return ew, dm.power(deg, -1.0)
 
 
-def _gin_layer(h, w_edge, rows, cols, n, store, name, cfg, training, step, seed,
+def _gin_layer(h, support, w_edge, store, name, cfg, training, step, seed,
                drop_tag, first):
     """Sum aggregation with learnable self-weight and a 2-layer transform."""
     if training and not first:
         h = dm.dropout(h, cfg.dropout, substream(seed, "dropout", *drop_tag, step), True)
-    neigh = dm.scatter_add_rows(dm.scale_rows(dm.gather_rows(h, cols), w_edge), rows, n)
+    neigh = dm.edge_spmm(support, w_edge, h)
     self_w = dm.constant(1.0) + store[f"{name}.eps"]
     agg = neigh + dm.elementwise_mul(h, self_w)
     m = dm.relu(dm.matmul(agg, store[f"{name}.W1"]) + store[f"{name}.b1"])
     return dm.matmul(m, store[f"{name}.W2"]) + store[f"{name}.b2"]
 
 
-_LAYER_FNS = {"gcn": _gcn_layer, "gin": _gin_layer}
+def _column(a: Node, k: int) -> Node:
+    return dm.reshape(dm.slice_columns(a, k, k + 1), (a.value.shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -363,46 +376,80 @@ _LAYER_FNS = {"gcn": _gcn_layer, "gin": _gin_layer}
 
 
 def build_input_features(prep: PreparedGraph, z: Node, cfg: ModelConfig,
-                         seed: int) -> Node:
-    if cfg.input_mode == "features_and_z":
-        return dm.concat_columns([prep.x_const, z])
-    if cfg.input_mode == "features_only":
-        return prep.x_const
-    if cfg.input_mode == "z_only":
-        return z
-    noise = substream(seed, "input-noise").standard_normal(prep.graph.features.shape)
-    return dm.constant(noise)
+                         seed: int) -> list:
+    """The bank input x* as a list of column blocks.
+
+    For GCN the node features stay the CSR constant `prep.x_csr`, which the
+    fused first transform multiplies with the sparse kernel. GIN aggregates
+    x* before transforming it, so it gets one dense [X | z] block.
+    """
+    if cfg.input_mode == "random":
+        noise = substream(seed, "input-noise").standard_normal(prep.graph.features.shape)
+        return [dm.constant(noise)]
+    x = prep.x_csr if cfg.layer_kind == "gcn" else dm.constant(prep.graph.features)
+    blocks = {"features_and_z": [x, z], "features_only": [x], "z_only": [z]}[cfg.input_mode]
+    if len(blocks) > 1 and cfg.layer_kind == "gin":
+        return [dm.concat_columns(blocks)]
+    return blocks
 
 
-def community_gnn_forward(x_star: Node, partition: EdgePartition,
+def _blocks_matmul(blocks: list, w: Node) -> Node:
+    """[B_1 | B_2 | ...] @ w for column blocks that are CSR constants or
+    nodes; w is split into the matching row blocks."""
+    widths = [b.shape[1] for b in blocks]
+    if sum(widths) != w.value.shape[0]:
+        raise ModelError(f"input width {sum(widths)} != weight rows {w.value.shape[0]}")
+    out, r0 = None, 0
+    for b, width in zip(blocks, widths):
+        w_b = w if len(blocks) == 1 else dm.slice_rows(w, r0, r0 + width)
+        prod = (dm.sparse_dense_matmul(b, w_b) if isinstance(b, SparseMatrix)
+                else dm.matmul(b, w_b))
+        out = prod if out is None else out + prod
+        r0 += width
+    return out
+
+
+def community_gnn_forward(x_star, partition: EdgePartition,
                           store: ParameterStore, cfg: ModelConfig,
                           training: bool = False, step: int = 0,
                           seed: int = 0) -> list[Node]:
-    """One L2-layer GNN per metacommunity over its partitioned graph."""
-    layer_fn = _LAYER_FNS[cfg.layer_kind]
-    k_meta, bw = cfg.n_metacommunities, cfg.bank_width
+    """One L2-layer GNN per metacommunity over its partitioned graph.
 
-    # the first transform shares its (wide) input across communities, so for
-    # the transform-then-aggregate kind run it as one fused product
-    pre_slices = [None] * k_meta
+    `x_star` is the list of column blocks from `build_input_features`, or a
+    single node.
+    """
+    blocks = x_star if isinstance(x_star, list) else [x_star]
+    k_meta, bw = cfg.n_metacommunities, cfg.bank_width
+    support = partition.support
+
     if cfg.layer_kind == "gcn":
+        ew, self_w = _gcn_normalization(partition.weights, support)
+        # the first transform shares its (wide) input across communities,
+        # so it runs as one fused product
         w_cat = dm.concat_columns([store[f"bank.{k}.0.W"] for k in range(k_meta)])
         b_cat = dm.concat_columns(
             [dm.reshape(store[f"bank.{k}.0.b"], (1, bw)) for k in range(k_meta)])
-        m_all = dm.matmul(x_star, w_cat) + b_cat
-        pre_slices = [dm.slice_columns(m_all, k * bw, (k + 1) * bw)
-                      for k in range(k_meta)]
+        m_all = _blocks_matmul(blocks, w_cat) + b_cat
+    elif len(blocks) != 1:
+        raise ModelError("the GIN bank takes its input as one dense block")
 
     out = []
     for k in range(k_meta):
-        w_k = dm.reshape(dm.slice_columns(partition.weights, k, k + 1),
-                         (partition.rows.size,))
-        h = x_star
+        if cfg.layer_kind == "gcn":
+            ew_k, self_k = _column(ew, k), dm.slice_columns(self_w, k, k + 1)
+        else:
+            h, w_k = blocks[0], _column(partition.weights, k)
         for li in range(cfg.bank_layers):
-            kwargs = {"pre": pre_slices[k]} if li == 0 and cfg.layer_kind == "gcn" else {}
-            h = layer_fn(h, w_k, partition.rows, partition.cols, partition.n,
-                         store, f"bank.{k}.{li}", cfg, training, step, seed,
-                         ("bank", k, li), first=(li == 0), **kwargs)
+            name, tag = f"bank.{k}.{li}", ("bank", k, li)
+            if cfg.layer_kind == "gcn":
+                if li == 0:
+                    m = dm.slice_columns(m_all, k * bw, (k + 1) * bw)
+                else:
+                    m = _linear(h, store, name, cfg, training, step, seed, tag, first=False)
+                h = dm.edge_spmm(support, ew_k, m) + dm.elementwise_mul(m, self_k)
+            else:
+                h = _gin_layer(h, support, w_k, store, name, cfg, training, step, seed,
+                               tag, first=(li == 0))
             if li < cfg.bank_layers - 1:
                 h = dm.relu(h)
         out.append(h)
@@ -425,23 +472,16 @@ def compose_representations(h_list: list[Node], prep: PreparedGraph,
     """
     h = dm.concat_columns(h_list)
     adj = prep.graph.adjacency
-    ones = dm.constant(np.ones(adj.rows.size))
     for li in range(cfg.composer_layers):
-        name = f"comp.{li}"
+        name, tag, first = f"comp.{li}", ("comp", li), li == 0
         if cfg.composer_kind == "dense":
-            if training and li > 0:
-                h = dm.dropout(h, cfg.dropout,
-                               substream(seed, "dropout", "comp", li, step), True)
-            h = dm.matmul(h, store[f"{name}.W"]) + store[f"{name}.b"]
+            h = _linear(h, store, name, cfg, training, step, seed, tag, first)
         elif cfg.layer_kind == "gcn":
-            if training and li > 0:
-                h = dm.dropout(h, cfg.dropout,
-                               substream(seed, "dropout", "comp", li, step), True)
-            h = dm.sparse_dense_matmul(prep.a_norm, dm.matmul(h, store[f"{name}.W"])
-                                       + store[f"{name}.b"])
+            h = dm.sparse_dense_matmul(
+                prep.a_norm, _linear(h, store, name, cfg, training, step, seed, tag, first))
         else:
-            h = _gin_layer(h, ones, adj.rows, adj.cols, prep.n_nodes, store, name,
-                           cfg, training, step, seed, ("comp", li), first=(li == 0))
+            h = _gin_layer(h, adj, dm.constant(np.ones(adj.nnz)), store, name, cfg,
+                           training, step, seed, tag, first)
         if li < cfg.composer_layers - 1:
             h = dm.relu(h)
     return h
@@ -461,7 +501,7 @@ def graph_pool(h_v: Node, graph_ids: np.ndarray, n_graphs: int) -> Node:
 def forward_logits(prep: PreparedGraph, z: Node, partition: EdgePartition,
                    store: ParameterStore, cfg: ModelConfig,
                    training: bool = False, step: int = 0, seed: int = 0,
-                   x_star: Optional[Node] = None) -> Node:
+                   x_star: Optional[list] = None) -> Node:
     if x_star is None:
         x_star = build_input_features(prep, z, cfg, seed)
     h_list = community_gnn_forward(x_star, partition, store, cfg, training, step, seed)

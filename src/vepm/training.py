@@ -409,7 +409,9 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
     through the reparameterized sample and the partition weights.
     """
     w_task, w_egen, w_kl = tcfg.elbo_weights
-    theta_names = store.names(("theta", "shared"))
+    # the partition is frozen during theta steps, so the shared activations
+    # get no gradient there; they are updated by the phi step only
+    theta_names = store.names("theta")
     phi_names = store.names(("phi", "shared"))
     adam_theta = optimizers[0] if optimizers else OptimizerState()
     adam_phi = optimizers[1] if optimizers else OptimizerState()

@@ -17,12 +17,13 @@ from scipy.special import gammaln as sp_gammaln
 from . import diffmath as dm
 from .diffmath import ParameterStore, finite_difference_check
 from .distributions import kl_weibull_gamma, kl_weibull_gamma_value
-from .graphs import sample_epm_graph
+from .graphs import GraphCollection, batch_graphs, sample_epm_graph
 from .model import (
     ModelConfig,
     init_params,
     encoder_uniforms,
     partition_edges,
+    prepare_graph_batch,
     prepare_node_graph,
 )
 from .rng import substream
@@ -70,6 +71,9 @@ def _primitive_cases(seed=0):
 
     a_norm = normalize_adjacency(adj)
     idx = np.array([0, 2, 2, 4, 1])
+    # node 4 is isolated: its output row is zero and its input row gets no gradient
+    adj_iso = adjacency_from_edges(n, np.array([[0, 1], [1, 2], [2, 3], [0, 3], [1, 3]]))
+    w_edge = rng.uniform(0.5, 2.0, adj_iso.nnz)
 
     def mixed(node, key=2):
         return dm.reduce_sum(dm.elementwise_mul(node, dm.constant(mix[key])))
@@ -89,6 +93,8 @@ def _primitive_cases(seed=0):
          lambda s: mixed(dm.matmul(s["x"], s["w"]), 3))
     case("sparse_dense_matmul", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.sparse_dense_matmul(a_norm, s["x"])))
+    case("edge_spmm", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi")),
+         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"])))
     case("relu", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.relu(s["x"])))
     case("softplus", lambda s: s.add("x", a, "phi"),
@@ -116,6 +122,9 @@ def _primitive_cases(seed=0):
              dm.concat_columns([s["x"], s["y"]]), dm.constant(mix["cat"]))))
     case("slice_columns", lambda s: s.add("x", a, "phi"),
          lambda s: dm.reduce_sum(dm.slice_columns(s["x"], 1, 3)))
+    case("slice_rows", lambda s: s.add("x", a, "phi"),
+         lambda s: dm.reduce_sum(dm.elementwise_mul(
+             dm.slice_rows(s["x"], 1, 3), dm.constant(mix[2][1:3]))))
     case("reshape", lambda s: s.add("x", a, "phi"),
          lambda s: dm.reduce_sum(dm.elementwise_mul(
              dm.reshape(s["x"], (d, n)), dm.constant(mix[2].reshape(d, n)))))
@@ -144,7 +153,8 @@ def gradcheck_suite(seed: int = 0) -> list[CheckResult]:
         err = finite_difference_check(lambda s=store: build(s), store,
                                       eps=1e-5, samples=40, seed=seed)
         results.append(CheckResult(f"gradcheck/{name}", err < 1e-6, err, "< 1e-6"))
-    results.append(_full_elbo_check(seed))
+    results.append(_full_elbo_check("full_elbo", elbo_check_setup, seed))
+    results.append(_full_elbo_check("full_elbo_gin", gin_elbo_check_setup, seed))
     return results
 
 
@@ -165,15 +175,55 @@ def elbo_check_setup(seed: int = 7):
     return prep, store, cfg, tcfg, uniforms
 
 
-def _full_elbo_check(seed: int = 7) -> CheckResult:
-    prep, store, cfg, tcfg, uniforms = elbo_check_setup(seed)
+def _full_elbo_check(name: str, setup, seed: int) -> CheckResult:
+    prep, store, cfg, tcfg, uniforms = setup(seed)
 
     def builder():
         _terms, loss, _aux = elbo(prep, store, cfg, uniforms, tcfg)
         return loss
 
     err = finite_difference_check(builder, store, eps=1e-5, samples=200, seed=seed)
-    return CheckResult("gradcheck/full_elbo", err < 1e-4, err, "< 1e-4")
+    return CheckResult(f"gradcheck/{name}", err < 1e-4, err, "< 1e-4")
+
+
+def gin_elbo_check_setup(seed: int = 7):
+    """Union of four small graphs with dense features, GIN bank and
+    composer, for gradient checks of the graph task.
+
+    The parameters are set so that every coordinate's gradient stands well
+    above the round-off of central differences:
+    - every GIN bias is positive, so no node feeds exactly 0 (the ReLU
+      kink) into the next layer, and hidden units are live rather than
+      dead on all but a few nodes, where both gradients are round-off;
+    - the GIN weights are halved, because sum aggregation and sum pooling
+      compound the magnitudes layer over layer;
+    - the readout weights are scaled to keep the logits of order one, so
+      the softmax does not saturate and every graph contributes gradient.
+    """
+    rng = substream(seed, "gin-check")
+    graphs = []
+    for g in range(4):
+        n = 5 + g
+        feats = rng.standard_normal((n, 3))
+        graph, _ = sample_epm_graph(n, 2, 1.0, 1.0, np.full(2, 0.5), seed=seed + g,
+                                    within_boost=3.0, features=feats)
+        graphs.append(graph)
+    union, gids, labels = batch_graphs(
+        GraphCollection(graphs=graphs, graph_labels=np.array([0, 1, 1, 0])), np.arange(4))
+    cfg = ModelConfig(n_metacommunities=2, communities_per_block=1, hidden_dim=8,
+                      layer_kind="gin", dropout=0.0)
+    prep = prepare_graph_batch(union, gids, labels, 2)
+    store = init_params(cfg, union.n_features, 2, seed=1, task="graph")
+    for name in store.names():
+        value = store[name].value
+        if name.endswith((".b1", ".b2")):
+            store.set_value(name, rng.uniform(0.5, 1.0, value.shape))
+        elif name.endswith((".W1", ".W2")):
+            store.set_value(name, 0.5 * value)
+    store.set_value("out.W", 0.3 * store["out.W"].value)
+    uniforms = encoder_uniforms(union.n_nodes, cfg.total_communities, seed, "gin-check")
+    tcfg = TrainConfig(pretrain_epochs=1, finetune_epochs=1)
+    return prep, store, cfg, tcfg, uniforms
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from vepm.diffmath import (
     save_arrays,
 )
 from vepm.rng import substream
+from vepm.sparse import SparseMatrix
 from vepm.verify import _primitive_cases
 
 
@@ -90,6 +91,50 @@ def test_concat_then_slice_is_identity():
     cat = dm.concat_columns([dm.constant(a), dm.constant(b)])
     np.testing.assert_array_equal(dm.slice_columns(cat, 0, 3).value, a)
     np.testing.assert_array_equal(dm.slice_columns(cat, 3, 8).value, b)
+
+
+def test_edge_spmm_matches_dense_weighted_product():
+    rng = substream(2, "edge-spmm")
+    adj = SparseMatrix(4, 4, np.array([0, 1, 1, 3]), np.array([1, 0, 3, 1]), np.ones(4))
+    w, m = rng.uniform(0.5, 2.0, 4), rng.normal(0, 1, (4, 3))
+    a_w = np.zeros((4, 4))
+    a_w[adj.rows, adj.cols] = w
+    out = dm.edge_spmm(adj, dm.constant(w), dm.constant(m))
+    np.testing.assert_allclose(out.value, a_w @ m, atol=1e-12)
+
+
+def test_edge_spmm_without_edges_returns_zeros():
+    empty = np.zeros(0, np.int64)
+    adj = SparseMatrix(3, 3, empty, empty, np.zeros(0))
+    store = ParameterStore()
+    w = store.add("w", np.zeros(0), "phi")
+    m = store.add("m", np.ones((3, 2)), "phi")
+    out = dm.edge_spmm(adj, w, m)
+    np.testing.assert_array_equal(out.value, np.zeros((3, 2)))
+    backward(dm.reduce_sum(out))
+    assert store.grad("w").shape == (0,)
+    np.testing.assert_array_equal(store.grad("m"), np.zeros((3, 2)))
+
+
+def test_edge_spmm_constant_weights_skip_their_gradient():
+    adj = SparseMatrix(2, 2, np.array([0, 1]), np.array([1, 0]), np.ones(2))
+    store = ParameterStore()
+    m = store.add("m", np.array([[1.0, 2.0], [3.0, 4.0]]), "phi")
+    out = dm.edge_spmm(adj, dm.constant(np.array([2.0, 5.0])), m)
+    assert out.needs == (False, True)
+    backward(dm.reduce_sum(out))
+    # d/dm sum(A_w m) = A_w^T 1
+    np.testing.assert_array_equal(store.grad("m"), [[5.0, 5.0], [2.0, 2.0]])
+
+
+def test_segment_sum_matches_sequential_loop():
+    rng = substream(4, "segsum")
+    idx = rng.integers(0, 7, 40)
+    values = rng.normal(0, 1, (40, 3))
+    ref = np.zeros((7, 3))
+    for e, i in enumerate(idx):
+        ref[i] += values[e]
+    np.testing.assert_array_equal(dm._segment_sum(values, idx, 7), ref)
 
 
 def test_backward_determinism_bit_identical():

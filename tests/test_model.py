@@ -198,6 +198,18 @@ class TestBankAndComposer:
         expected = graph.features @ store["bank.0.0.W"].value + store["bank.0.0.b"].value
         np.testing.assert_allclose(h.value, expected, atol=1e-12)
 
+    def test_sparse_feature_blocks_match_dense_input(self):
+        graph, cfg, prep, store = small_setup()
+        u = encoder_uniforms(40, cfg.total_communities, 0, "t")
+        z = dm.constant(encode_communities(prep, store, cfg, u).z.value)
+        part = partition_edges(graph.adjacency, z, gamma_node(store), cfg)
+        blocks = build_input_features(prep, z, cfg, 0)
+        assert isinstance(blocks[0], SparseMatrix)
+        dense = dm.concat_columns([dm.constant(graph.features), z])
+        for a, b in zip(community_gnn_forward(blocks, part, store, cfg),
+                        community_gnn_forward(dense, part, store, cfg)):
+            np.testing.assert_allclose(a.value, b.value, atol=1e-12)
+
     def test_dense_composer_ignores_adjacency(self):
         graph, cfg, prep, store = small_setup(composer_kind="dense")
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
