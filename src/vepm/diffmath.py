@@ -8,10 +8,16 @@ in 32-bit precision without that check.
 
 Gradients of constants are never materialized: an op whose inputs all have
 requires_grad=False folds into a fresh constant.
+
+The dense per-node work of a graph layer takes few passes over its N x d
+arrays: `matmul` carries an optional bias, `edge_spmm` an optional
+self-loop diagonal, and reverse rules reduce a broadcast scalar, row or
+column operand directly instead of first forming a full-size product.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Iterable, Optional
 
@@ -21,7 +27,7 @@ from scipy.special import digamma, expit
 from scipy.special import gammaln as _sp_gammaln
 
 from .rng import substream
-from .sparse import SparseMatrix
+from .sparse import SparseError, SparseMatrix
 
 
 class DiffMathError(ValueError):
@@ -141,14 +147,29 @@ def _segment_sum(values: np.ndarray, indices: np.ndarray, n_rows: int) -> np.nda
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum g down to the shape of an operand that was broadcast to it: a
+    scalar, a row ((d,) or (1, d)) or a column ((n, 1))."""
     if g.shape == shape:
         return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
+    if math.prod(shape) == 1:
+        return np.asarray(g.sum()).reshape(shape)
+    if g.ndim == 2 and shape == (g.shape[0], 1):
+        return g.sum(axis=1, keepdims=True)
+    if g.ndim == 2 and shape[-1] == g.shape[1]:
+        return (np.ones(g.shape[0], dtype=g.dtype) @ g).reshape(shape)
+    raise DiffMathError(f"cannot reduce a gradient of shape {g.shape} to {shape}")
+
+
+def _mul_grad(g: np.ndarray, other: np.ndarray, shape: tuple) -> np.ndarray:
+    """_unbroadcast(g * other, shape); when only this operand was broadcast,
+    reduced in one pass without the full-size product."""
+    if shape == g.shape or other.shape != g.shape:
+        return _unbroadcast(g * other, shape)
+    if math.prod(shape) == 1:
+        return np.asarray(np.vdot(g, other)).reshape(shape)
+    if shape == (g.shape[0], 1):
+        return np.einsum("ij,ij->i", g, other)[:, None]
+    return np.einsum("ij,ij->j", g, other).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +195,38 @@ def elementwise_mul(a: Node, b: Node) -> Node:
     av, bv = a.value, b.value
 
     def vjp(g, needs):
-        return (_unbroadcast(g * bv, av.shape) if needs[0] else None,
-                _unbroadcast(g * av, bv.shape) if needs[1] else None)
+        return (_mul_grad(g, bv, av.shape) if needs[0] else None,
+                _mul_grad(g, av, bv.shape) if needs[1] else None)
 
     return _make("mul", val, (a, b), vjp)
 
 
-def matmul(a: Node, b: Node) -> Node:
+def matmul(a: Node, b: Node, bias: Optional[Node] = None) -> Node:
+    """a @ b, with an optional row `bias` (shape (d,) or (1, d)) added in
+    place. The bias gradient is a column sum of g, taken as one product."""
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise DiffMathError("matmul expects two matrices")
     if a.value.shape[1] != b.value.shape[0]:
         raise DiffMathError(f"matmul shape mismatch {a.value.shape} @ {b.value.shape}")
-    val = a.value @ b.value
     av, bv = a.value, b.value
+    val = av @ bv
+    if bias is None:
+        parents = (a, b)
+    else:
+        d = val.shape[1]
+        if bias.value.shape not in ((d,), (1, d)):
+            raise DiffMathError(f"matmul bias of shape {bias.value.shape} for {d} columns")
+        val += bias.value
+        parents = (a, b, bias)
 
     def vjp(g, needs):
-        return (g @ bv.T if needs[0] else None,
-                av.T @ g if needs[1] else None)
+        grads = (g @ bv.T if needs[0] else None,
+                 av.T @ g if needs[1] else None)
+        if bias is None:
+            return grads
+        return grads + (_unbroadcast(g, bias.value.shape) if needs[2] else None,)
 
-    return _make("matmul", val, (a, b), vjp)
+    return _make("matmul", val, parents, vjp)
 
 
 def sparse_dense_matmul(s: SparseMatrix, b: Node) -> Node:
@@ -212,32 +246,53 @@ def sparse_dense_matmul(s: SparseMatrix, b: Node) -> Node:
     return _make("spmm", val, (b,), vjp)
 
 
-def edge_spmm(adj: SparseMatrix, w: Node, m: Node) -> Node:
-    """A_w @ m, where A_w is `adj`'s support carrying one weight per stored
-    entry (w has shape (nnz,), in adj's row-major entry order).
+def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Optional[Node] = None) -> Node:
+    """(A_w + diag(d)) @ m, where A_w is `adj`'s support carrying one weight
+    per stored entry (w has shape (nnz,), in adj's row-major entry order)
+    and d is an optional self-loop weight: a scalar or one value per node.
 
-    The reverse rule is A_w^T @ g for m and the sampled dense-dense
-    product sum(g[rows] * m[cols], 1) for w; the w half is skipped when w
-    is constant.
+    The self-loops are merged into the support's diagonal, so the product
+    is one CSR multiply; the support must then store no diagonal entry.
+    The reverse rule is (A_w + diag(d))^T @ g for m, the sampled dense-dense
+    product sum(g[rows] * m[cols], 1) for w, and the row dots
+    sum(g * m, 1) for d, summed when d is a scalar; the w half is skipped
+    when w is constant.
     """
     if w.value.shape != (adj.nnz,):
         raise DiffMathError(f"edge_spmm expects {adj.nnz} edge weights, got {w.value.shape}")
     if m.value.ndim != 2 or m.value.shape[0] != adj.n_cols:
         raise DiffMathError("edge_spmm shape mismatch")
-    a_w = adj.csr_with(w.value)
     mv = m.value
+    if diag is None:
+        a_w = adj.csr_with(w.value)
+        parents = (w, m)
+    else:
+        dv = diag.value
+        if dv.shape not in ((), (adj.n_rows,)):
+            raise DiffMathError(f"edge_spmm diag of shape {dv.shape} for {adj.n_rows} nodes")
+        try:
+            a_w = adj.csr_with_diagonal(w.value, dv)
+        except SparseError as err:
+            raise DiffMathError(str(err)) from None
+        parents = (w, m, diag)
     val = np.asarray(a_w @ mv)
 
     def vjp(g, needs):
         gw = np.einsum("ij,ij->i", g[adj.rows], mv[adj.cols]) if needs[0] else None
-        return (gw, np.asarray(a_w.T @ g) if needs[1] else None)
+        grads = (gw, np.asarray(a_w.T @ g) if needs[1] else None)
+        if diag is None:
+            return grads
+        if not needs[2]:
+            return grads + (None,)
+        gd = np.asarray(np.vdot(g, mv)) if dv.ndim == 0 else np.einsum("ij,ij->i", g, mv)
+        return grads + (gd,)
 
-    return _make("edge_spmm", val, (w, m), vjp)
+    return _make("edge_spmm", val, parents, vjp)
 
 
 def relu(a: Node) -> Node:
-    mask = a.value > 0
-    return _make("relu", np.where(mask, a.value, 0.0), (a,), lambda g, needs: (g * mask,))
+    val = np.maximum(a.value, 0.0)
+    return _make("relu", val, (a,), lambda g, needs: (g * (val > 0),))
 
 
 def softplus(a: Node) -> Node:
@@ -397,8 +452,7 @@ def dropout(a: Node, rate: float, rng: np.random.Generator, training: bool) -> N
         raise DiffMathError("dropout rate must be in [0, 1)")
     if not training or rate == 0.0:
         return a
-    mask = (rng.random(a.value.shape) >= rate) / (1.0 - rate)
-    mask = mask.astype(_dtype)
+    mask = np.multiply(rng.random(a.value.shape) >= rate, 1.0 / (1.0 - rate), dtype=_dtype)
     return _make("dropout", a.value * mask, (a,), lambda g, needs: (g * mask,))
 
 
@@ -518,9 +572,6 @@ class ParameterStore:
     def restore(self, snap: dict[str, np.ndarray]):
         for n, v in snap.items():
             self.set_value(n, v)
-
-    def n_scalars(self) -> int:
-        return sum(n.value.size for n in self._nodes.values())
 
     def entries(self) -> list[tuple[str, str, np.ndarray]]:
         return [(n, self._groups[n], node.value) for n, node in self._nodes.items()]

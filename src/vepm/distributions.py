@@ -8,8 +8,6 @@ activations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln as sp_gammaln
 
@@ -27,16 +25,6 @@ UNIFORM_EPS = 1e-12
 
 class DistributionError(ValueError):
     pass
-
-
-@dataclass
-class GammaPrior:
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise DistributionError("alpha and beta must be positive")
 
 
 class CommunityActivations:
@@ -166,7 +154,7 @@ def bernoulli_poisson_loglik(
         edge_rate_sum = dm.constant(0.0)
 
     if graph_ids is None:
-        col_sums = dm.reshape(reduce_sum_axis0(z), (1, z.value.shape[1]))
+        col_sums = dm.reshape(dm.reduce_sum(z, axis=0), (1, z.value.shape[1]))
     else:
         col_sums = dm.scatter_add_rows(z, graph_ids, n_graphs)
     sq = dm.elementwise_mul(dm.power(col_sums, 2.0), gamma)
@@ -175,10 +163,6 @@ def bernoulli_poisson_loglik(
 
     nonedge_sum = total_rate + dm.negate(edge_rate_sum)
     return edge_term + dm.negate(nonedge_sum)
-
-
-def reduce_sum_axis0(z: Node) -> Node:
-    return dm.reduce_sum(z, axis=0)
 
 
 def bernoulli_poisson_loglik_bruteforce(

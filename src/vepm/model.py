@@ -7,15 +7,15 @@ per-node transform for graph tasks. Each partitioned graph is normalized
 with its own weighted degrees, differentiably, so gradients reach the
 partition weights (and through them the affiliations and activations); the
 binary support of the adjacency stays constant, and every weighted
-aggregation over it is one `edge_spmm`. Node features are kept as a CSR
-constant and multiplied with the sparse kernel.
+aggregation over it, self-loops included, is one `edge_spmm`. Node
+features are kept as a CSR constant and multiplied with the sparse kernel.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -109,6 +109,7 @@ class EdgePartition:
     edge_vals: np.ndarray
     weights: Node
     support: Optional[SparseMatrix] = None
+    _gcn_norm: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.support is None:
@@ -125,6 +126,15 @@ class EdgePartition:
         if self.rows.size == 0:
             return 0.0
         return float(np.abs(self.weights.value.sum(axis=1) - self.edge_vals).max())
+
+    def gcn_normalization(self) -> tuple[Node, Node]:
+        """`_gcn_normalization` of the weights, computed once when they are
+        constant, as for the partition frozen across the theta steps."""
+        if self.weights.requires_grad:
+            return _gcn_normalization(self.weights, self.support)
+        if self._gcn_norm is None:
+            self._gcn_norm = _gcn_normalization(self.weights, self.support)
+        return self._gcn_norm
 
     def to_sparse_matrices(self) -> list[SparseMatrix]:
         w = self.weights.value
@@ -336,7 +346,7 @@ def _linear(h, store, name, cfg, training, step, seed, drop_tag, first):
     """h @ W + b, with dropout on every input but a module's first."""
     if training and not first:
         h = dm.dropout(h, cfg.dropout, substream(seed, "dropout", *drop_tag, step), True)
-    return dm.matmul(h, store[f"{name}.W"]) + store[f"{name}.b"]
+    return dm.matmul(h, store[f"{name}.W"], store[f"{name}.b"])
 
 
 def _gcn_normalization(weights: Node, support: SparseMatrix) -> tuple[Node, Node]:
@@ -360,11 +370,9 @@ def _gin_layer(h, support, w_edge, store, name, cfg, training, step, seed,
     """Sum aggregation with learnable self-weight and a 2-layer transform."""
     if training and not first:
         h = dm.dropout(h, cfg.dropout, substream(seed, "dropout", *drop_tag, step), True)
-    neigh = dm.edge_spmm(support, w_edge, h)
-    self_w = dm.constant(1.0) + store[f"{name}.eps"]
-    agg = neigh + dm.elementwise_mul(h, self_w)
-    m = dm.relu(dm.matmul(agg, store[f"{name}.W1"]) + store[f"{name}.b1"])
-    return dm.matmul(m, store[f"{name}.W2"]) + store[f"{name}.b2"]
+    agg = dm.edge_spmm(support, w_edge, h, diag=dm.constant(1.0) + store[f"{name}.eps"])
+    m = dm.relu(dm.matmul(agg, store[f"{name}.W1"], store[f"{name}.b1"]))
+    return dm.matmul(m, store[f"{name}.W2"], store[f"{name}.b2"])
 
 
 def _column(a: Node, k: int) -> Node:
@@ -423,7 +431,7 @@ def community_gnn_forward(x_star, partition: EdgePartition,
     support = partition.support
 
     if cfg.layer_kind == "gcn":
-        ew, self_w = _gcn_normalization(partition.weights, support)
+        ew, self_w = partition.gcn_normalization()
         # the first transform shares its (wide) input across communities,
         # so it runs as one fused product
         w_cat = dm.concat_columns([store[f"bank.{k}.0.W"] for k in range(k_meta)])
@@ -436,7 +444,7 @@ def community_gnn_forward(x_star, partition: EdgePartition,
     out = []
     for k in range(k_meta):
         if cfg.layer_kind == "gcn":
-            ew_k, self_k = _column(ew, k), dm.slice_columns(self_w, k, k + 1)
+            ew_k, self_k = _column(ew, k), _column(self_w, k)
         else:
             h, w_k = blocks[0], _column(partition.weights, k)
         for li in range(cfg.bank_layers):
@@ -446,7 +454,7 @@ def community_gnn_forward(x_star, partition: EdgePartition,
                     m = dm.slice_columns(m_all, k * bw, (k + 1) * bw)
                 else:
                     m = _linear(h, store, name, cfg, training, step, seed, tag, first=False)
-                h = dm.edge_spmm(support, ew_k, m) + dm.elementwise_mul(m, self_k)
+                h = dm.edge_spmm(support, ew_k, m, diag=self_k)
             else:
                 h = _gin_layer(h, support, w_k, store, name, cfg, training, step, seed,
                                tag, first=(li == 0))
@@ -509,7 +517,7 @@ def forward_logits(prep: PreparedGraph, z: Node, partition: EdgePartition,
     if prep.task == "node":
         return h_v
     pooled = graph_pool(h_v, prep.graph_ids, prep.n_graphs)
-    return dm.matmul(pooled, store["out.W"]) + store["out.b"]
+    return dm.matmul(pooled, store["out.W"], store["out.b"])
 
 
 def predict_probabilities(prep: PreparedGraph, store: ParameterStore,
@@ -605,7 +613,3 @@ def export_embeddings(out_dir: str, h_list: list[np.ndarray], z: np.ndarray):
         np.savetxt(os.path.join(out_dir, f"embedding_{k}.csv"), h, delimiter=",")
     np.savetxt(os.path.join(out_dir, "affiliations.csv"), z, delimiter=",")
 
-
-def default_config_for_task(task: str, **overrides) -> ModelConfig:
-    base = ModelConfig(layer_kind="gcn" if task == "node" else "gin")
-    return replace(base, **overrides) if overrides else base

@@ -28,6 +28,7 @@ class SparseMatrix:
     _indptr: np.ndarray = field(init=False, repr=False)
     _csr: object = field(default=None, init=False, repr=False)
     _csr_t: object = field(default=None, init=False, repr=False)
+    _diag_layout: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.rows = np.array(self.rows, dtype=np.int64)
@@ -77,6 +78,37 @@ class SparseMatrix:
         entry, built from the row pointer without sorting."""
         return sp.csr_matrix((vals, self.cols, self._indptr),
                              shape=(self.n_rows, self.n_cols))
+
+    def csr_with_diagonal(self, vals: np.ndarray, diag) -> sp.csr_matrix:
+        """A scipy CSR matrix on this support with the diagonal merged in:
+        `vals` on the stored entries and `diag` (a scalar or one value per
+        row) on the diagonal.
+
+        The merged layout is built on first use and reused, so a call only
+        fills the data array. The support must be square and store no
+        diagonal entry.
+        """
+        if self._diag_layout is None:
+            if self.n_rows != self.n_cols or not self.has_zero_diagonal():
+                raise SparseError("the diagonal merges only into a square support "
+                                  "without diagonal entries")
+            n = self.n_rows
+            # row i moves right by i slots; entries right of the diagonal by one more
+            entry_slots = np.arange(self.nnz) + self.rows + (self.cols > self.rows)
+            left = np.bincount(self.rows[self.cols < self.rows], minlength=n)
+            diag_slots = self._indptr[:-1] + np.arange(n) + left
+            indices = np.empty(self.nnz + n, dtype=np.int64)
+            indices[entry_slots] = self.cols
+            indices[diag_slots] = np.arange(n)
+            # scipy picks the index dtype once here, not on every call
+            template = sp.csr_matrix((np.zeros(indices.size), indices,
+                                      self._indptr + np.arange(n + 1)), shape=self.shape)
+            self._diag_layout = (template.indices, template.indptr, entry_slots, diag_slots)
+        indices, indptr, entry_slots, diag_slots = self._diag_layout
+        data = np.empty(indices.size, dtype=vals.dtype)
+        data[entry_slots] = vals
+        data[diag_slots] = diag
+        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
 
     def to_scipy(self) -> sp.csr_matrix:
         if self._csr is None:

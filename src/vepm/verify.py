@@ -74,6 +74,8 @@ def _primitive_cases(seed=0):
     # node 4 is isolated: its output row is zero and its input row gets no gradient
     adj_iso = adjacency_from_edges(n, np.array([[0, 1], [1, 2], [2, 3], [0, 3], [1, 3]]))
     w_edge = rng.uniform(0.5, 2.0, adj_iso.nnz)
+    bias = rng.standard_normal(3)
+    self_loops = rng.uniform(0.5, 2.0, n)
 
     def mixed(node, key=2):
         return dm.reduce_sum(dm.elementwise_mul(node, dm.constant(mix[key])))
@@ -91,10 +93,19 @@ def _primitive_cases(seed=0):
          lambda s: mixed(dm.elementwise_mul(s["x"], s["y"])))
     case("matmul", lambda s: (s.add("x", a, "phi"), s.add("w", w, "phi")),
          lambda s: mixed(dm.matmul(s["x"], s["w"]), 3))
+    case("matmul_bias", lambda s: (s.add("x", a, "phi"), s.add("w", w, "phi"),
+                                   s.add("b", bias, "phi")),
+         lambda s: mixed(dm.matmul(s["x"], s["w"], s["b"]), 3))
     case("sparse_dense_matmul", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.sparse_dense_matmul(a_norm, s["x"])))
     case("edge_spmm", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi")),
          lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"])))
+    case("edge_spmm_diag", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi"),
+                                      s.add("d", self_loops, "phi")),
+         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"])))
+    case("edge_spmm_diag_scalar", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi"),
+                                             s.add("d", np.array(1.3), "phi")),
+         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"])))
     case("relu", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.relu(s["x"])))
     case("softplus", lambda s: s.add("x", a, "phi"),

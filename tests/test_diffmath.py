@@ -127,6 +127,112 @@ def test_edge_spmm_constant_weights_skip_their_gradient():
     np.testing.assert_array_equal(store.grad("m"), [[5.0, 5.0], [2.0, 2.0]])
 
 
+def test_matmul_bias_equals_matmul_plus_bias_bit_for_bit():
+    rng = substream(5, "matmul-bias")
+    a, w = rng.normal(0, 1, (6, 4)), rng.normal(0, 1, (4, 3))
+    for b in (rng.normal(0, 1, 3), rng.normal(0, 1, (1, 3))):
+        fused = dm.matmul(dm.constant(a), dm.constant(w), dm.constant(b))
+        plain = dm.matmul(dm.constant(a), dm.constant(w)) + dm.constant(b)
+        np.testing.assert_array_equal(fused.value, plain.value)
+    with pytest.raises(DiffMathError):
+        dm.matmul(dm.constant(a), dm.constant(w), dm.constant(np.ones(6)))
+
+
+def _dense_with_diagonal(adj, w, d):
+    a_w = np.zeros(adj.shape)
+    a_w[adj.rows, adj.cols] = w
+    return a_w + np.diag(np.broadcast_to(d, adj.n_rows))
+
+
+def test_edge_spmm_with_diagonal_matches_dense_product():
+    rng = substream(6, "edge-spmm-diag")
+    # node 4 has no edges; rows 1 and 3 hold entries on both sides of the diagonal
+    adj = SparseMatrix(5, 5, np.array([0, 1, 1, 2, 3, 3]), np.array([1, 0, 3, 3, 1, 2]),
+                       np.ones(6))
+    empty = np.zeros(0, np.int64)
+    no_edges = SparseMatrix(5, 5, empty, empty, np.zeros(0))
+    m = rng.normal(0, 1, (5, 3))
+    for support in (adj, no_edges):
+        w = rng.uniform(0.5, 2.0, support.nnz)
+        for d in (rng.uniform(0.5, 2.0, 5), np.array(1.7)):
+            out = dm.edge_spmm(support, dm.constant(w), dm.constant(m), dm.constant(d))
+            np.testing.assert_allclose(out.value, _dense_with_diagonal(support, w, d) @ m,
+                                       rtol=0, atol=1e-12)
+
+
+def test_edge_spmm_diagonal_gradients_match_dense_rules():
+    rng = substream(7, "edge-spmm-diag-grad")
+    adj = SparseMatrix(4, 4, np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]), np.ones(4))
+    g = rng.normal(0, 1, (4, 2))
+    for d0 in (rng.uniform(0.5, 2.0, 4), np.array(0.8)):
+        store = ParameterStore()
+        w = store.add("w", rng.uniform(0.5, 2.0, 4), "phi")
+        m = store.add("m", rng.normal(0, 1, (4, 2)), "phi")
+        d = store.add("d", d0, "phi")
+        out = dm.edge_spmm(adj, w, m, d)
+        backward(dm.reduce_sum(dm.elementwise_mul(out, dm.constant(g))))
+        dense = _dense_with_diagonal(adj, w.value, d0)
+        np.testing.assert_allclose(store.grad("m"), dense.T @ g, rtol=0, atol=1e-12)
+        row_dots = (g * m.value).sum(axis=1)
+        np.testing.assert_allclose(store.grad("d"), row_dots if d0.ndim else row_dots.sum(),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(store.grad("w"), (g[adj.rows] * m.value[adj.cols]).sum(1),
+                                   rtol=0, atol=1e-12)
+
+
+def test_edge_spmm_diagonal_rejects_a_stored_diagonal_entry():
+    adj = SparseMatrix(2, 2, np.array([0, 1]), np.array([0, 1]), np.ones(2))
+    m = dm.constant(np.ones((2, 2)))
+    with pytest.raises(DiffMathError):
+        dm.edge_spmm(adj, dm.constant(np.ones(2)), m, dm.constant(np.ones(2)))
+    # without a diagonal operand the stored entries are an ordinary support
+    np.testing.assert_array_equal(dm.edge_spmm(adj, dm.constant(np.ones(2)), m).value,
+                                  np.ones((2, 2)))
+
+
+def test_relu_matches_where_bit_for_bit_on_signed_zeros():
+    a = np.array([[-0.0, 0.0, -1.5, 2.5], [1e-300, -1e-300, -0.0, 3.0]])
+    out = dm.relu(dm.constant(a)).value
+    ref = np.where(a > 0, a, 0.0)
+    np.testing.assert_array_equal(out, ref)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+
+
+def _unbroadcast_reference(g, shape):
+    """The reduction the reverse rules made before they reduced in one pass."""
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, s in enumerate(shape):
+        if s == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g.reshape(shape)
+
+
+def test_reduced_reverse_rules_match_reference():
+    rng = substream(8, "unbroadcast")
+    n, d = 7, 5
+    g, full = rng.normal(0, 1, (n, d)), rng.normal(0, 1, (n, d))
+    for shape in ((), (1, 1), (n, 1), (d,), (1, d)):
+        small = rng.normal(0, 1, shape)
+        np.testing.assert_allclose(dm._unbroadcast(g, shape),
+                                   _unbroadcast_reference(g, shape), rtol=0, atol=1e-12)
+        out = dm.elementwise_mul(dm.parameter(full), dm.parameter(small))
+        g_full, g_small = out.vjp(g, out.needs)
+        assert g_small.shape == shape
+        np.testing.assert_allclose(g_small, _unbroadcast_reference(g * full, shape),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g_full, g * small, rtol=0, atol=1e-12)
+
+
+def test_dropout_mask_matches_the_scaled_keep_draws():
+    a = substream(9, "drop-in").normal(0, 1, (40, 6))
+    out = dm.dropout(dm.constant(a), 0.3, substream(9, "drop"), True).value
+    keep = substream(9, "drop").random(a.shape) >= 0.3
+    np.testing.assert_array_equal(out, a * (keep / (1.0 - 0.3)))
+
+
 def test_segment_sum_matches_sequential_loop():
     rng = substream(4, "segsum")
     idx = rng.integers(0, 7, 40)

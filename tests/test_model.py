@@ -161,6 +161,19 @@ class TestPartitioner:
         total = sum(m.to_dense() for m in mats)
         np.testing.assert_allclose(total, graph.adjacency.to_dense(), atol=1e-9)
 
+    def test_gcn_normalization_memoized_only_for_constant_weights(self):
+        graph, cfg, prep, store = small_setup()
+        u = encoder_uniforms(40, cfg.total_communities, 0, "t")
+        z = encode_communities(prep, store, cfg, u).z
+        learned = partition_edges(graph.adjacency, z, gamma_node(store), cfg)
+        frozen = partition_edges(graph.adjacency, dm.constant(z.value),
+                                 dm.constant(gamma_node(store).value), cfg)
+        assert learned.weights.requires_grad and not frozen.weights.requires_grad
+        assert learned.gcn_normalization() is not learned.gcn_normalization()
+        assert frozen.gcn_normalization() is frozen.gcn_normalization()
+        for a, b in zip(learned.gcn_normalization(), frozen.gcn_normalization()):
+            np.testing.assert_array_equal(a.value, b.value)
+
 
 class TestBankAndComposer:
     def test_identical_parts_and_params_give_identical_embeddings(self):
