@@ -11,8 +11,8 @@ requires_grad=False folds into a fresh constant.
 
 The dense per-node work of a graph layer takes few passes over its N x d
 arrays: `matmul` carries an optional bias, `edge_spmm` an optional
-self-loop diagonal, and reverse rules reduce a broadcast scalar, row or
-column operand directly instead of first forming a full-size product.
+self-loop diagonal, and the gradient of a broadcast scalar, row or column
+operand is summed in one reduction.
 """
 
 from __future__ import annotations
@@ -160,18 +160,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     raise DiffMathError(f"cannot reduce a gradient of shape {g.shape} to {shape}")
 
 
-def _mul_grad(g: np.ndarray, other: np.ndarray, shape: tuple) -> np.ndarray:
-    """_unbroadcast(g * other, shape); when only this operand was broadcast,
-    reduced in one pass without the full-size product."""
-    if shape == g.shape or other.shape != g.shape:
-        return _unbroadcast(g * other, shape)
-    if math.prod(shape) == 1:
-        return np.asarray(np.vdot(g, other)).reshape(shape)
-    if shape == (g.shape[0], 1):
-        return np.einsum("ij,ij->i", g, other)[:, None]
-    return np.einsum("ij,ij->j", g, other).reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -195,8 +183,8 @@ def elementwise_mul(a: Node, b: Node) -> Node:
     av, bv = a.value, b.value
 
     def vjp(g, needs):
-        return (_mul_grad(g, bv, av.shape) if needs[0] else None,
-                _mul_grad(g, av, bv.shape) if needs[1] else None)
+        return (_unbroadcast(g * bv, av.shape) if needs[0] else None,
+                _unbroadcast(g * av, bv.shape) if needs[1] else None)
 
     return _make("mul", val, (a, b), vjp)
 
