@@ -2,23 +2,22 @@
 
 Rank <= 2 tensors only. Each primitive computes its forward value eagerly
 and registers a reverse rule; `backward` walks the tape in deterministic
-topological order. 64-bit precision is the default (test mode), in which
-non-finite values are rejected at node creation; VEPM_PRECISION=f32 runs
-in 32-bit precision without that check.
+topological order. Values are 64-bit, and a non-finite value is rejected
+at the node that produced it.
 
 Gradients of constants are never materialized: an op whose inputs all have
-requires_grad=False folds into a fresh constant.
+requires_grad=False folds into a fresh constant. A forward-only pass runs
+over `ParameterStore.detached()`, so it records no tape at all.
 
 The dense per-node work of a graph layer takes few passes over its N x d
-arrays: `matmul` carries an optional bias, `edge_spmm` an optional
-self-loop diagonal, and the gradient of a broadcast scalar, row or column
+arrays: `matmul` carries an optional bias, `edge_spmm` a self-loop
+diagonal, and the gradient of a broadcast scalar, row or column
 operand is summed in one reduction.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -38,36 +37,23 @@ class NonFiniteError(DiffMathError):
     pass
 
 
-_PRECISIONS = {"f32": np.float32, "f64": np.float64}
-_dtype = _PRECISIONS[os.environ.get("VEPM_PRECISION", "f64")]
-
-
-def set_precision(name: str):
-    global _dtype
-    if name not in _PRECISIONS:
-        raise DiffMathError(f"unknown precision {name!r}")
-    _dtype = _PRECISIONS[name]
-
-
 def precision() -> str:
-    return "f64" if _dtype is np.float64 else "f32"
-
-
-def _test_mode() -> bool:
-    return _dtype is np.float64
+    """The floating-point format of every tape value."""
+    return "f64"
 
 
 class Node:
     """One tape entry: cached output, parent references, reverse rule."""
 
-    __slots__ = ("value", "grad", "parents", "op", "vjp", "requires_grad", "needs")
+    __slots__ = ("value", "grad", "parents", "op", "vjp", "requires_grad", "needs",
+                 "__weakref__")
 
     def __init__(self, value, op="leaf", parents=(), vjp=None, requires_grad=False,
                  needs=()):
-        value = np.asarray(value, dtype=_dtype)
+        value = np.asarray(value, dtype=np.float64)
         if value.ndim > 2:
             raise DiffMathError(f"rank {value.ndim} tensor in op {op!r}")
-        if _test_mode() and not np.all(np.isfinite(value)):
+        if not np.all(np.isfinite(value)):
             raise NonFiniteError(f"non-finite value produced by op {op!r}")
         self.value = value
         self.grad: Optional[np.ndarray] = None
@@ -234,14 +220,14 @@ def sparse_dense_matmul(s: SparseMatrix, b: Node) -> Node:
     return _make("spmm", val, (b,), vjp)
 
 
-def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Optional[Node] = None) -> Node:
+def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node) -> Node:
     """(A_w + diag(d)) @ m, where A_w is `adj`'s support carrying one weight
     per stored entry (w has shape (nnz,), in adj's row-major entry order)
-    and d is an optional self-loop weight: a scalar or one value per node.
+    and d is the self-loop weight: a scalar or one value per node.
 
     The self-loops are merged into the support's diagonal, so the product
-    is one CSR multiply; the support must then store no diagonal entry.
-    The reverse rule is (A_w + diag(d))^T @ g for m, the sampled dense-dense
+    is one CSR multiply; the support must store no diagonal entry. The
+    reverse rule is (A_w + diag(d))^T @ g for m, the sampled dense-dense
     product sum(g[rows] * m[cols], 1) for w, and the row dots
     sum(g * m, 1) for d, summed when d is a scalar; the w half is skipped
     when w is constant.
@@ -250,32 +236,24 @@ def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Optional[Node] = None) 
         raise DiffMathError(f"edge_spmm expects {adj.nnz} edge weights, got {w.value.shape}")
     if m.value.ndim != 2 or m.value.shape[0] != adj.n_cols:
         raise DiffMathError("edge_spmm shape mismatch")
-    mv = m.value
-    if diag is None:
-        a_w = adj.csr_with(w.value)
-        parents = (w, m)
-    else:
-        dv = diag.value
-        if dv.shape not in ((), (adj.n_rows,)):
-            raise DiffMathError(f"edge_spmm diag of shape {dv.shape} for {adj.n_rows} nodes")
-        try:
-            a_w = adj.csr_with_diagonal(w.value, dv)
-        except SparseError as err:
-            raise DiffMathError(str(err)) from None
-        parents = (w, m, diag)
+    mv, dv = m.value, diag.value
+    if dv.shape not in ((), (adj.n_rows,)):
+        raise DiffMathError(f"edge_spmm diag of shape {dv.shape} for {adj.n_rows} nodes")
+    try:
+        a_w = adj.csr_with_diagonal(w.value, dv)
+    except SparseError as err:
+        raise DiffMathError(str(err)) from None
     val = np.asarray(a_w @ mv)
 
     def vjp(g, needs):
         gw = np.einsum("ij,ij->i", g[adj.rows], mv[adj.cols]) if needs[0] else None
-        grads = (gw, np.asarray(a_w.T @ g) if needs[1] else None)
-        if diag is None:
-            return grads
+        gm = np.asarray(a_w.T @ g) if needs[1] else None
         if not needs[2]:
-            return grads + (None,)
+            return gw, gm, None
         gd = np.asarray(np.vdot(g, mv)) if dv.ndim == 0 else np.einsum("ij,ij->i", g, mv)
-        return grads + (gd,)
+        return gw, gm, gd
 
-    return _make("edge_spmm", val, parents, vjp)
+    return _make("edge_spmm", val, (w, m, diag), vjp)
 
 
 def relu(a: Node) -> Node:
@@ -440,7 +418,7 @@ def dropout(a: Node, rate: float, rng: np.random.Generator, training: bool) -> N
         raise DiffMathError("dropout rate must be in [0, 1)")
     if not training or rate == 0.0:
         return a
-    mask = np.multiply(rng.random(a.value.shape) >= rate, 1.0 / (1.0 - rate), dtype=_dtype)
+    mask = np.multiply(rng.random(a.value.shape) >= rate, 1.0 / (1.0 - rate))
     return _make("dropout", a.value * mask, (a,), lambda g, needs: (g * mask,))
 
 
@@ -478,7 +456,7 @@ def backward(loss: Node):
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
-    pending: dict[int, np.ndarray] = {id(loss): np.asarray(1.0, dtype=_dtype)}
+    pending: dict[int, np.ndarray] = {id(loss): np.asarray(1.0)}
     for node in reversed(order):
         g = pending.pop(id(node), None)
         if g is None:
@@ -526,6 +504,18 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._nodes
 
+    def detached(self) -> "ParameterStore":
+        """The same parameter arrays as constants, without a copy.
+
+        Every op over the result folds into a constant, so a forward-only
+        pass on it records no tape and frees each intermediate as soon as
+        its last consumer is done.
+        """
+        out = ParameterStore()
+        out._nodes = {n: constant(node.value) for n, node in self._nodes.items()}
+        out._groups = dict(self._groups)
+        return out
+
     def group_of(self, name: str) -> str:
         return self._groups[name]
 
@@ -548,7 +538,7 @@ class ParameterStore:
 
     def set_value(self, name: str, value: np.ndarray):
         node = self._nodes[name]
-        value = np.asarray(value, dtype=_dtype)
+        value = np.asarray(value, dtype=np.float64)
         if value.shape != node.value.shape:
             raise DiffMathError(f"shape mismatch loading {name!r}")
         node.value = value

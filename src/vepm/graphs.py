@@ -178,37 +178,38 @@ def sample_epm_graph(
 # dataset IO
 
 
-def _read_int_rows(path: str, width: int) -> np.ndarray:
-    rows = []
+def _data_lines(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file, with their 1-based line numbers."""
     with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                raise DatasetError(f"{path}:{ln}: expected {width} fields")
-            rows.append([int(p) for p in parts])
-    return np.asarray(rows, dtype=np.int64).reshape(-1, width)
+        lines = fh.read().split("\n")
+    return [(ln, line) for ln, line in enumerate(lines, 1)
+            if line and not line.isspace()]
+
+
+def _parse_rows(path: str, numbered: list, width: int, dtype, problem: str) -> np.ndarray:
+    """Parse comma-separated rows of `width` fields with numpy's C reader.
+    A row with another field count raises DatasetError naming its line; a
+    non-numeric field raises ValueError. '#' is data, not a comment."""
+    for ln, line in numbered:
+        if line.count(",") + 1 != width:
+            raise DatasetError(f"{path}:{ln}: {problem}")
+    if not numbered:
+        return np.zeros((0, width), dtype=dtype)
+    return np.loadtxt([line for _, line in numbered], dtype=dtype, delimiter=",",
+                      comments=None, ndmin=2)
+
+
+def _read_int_rows(path: str, width: int) -> np.ndarray:
+    return _parse_rows(path, _data_lines(path), width, np.int64,
+                       f"expected {width} fields")
 
 
 def _read_float_matrix(path: str) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise DatasetError(f"{path}:{ln}: ragged feature row")
-            rows.append(parts)
-    if not rows:
+    numbered = _data_lines(path)
+    if not numbered:
         raise DatasetError(f"{path}: empty feature file")
-    return np.asarray(rows, dtype=np.float64)
+    width = numbered[0][1].count(",") + 1
+    return _parse_rows(path, numbered, width, np.float64, "ragged feature row")
 
 
 def _require(path: str):

@@ -524,11 +524,12 @@ def predict_probabilities(prep: PreparedGraph, store: ParameterStore,
                           cfg: ModelConfig, uniforms: np.ndarray,
                           partition_seed: int = 0) -> np.ndarray:
     """Single-sample class probabilities (evaluation mode, no dropout)."""
+    store = store.detached()
     post = encode_communities(prep, store, cfg, uniforms)
     part = partition_edges(prep.graph.adjacency, post.z, gamma_node(store), cfg,
                            seed=partition_seed)
     logits = forward_logits(prep, post.z, part, store, cfg)
-    return dm.row_softmax_with_temperature(logits, 1.0).value.copy()
+    return dm.row_softmax_with_temperature(logits, 1.0).value
 
 
 def posterior_predictive(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
@@ -538,12 +539,14 @@ def posterior_predictive(prep: PreparedGraph, store: ParameterStore, cfg: ModelC
 
     Draws `s` affiliation samples from the (sample-independent) posterior,
     runs the generative pipeline for each, and averages the probability
-    outputs (not the logits).
+    outputs (not the logits). Runs on the detached parameters, so no tape
+    is recorded.
     """
     if s < 1:
         raise ModelError("need at least one posterior sample")
+    store = store.detached()
     c = cfg.total_communities
-    shape_v = scale_v = None
+    post = None
     gamma = gamma_node(store)
     acc = None
     for i in range(s):
@@ -551,17 +554,15 @@ def posterior_predictive(prep: PreparedGraph, store: ParameterStore, cfg: ModelC
             u = uniforms_list[i]
         else:
             u = encoder_uniforms(prep.n_nodes, c, seed, "predict", i)
-        if shape_v is None:
+        if post is None:
             post = encode_communities(prep, store, cfg, u)
-            shape_v = dm.constant(post.weibull_shape.value)
-            scale_v = dm.constant(post.weibull_scale.value)
             z = post.z
         else:
-            z = weibull_rsample(shape_v, scale_v, u)
+            z = weibull_rsample(post.weibull_shape, post.weibull_scale, u)
         part = partition_edges(prep.graph.adjacency, z, gamma, cfg,
                                seed=partition_seed)
         logits = forward_logits(prep, z, part, store, cfg)
-        p = dm.row_softmax_with_temperature(logits, 1.0).value.copy()
+        p = dm.row_softmax_with_temperature(logits, 1.0).value
         acc = p if acc is None else acc + p
     return acc / s
 

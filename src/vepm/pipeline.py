@@ -142,6 +142,7 @@ def _nmi_from_checkpoint(cfg: RunConfig, prep, path: str) -> Optional[float]:
         return None
     store = _fresh_store(cfg, prep)
     store.load(path)
+    store = store.detached()
     uniforms = encoder_uniforms(prep.n_nodes, cfg.model.total_communities,
                                 cfg.seed, "nmi")
     post = encode_communities(prep, store, cfg.model, uniforms)
@@ -156,6 +157,7 @@ def _community_probes(cfg: RunConfig, prep, store, out_dir: str) -> list:
     written as one normalized confusion matrix CSV per community."""
     from .evaluation import community_confusion_matrices
 
+    store = store.detached()
     uniforms = encoder_uniforms(prep.n_nodes, cfg.model.total_communities,
                                 cfg.seed, "probe")
     post = encode_communities(prep, store, cfg.model, uniforms)
@@ -224,6 +226,7 @@ def run_partition_export(cfg: RunConfig, checkpoint: str, out_dir: str):
     if not os.path.isfile(checkpoint):
         raise ConfigError(f"checkpoint not found: {checkpoint!r}")
     store.load(checkpoint)
+    store = store.detached()
     uniforms = encoder_uniforms(prep.n_nodes, cfg.model.total_communities,
                                 cfg.seed, "export")
     post = encode_communities(prep, store, cfg.model, uniforms)

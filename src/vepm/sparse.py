@@ -73,12 +73,6 @@ class SparseMatrix:
         lo, hi = self._indptr[i], self._indptr[i + 1]
         return self.cols[lo:hi], self.vals[lo:hi]
 
-    def csr_with(self, vals: np.ndarray) -> sp.csr_matrix:
-        """A scipy CSR matrix on this support with one value per stored
-        entry, built from the row pointer without sorting."""
-        return sp.csr_matrix((vals, self.cols, self._indptr),
-                             shape=(self.n_rows, self.n_cols))
-
     def csr_with_diagonal(self, vals: np.ndarray, diag) -> sp.csr_matrix:
         """A scipy CSR matrix on this support with the diagonal merged in:
         `vals` on the stored entries and `diag` (a scalar or one value per
@@ -112,7 +106,9 @@ class SparseMatrix:
 
     def to_scipy(self) -> sp.csr_matrix:
         if self._csr is None:
-            self._csr = self.csr_with(self.vals)
+            # built from the row pointer, without sorting
+            self._csr = sp.csr_matrix((self.vals, self.cols, self._indptr),
+                                      shape=self.shape)
         return self._csr
 
     def transpose_scipy(self) -> sp.csr_matrix:

@@ -249,6 +249,14 @@ def adam_step(store: ParameterStore, state: OptimizerState, lr: float,
         node.value = node.value - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
+def _descend(store: ParameterStore, loss: Node, state: OptimizerState, lr: float,
+             names: list[str]):
+    """One Adam step on the gradient of `loss` with respect to `names`."""
+    store.zero_grad(names)
+    backward(loss)
+    adam_step(store, state, lr, names)
+
+
 def optimizer_entries(state: OptimizerState, prefix: str):
     out = []
     for name, arr in state.m.items():
@@ -327,6 +335,20 @@ class TrainResult:
     optimizer_phi: Optional["OptimizerState"] = None
 
 
+# Each training step builds and differentiates its tape inside a helper that
+# returns only floats and arrays, so no tape outlives its step.
+
+
+def _elbo_step(prep, store, cfg, tcfg, state, names, lr, uniforms, **elbo_kwargs):
+    """One Adam step on the negative ELBO. Returns its terms and the
+    partition weights (None without the task term)."""
+    terms, loss, aux = elbo(prep, store, cfg, uniforms, tcfg, training=True,
+                            **elbo_kwargs)
+    _descend(store, loss, state, lr, names)
+    partition = aux["partition"]
+    return terms, None if partition is None else partition.weight_values()
+
+
 def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
              tcfg: TrainConfig, sampler: Optional[SamplerConfig] = None,
              seed: int = 0, epoch_callback: Optional[Callable] = None,
@@ -348,12 +370,9 @@ def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
         sub = None
         if sampler.enabled and prep.task == "node":
             sub = sample_subgraph(prep.graph, sampler, substream(seed, "sampler", epoch))
-        terms, loss, _aux = elbo(prep, store, cfg, uniforms, tcfg, training=True,
-                                 step=epoch, seed=seed, sub=sub, include_task=False)
-        store.zero_grad(names)
-        backward(loss)
-        adam_step(store, state, tcfg.lr_unsup, names)
-
+        terms, _ = _elbo_step(prep, store, cfg, tcfg, state, names, tcfg.lr_unsup,
+                              uniforms, step=epoch, seed=seed, sub=sub,
+                              include_task=False)
         objective = w_egen * terms.l_egen + w_kl * terms.l_kl
         _check_finite(objective)
         result.records.append({"epoch": epoch, "l_task": None,
@@ -393,6 +412,26 @@ def _eval_accuracy(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
     return float((pred == prep.graph_labels).mean())
 
 
+def _frozen_epoch_inputs(prep, store, cfg, uniforms, step, seed):
+    """The affiliation sample, edge partition and bank input x* held fixed
+    across an epoch's theta steps, computed on the detached parameters."""
+    frozen = store.detached()
+    z = encode_communities(prep, frozen, cfg, uniforms, training=True, step=step,
+                           seed=seed).z
+    partition = partition_edges(prep.graph.adjacency, z, gamma_node(frozen), cfg,
+                                seed=seed)
+    return z, partition, build_input_features(prep, z, cfg, seed)
+
+
+def _theta_step(prep, store, cfg, tcfg, state, names, z, partition, x_star, step,
+                seed):
+    logits = forward_logits(prep, z, partition, store, cfg, training=True,
+                            step=step, seed=seed, x_star=x_star)
+    l_task = _task_logprob(prep, logits, None)
+    loss = dm.negate(dm.constant(tcfg.elbo_weights[0]) * l_task)
+    _descend(store, loss, state, tcfg.lr_theta, names)
+
+
 def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
              tcfg: TrainConfig, seed: int = 0,
              test_prep: Optional[PreparedGraph] = None,
@@ -408,7 +447,6 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
     one inference-side step maximizes the full bound, differentiating
     through the reparameterized sample and the partition weights.
     """
-    w_task, w_egen, w_kl = tcfg.elbo_weights
     # the partition is frozen during theta steps, so the shared activations
     # get no gradient there; they are updated by the phi step only
     theta_names = store.names("theta")
@@ -426,37 +464,22 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
         base = epoch * (m_steps + 2)
         uniforms = encoder_uniforms(prep.n_nodes, cfg.total_communities, seed,
                                     "finetune", epoch)
-        post = encode_communities(prep, store, cfg, uniforms, training=True,
-                                  step=base, seed=seed)
-        gamma = gamma_node(store)
-        z_frozen = dm.constant(post.z.value)
-        gamma_frozen = dm.constant(gamma.value)
-        partition = partition_edges(prep.graph.adjacency, z_frozen, gamma_frozen,
-                                    cfg, seed=seed)
-        x_star_frozen = build_input_features(prep, z_frozen, cfg, seed)
-
+        z, partition, x_star = _frozen_epoch_inputs(prep, store, cfg, uniforms, base,
+                                                    seed)
         for m in range(m_steps):
-            logits = forward_logits(prep, z_frozen, partition, store, cfg,
-                                    training=True, step=base + 1 + m, seed=seed,
-                                    x_star=x_star_frozen)
-            l_task = _task_logprob(prep, logits, None)
-            loss = dm.negate(dm.constant(w_task) * l_task)
-            store.zero_grad(theta_names)
-            backward(loss)
-            adam_step(store, adam_theta, tcfg.lr_theta, theta_names)
+            _theta_step(prep, store, cfg, tcfg, adam_theta, theta_names, z, partition,
+                        x_star, base + 1 + m, seed)
             if step_callback is not None:
                 step_callback(epoch=epoch, phase="theta", inner=m,
                               partition=partition.weight_values(), store=store)
 
-        terms, loss, aux = elbo(prep, store, cfg, uniforms, tcfg, training=True,
-                                step=base, seed=seed, partition_seed=seed)
-        store.zero_grad(phi_names)
-        backward(loss)
-        adam_step(store, adam_phi, tcfg.lr_phi, phi_names)
+        terms, phi_weights = _elbo_step(prep, store, cfg, tcfg, adam_phi, phi_names,
+                                        tcfg.lr_phi, uniforms, step=base, seed=seed,
+                                        partition_seed=seed)
         _check_finite(terms.total)
         if step_callback is not None:
             step_callback(epoch=epoch, phase="phi", inner=None,
-                          partition=aux["partition"].weight_values(), store=store)
+                          partition=phi_weights, store=store)
 
         rec = {"epoch": epoch, "l_task": terms.l_task, "l_egen": terms.l_egen,
                "l_kl": terms.l_kl, "train_acc": None, "val_acc": None,

@@ -99,7 +99,7 @@ def _primitive_cases(seed=0):
     case("sparse_dense_matmul", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.sparse_dense_matmul(a_norm, s["x"])))
     case("edge_spmm", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi")),
-         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"])))
+         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], dm.constant(0.0))))
     case("edge_spmm_diag", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi"),
                                       s.add("d", self_loops, "phi")),
          lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"])))

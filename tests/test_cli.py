@@ -68,6 +68,17 @@ class TestSynth:
 
 
 class TestPipelineCommands:
+    def test_non_numeric_feature_exit_2(self, synth_run, capsys):
+        _tmp, data, _out, cfg = synth_run
+        features = os.path.join(data, "features.csv")
+        with open(features, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        lines[3] = "#" + lines[3]
+        with open(features, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+        assert main(["pretrain", "--config", cfg]) == 2
+        assert "VEPM-ERROR kind=config" in capsys.readouterr().err
+
     def test_pretrain_train_eval_artifacts(self, synth_run):
         _tmp, _data, out, cfg = synth_run
         assert main(["pretrain", "--config", cfg]) == 0

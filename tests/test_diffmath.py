@@ -99,7 +99,7 @@ def test_edge_spmm_matches_dense_weighted_product():
     w, m = rng.uniform(0.5, 2.0, 4), rng.normal(0, 1, (4, 3))
     a_w = np.zeros((4, 4))
     a_w[adj.rows, adj.cols] = w
-    out = dm.edge_spmm(adj, dm.constant(w), dm.constant(m))
+    out = dm.edge_spmm(adj, dm.constant(w), dm.constant(m), dm.constant(0.0))
     np.testing.assert_allclose(out.value, a_w @ m, atol=1e-12)
 
 
@@ -109,7 +109,7 @@ def test_edge_spmm_without_edges_returns_zeros():
     store = ParameterStore()
     w = store.add("w", np.zeros(0), "phi")
     m = store.add("m", np.ones((3, 2)), "phi")
-    out = dm.edge_spmm(adj, w, m)
+    out = dm.edge_spmm(adj, w, m, dm.constant(0.0))
     np.testing.assert_array_equal(out.value, np.zeros((3, 2)))
     backward(dm.reduce_sum(out))
     assert store.grad("w").shape == (0,)
@@ -120,8 +120,8 @@ def test_edge_spmm_constant_weights_skip_their_gradient():
     adj = SparseMatrix(2, 2, np.array([0, 1]), np.array([1, 0]), np.ones(2))
     store = ParameterStore()
     m = store.add("m", np.array([[1.0, 2.0], [3.0, 4.0]]), "phi")
-    out = dm.edge_spmm(adj, dm.constant(np.array([2.0, 5.0])), m)
-    assert out.needs == (False, True)
+    out = dm.edge_spmm(adj, dm.constant(np.array([2.0, 5.0])), m, dm.constant(0.0))
+    assert out.needs == (False, True, False)
     backward(dm.reduce_sum(out))
     # d/dm sum(A_w m) = A_w^T 1
     np.testing.assert_array_equal(store.grad("m"), [[5.0, 5.0], [2.0, 2.0]])
@@ -185,9 +185,6 @@ def test_edge_spmm_diagonal_rejects_a_stored_diagonal_entry():
     m = dm.constant(np.ones((2, 2)))
     with pytest.raises(DiffMathError):
         dm.edge_spmm(adj, dm.constant(np.ones(2)), m, dm.constant(np.ones(2)))
-    # without a diagonal operand the stored entries are an ordinary support
-    np.testing.assert_array_equal(dm.edge_spmm(adj, dm.constant(np.ones(2)), m).value,
-                                  np.ones((2, 2)))
 
 
 def test_relu_matches_where_bit_for_bit_on_signed_zeros():
@@ -347,13 +344,19 @@ def test_parameter_groups():
         store.add("a", np.ones(2), "phi")
 
 
-def test_fast_mode_smoke():
-    dm.set_precision("f32")
-    try:
-        x = dm.constant(np.ones(4))
-        assert x.value.dtype == np.float32
-        # non-finite passes through without a check in fast mode
-        y = dm.Node(np.array([np.inf], dtype=np.float32))
-        assert not np.isfinite(y.value[0])
-    finally:
-        dm.set_precision("f64")
+def test_detached_store_shares_arrays_and_records_no_tape():
+    store = ParameterStore()
+    store.add("w", substream(11, "detached").normal(0, 1, (3, 2)), "theta")
+    store.add("b", np.ones(2), "phi")
+    frozen = store.detached()
+    assert frozen.names() == store.names()
+    assert frozen.names("phi") == ["b"]
+    for name in store.names():
+        assert np.shares_memory(frozen[name].value, store[name].value)
+        assert not frozen[name].requires_grad
+    x = dm.constant(np.ones((4, 3)))
+    out = dm.relu(dm.matmul(x, frozen["w"], frozen["b"]))
+    assert out.parents == () and out.vjp is None and not out.requires_grad
+    live = dm.relu(dm.matmul(x, store["w"], store["b"]))
+    assert live.parents
+    np.testing.assert_array_equal(out.value, live.value)

@@ -89,6 +89,22 @@ class TestDatasetIO:
         np.testing.assert_array_equal(loaded.labels, graph.labels)
         np.testing.assert_array_equal(loaded.train_mask, graph.train_mask)
 
+    def test_awkward_floats_round_trip_exact(self, tmp_path):
+        feats = np.array([[-0.0, 1e-300, -2.5e-308, 123456789.123456789],
+                          [np.pi, -np.e, 5e-324, 1.7976931348623157e308],
+                          [0.1, -0.3, 1.0 / 3.0, 2.0 ** -52]])
+        adj = adjacency_from_edges(3, np.array([[0, 2], [1, 2]]))
+        graph = Graph(adjacency=adj, features=feats, labels=np.array([2, 0, 1]))
+        path = str(tmp_path / "awk")
+        save_node_dataset(path, graph)
+        loaded = load_node_dataset(path)
+        assert loaded.features.dtype == np.float64
+        np.testing.assert_array_equal(loaded.features, feats)
+        np.testing.assert_array_equal(np.signbit(loaded.features), np.signbit(feats))
+        np.testing.assert_array_equal(loaded.labels, graph.labels)
+        assert loaded.labels.dtype == np.int64
+        np.testing.assert_array_equal(loaded.adjacency.cols, adj.cols)
+
     def test_graph_collection_round_trip(self, tmp_path):
         coll = synthetic_collection(n_graphs=6, seed=2)
         path = str(tmp_path / "gc")
@@ -117,6 +133,59 @@ class TestDatasetIO:
         (path / "labels.csv").write_text("0\n1\n")
         with pytest.raises(DatasetError, match="out of range"):
             load_node_dataset(str(path))
+
+    @staticmethod
+    def _write(tmp_path, edges="0,1\n1,2\n", features="1.0,2.0\n3.0,4.0\n5.0,6.0\n",
+               labels="0\n1\n0\n"):
+        path = tmp_path / "ds"
+        path.mkdir(exist_ok=True)
+        (path / "edges.csv").write_text(edges)
+        (path / "features.csv").write_text(features)
+        (path / "labels.csv").write_text(labels)
+        return str(path)
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        path = self._write(tmp_path, edges="\n0,1\n  \n1,2\n\t\n",
+                           features="\n 1.0,2.0 \n\n3.0 , 4.0\n   \n5.0,6.0",
+                           labels="0\n\n1\r\n0\n \n")
+        graph = load_node_dataset(path)
+        np.testing.assert_array_equal(graph.features, [[1, 2], [3, 4], [5, 6]])
+        np.testing.assert_array_equal(graph.labels, [0, 1, 0])
+        assert graph.n_edges == 2
+
+    def test_ragged_feature_row_names_its_line(self, tmp_path):
+        path = self._write(tmp_path, features="1.0,2.0\n\n3.0\n5.0,6.0\n")
+        with pytest.raises(DatasetError, match=r"features\.csv:3: ragged feature row"):
+            load_node_dataset(path)
+
+    def test_wrong_field_count_names_its_line(self, tmp_path):
+        path = self._write(tmp_path, edges="0,1\n  \n1,2,0\n")
+        with pytest.raises(DatasetError, match=r"edges\.csv:3: expected 2 fields"):
+            load_node_dataset(path)
+        path = self._write(tmp_path, edges="0,1\n", labels="0\n1,1\n0\n")
+        with pytest.raises(DatasetError, match=r"labels\.csv:2: expected 1 fields"):
+            load_node_dataset(path)
+
+    @pytest.mark.parametrize("features", ["", "\n  \n\t\n"])
+    def test_empty_feature_file_rejected(self, tmp_path, features):
+        path = self._write(tmp_path, features=features)
+        with pytest.raises(DatasetError, match="empty feature file"):
+            load_node_dataset(path)
+
+    @pytest.mark.parametrize("field", ["x", "", "0x10", "#1"])
+    def test_non_numeric_feature_is_a_value_error(self, tmp_path, field):
+        # '#' is data like any other character, not the start of a comment
+        path = self._write(tmp_path, features=f"1.0,2.0\n{field},4.0\n5.0,6.0\n")
+        with pytest.raises(ValueError) as info:
+            load_node_dataset(path)
+        assert not isinstance(info.value, DatasetError)
+
+    @pytest.mark.parametrize("edges", ["0,1\n1,x\n", "0,1\n1.5,2\n", "# 0,1\n1,2\n"])
+    def test_non_integer_edge_is_a_value_error(self, tmp_path, edges):
+        path = self._write(tmp_path, edges=edges)
+        with pytest.raises(ValueError) as info:
+            load_node_dataset(path)
+        assert not isinstance(info.value, DatasetError)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match="missing"):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import masked_node_graph, planted_graph, synthetic_collection
 from vepm import diffmath as dm
+from vepm.distributions import weibull_rsample
 from vepm.graphs import Graph, batch_graphs
 from vepm.model import (
     ModelConfig,
@@ -303,6 +304,38 @@ class TestPosteriorPredictive:
         graph, cfg, prep, store = small_setup()
         probs = posterior_predictive(prep, store, cfg, 4, seed=5)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("layer_kind", ["gcn", "gin"])
+    def test_matches_a_reference_over_the_live_store_bit_for_bit(self, layer_kind,
+                                                                 monkeypatch):
+        import vepm.model as model_mod
+
+        graph, cfg, prep, store = small_setup(layer_kind=layer_kind)
+        us = [encoder_uniforms(40, cfg.total_communities, 3, "live", i) for i in range(3)]
+        post = encode_communities(prep, store, cfg, us[0])
+        assert post.z.requires_grad
+        shape_k = dm.constant(post.weibull_shape.value)
+        scale = dm.constant(post.weibull_scale.value)
+        acc = None
+        for i, u in enumerate(us):
+            z = post.z if i == 0 else weibull_rsample(shape_k, scale, u)
+            part = partition_edges(graph.adjacency, z, gamma_node(store), cfg, seed=2)
+            logits = forward_logits(prep, z, part, store, cfg)
+            p = dm.row_softmax_with_temperature(logits, 1.0).value
+            acc = p if acc is None else acc + p
+        # the predictive pass itself records no tape
+        taped, original = [], model_mod.forward_logits
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            taped.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(model_mod, "forward_logits", spy)
+        got = posterior_predictive(prep, store, cfg, 3, 0, partition_seed=2,
+                                   uniforms_list=us)
+        assert taped == [False] * 3
+        np.testing.assert_array_equal(got, acc / 3)
 
     def test_sample_order_does_not_matter(self):
         graph, cfg, prep, store = small_setup()

@@ -1,12 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from conftest import masked_node_graph, planted_graph
+from conftest import masked_node_graph, planted_graph, synthetic_collection
 from vepm import diffmath as dm
 from vepm.diffmath import ParameterStore, finite_difference_check
 from vepm.distributions import bernoulli_poisson_loglik
-from vepm.graphs import sample_epm_graph
-from vepm.model import ModelConfig, init_params, prepare_node_graph
+from vepm.graphs import batch_graphs, sample_epm_graph
+from vepm.model import ModelConfig, init_params, prepare_graph_batch, prepare_node_graph
 from vepm.rng import substream
 from vepm.training import (
     OptimizerState,
@@ -316,7 +319,7 @@ class TestFinetune:
             return terms, loss, aux
 
         def spy_pe(adj, z, gamma, cfg_, seed=0):
-            if z is not None and z.op == "const":
+            if z is not None and not z.requires_grad:
                 frozen.append(z.value.copy())
             return orig_pe(adj, z, gamma, cfg_, seed=seed)
 
@@ -350,6 +353,73 @@ class TestFinetune:
         assert result.best_epoch is not None
         vals = [r["val_acc"] for r in result.records]
         assert result.best_val == max(vals)
+
+
+class TestTapeLifetime:
+    """No tape outlives its training step: at every callback the losses of
+    all steps so far are dead, and no differentiable node but the
+    parameters is alive."""
+
+    @staticmethod
+    def _watch_losses(monkeypatch):
+        import vepm.training as tr
+
+        refs, original = [], tr.backward
+
+        def keep_ref(loss):
+            refs.append(weakref.ref(loss))
+            return original(loss)
+
+        monkeypatch.setattr(tr, "backward", keep_ref)
+        return refs
+
+    @staticmethod
+    def _assert_no_tape(refs, n_steps):
+        assert len(refs) == n_steps
+        assert [r() for r in refs] == [None] * n_steps
+        gc.collect()
+        live = [o for o in gc.get_objects()
+                if isinstance(o, dm.Node) and o.requires_grad and o.op != "param"]
+        assert live == []
+
+    def test_pretrain_epoch_frees_its_tape(self, monkeypatch):
+        refs = self._watch_losses(monkeypatch)
+        graph, cfg, prep, store = node_setup()
+        epochs = []
+
+        def cb(epoch, terms, store):
+            epochs.append(epoch)
+            self._assert_no_tape(refs, len(epochs))
+
+        pretrain(prep, store, cfg, TrainConfig(pretrain_epochs=3, patience=100),
+                 epoch_callback=cb)
+        assert epochs == [0, 1, 2]
+
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    def test_finetune_steps_free_their_tapes(self, monkeypatch, task):
+        refs = self._watch_losses(monkeypatch)
+        if task == "node":
+            graph, cfg, prep, store = node_setup()
+            kwargs = {}
+        else:
+            coll = synthetic_collection(n_graphs=8, seed=1)
+            cfg = ModelConfig(n_metacommunities=2, communities_per_block=1, hidden_dim=8,
+                              layer_kind="gin", encoder_layers=1)
+            prep, test_prep = (prepare_graph_batch(*batch_graphs(coll, idx), 2)
+                               for idx in (np.arange(6), np.arange(6, 8)))
+            store = init_params(cfg, coll.n_features, 2, 0, "graph")
+            kwargs = {"test_prep": test_prep, "early_stop": False}
+        phases = []
+
+        def cb(epoch, phase, inner, partition, store):
+            phases.append(phase)
+            self._assert_no_tape(refs, len(phases))
+
+        finetune(prep, store, cfg, TrainConfig(finetune_epochs=2, inner_steps=2,
+                                               patience=100), seed=0,
+                 step_callback=cb, **kwargs)
+        # theta -> theta, theta -> phi and phi -> next epoch's theta
+        assert phases == ["theta", "theta", "phi"] * 2
 
 
 def test_metrics_format_stable():
