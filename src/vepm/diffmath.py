@@ -13,6 +13,11 @@ The dense per-node work of a graph layer takes few passes over its N x d
 arrays: `matmul` carries an optional bias, `edge_spmm` a self-loop
 diagonal, and the gradient of a broadcast scalar, row or column
 operand is summed in one reduction.
+
+K independent parts of one layer (the community GNNs) are one op each:
+their activations are the row blocks of one (K*N, d) array, which
+`edge_spmm` aggregates over K edge-weight columns and `block_matmul`
+transforms with K stacked weights.
 """
 
 from __future__ import annotations
@@ -221,39 +226,115 @@ def sparse_dense_matmul(s: SparseMatrix, b: Node) -> Node:
 
 
 def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node) -> Node:
-    """(A_w + diag(d)) @ m, where A_w is `adj`'s support carrying one weight
-    per stored entry (w has shape (nnz,), in adj's row-major entry order)
-    and d is the self-loop weight: a scalar or one value per node.
+    """K-part weighted aggregation over one support: block k of the result
+    is (A_{w_k} + diag(d_k)) @ m_k, where A_{w_k} is `adj`'s support
+    carrying column k of w (one weight per stored entry, in adj's
+    row-major entry order) and d_k is part k's self-loop weight.
 
-    The self-loops are merged into the support's diagonal, so the product
-    is one CSR multiply; the support must store no diagonal entry. The
-    reverse rule is (A_w + diag(d))^T @ g for m, the sampled dense-dense
-    product sum(g[rows] * m[cols], 1) for w, and the row dots
-    sum(g * m, 1) for d, summed when d is a scalar; the w half is skipped
-    when w is constant.
+    w is (nnz, K). m is either the K parts stacked as row blocks,
+    (K*N, d), or one (N, d) operand shared by every part. diag is (N, K),
+    one self-loop weight per node and part, or (K,), one per part. The
+    result is (K*N, d). One part may also be given as w of shape (nnz,)
+    with a scalar or (N,) diag: that is the K = 1 case.
+
+    The K parts and their self-loops form one CSR matrix a, so the
+    product is one multiply; the support must store no diagonal entry.
+    The reverse rule is a^T @ g for m (summed over the parts when m is
+    shared), the sampled dense-dense product sum(g_k[rows] * m_k[cols], 1)
+    per part for w, and the row dots sum(g_k * m_k, 1) for d, summed when
+    d_k is a scalar; the w half is skipped when w is constant.
     """
-    if w.value.shape != (adj.nnz,):
-        raise DiffMathError(f"edge_spmm expects {adj.nnz} edge weights, got {w.value.shape}")
-    if m.value.ndim != 2 or m.value.shape[0] != adj.n_cols:
+    wv, mv, dv = w.value, m.value, diag.value
+    n = adj.n_rows
+    if wv.ndim not in (1, 2) or wv.shape[0] != adj.nnz:
+        raise DiffMathError(f"edge_spmm expects {adj.nnz} edge weights, got {wv.shape}")
+    k = 1 if wv.ndim == 1 else wv.shape[1]
+    if mv.ndim != 2 or adj.n_cols != n or mv.shape[0] not in (n, k * n):
         raise DiffMathError("edge_spmm shape mismatch")
-    mv, dv = m.value, diag.value
-    if dv.shape not in ((), (adj.n_rows,)):
-        raise DiffMathError(f"edge_spmm diag of shape {dv.shape} for {adj.n_rows} nodes")
+    # the diagonal as K rows: one value per node, or one per part
+    if wv.ndim == 1 and dv.shape in ((), (n,)):
+        d_rows = dv.reshape(1, -1)
+    elif wv.ndim == 2 and dv.shape == (n, k):
+        d_rows = dv.T
+    elif wv.ndim == 2 and dv.shape == (k,):
+        d_rows = dv.reshape(k, 1)
+    else:
+        raise DiffMathError(f"edge_spmm diag of shape {dv.shape} for {k} parts "
+                            f"of {n} nodes")
+    shared = mv.shape[0] != k * n
     try:
-        a_w = adj.csr_with_diagonal(w.value, dv)
+        a = adj.block_csr_with_diagonal(wv.reshape(adj.nnz, k), d_rows, shared)
     except SparseError as err:
         raise DiffMathError(str(err)) from None
-    val = np.asarray(a_w @ mv)
+    val = np.asarray(a @ mv)
+
+    def part(x, b):
+        """Part b's rows of a stacked array; a shared operand is every part's."""
+        return x if x.shape[0] == n else x[b * n:(b + 1) * n]
 
     def vjp(g, needs):
-        gw = np.einsum("ij,ij->i", g[adj.rows], mv[adj.cols]) if needs[0] else None
-        gm = np.asarray(a_w.T @ g) if needs[1] else None
-        if not needs[2]:
-            return gw, gm, None
-        gd = np.asarray(np.vdot(g, mv)) if dv.ndim == 0 else np.einsum("ij,ij->i", g, mv)
+        gw = gd = None
+        if needs[0]:
+            gw = np.empty((k, adj.nnz))
+            for b in range(k):
+                np.einsum("ij,ij->i", np.take(part(g, b), adj.rows, axis=0),
+                          np.take(part(mv, b), adj.cols, axis=0), out=gw[b])
+            gw = gw.T.reshape(wv.shape)
+        gm = np.asarray(a.T @ g) if needs[1] else None
+        if needs[2]:
+            gd = np.empty(d_rows.shape)
+            for b in range(k):
+                if d_rows.shape[1] == 1:
+                    gd[b] = np.vdot(part(g, b), part(mv, b))
+                else:
+                    np.einsum("ij,ij->i", part(g, b), part(mv, b), out=gd[b])
+            gd = gd.T.reshape(dv.shape)
         return gw, gm, gd
 
     return _make("edge_spmm", val, (w, m, diag), vjp)
+
+
+def block_matmul(h: Node, w: Node, b: Node) -> Node:
+    """K independent products h_k @ w_k + b_k over the row blocks of a
+    stacked operand: h is (K*N, din), w stacks the K weights as row
+    blocks, (K*din, dout), and b holds one bias row per block, (K, dout).
+
+    Each block is one 2-D product written into the output, and so is
+    each block of the reverse rule.
+    """
+    hv, wv, bv = h.value, w.value, b.value
+    if hv.ndim != 2 or bv.ndim != 2:
+        raise DiffMathError("block_matmul expects a matrix and one bias row per block")
+    k, dout = bv.shape
+    din = hv.shape[1]
+    if wv.shape != (k * din, dout) or hv.shape[0] % k:
+        raise DiffMathError(f"block_matmul shape mismatch {hv.shape} @ {wv.shape} "
+                            f"in {k} blocks")
+    n = hv.shape[0] // k
+    rows = [slice(i * n, (i + 1) * n) for i in range(k)]
+    w_rows = [slice(i * din, (i + 1) * din) for i in range(k)]
+    val = np.empty((k * n, dout))
+    for i in range(k):
+        np.matmul(hv[rows[i]], wv[w_rows[i]], out=val[rows[i]])
+        val[rows[i]] += bv[i]
+
+    def vjp(g, needs):
+        gh = gw = gb = None
+        if needs[0]:
+            gh = np.empty_like(hv)
+            for i in range(k):
+                np.matmul(g[rows[i]], wv[w_rows[i]].T, out=gh[rows[i]])
+        if needs[1]:
+            gw = np.empty_like(wv)
+            for i in range(k):
+                np.matmul(hv[rows[i]].T, g[rows[i]], out=gw[w_rows[i]])
+        if needs[2]:
+            gb, ones = np.empty_like(bv), np.ones(n)
+            for i in range(k):
+                np.matmul(ones, g[rows[i]], out=gb[i])
+        return gh, gw, gb
+
+    return _make("block_matmul", val, (h, w, b), vjp)
 
 
 def relu(a: Node) -> Node:
@@ -355,6 +436,32 @@ def slice_rows(a: Node, i0: int, i1: int) -> Node:
     return _make("slice_rows", val, (a,), vjp)
 
 
+def _cols_to_rows(x: np.ndarray, k: int) -> np.ndarray:
+    n, width = x.shape
+    return x.reshape(n, k, width // k).transpose(1, 0, 2).reshape(k * n, width // k)
+
+
+def _rows_to_cols(x: np.ndarray, k: int) -> np.ndarray:
+    rows, d = x.shape
+    return x.reshape(k, rows // k, d).transpose(1, 0, 2).reshape(rows // k, k * d)
+
+
+def column_blocks_to_rows(a: Node, k: int) -> Node:
+    """(N, K*d) -> (K*N, d): column block j becomes row block j."""
+    if a.value.ndim != 2 or a.value.shape[1] % k:
+        raise DiffMathError(f"cannot split {a.value.shape} into {k} column blocks")
+    return _make("blocks_to_rows", _cols_to_rows(a.value, k), (a,),
+                 lambda g, needs: (_rows_to_cols(g, k),))
+
+
+def row_blocks_to_columns(a: Node, k: int) -> Node:
+    """(K*N, d) -> (N, K*d): row block j becomes column block j."""
+    if a.value.ndim != 2 or a.value.shape[0] % k:
+        raise DiffMathError(f"cannot split {a.value.shape} into {k} row blocks")
+    return _make("blocks_to_columns", _rows_to_cols(a.value, k), (a,),
+                 lambda g, needs: (_cols_to_rows(g, k),))
+
+
 def reshape(a: Node, shape: tuple) -> Node:
     old = a.value.shape
     return _make("reshape", a.value.reshape(shape), (a,), lambda g, needs: (g.reshape(old),))
@@ -362,7 +469,7 @@ def reshape(a: Node, shape: tuple) -> Node:
 
 def gather_rows(a: Node, indices: np.ndarray) -> Node:
     indices = np.asarray(indices, dtype=np.int64)
-    val = a.value[indices]
+    val = np.take(a.value, indices, axis=0)
     shape = a.value.shape
 
     def vjp(g, needs):
@@ -375,7 +482,8 @@ def scatter_add_rows(a: Node, indices: np.ndarray, n_rows: int) -> Node:
     """out[indices[e]] += a[e]; the reverse rule is a gather."""
     indices = np.asarray(indices, dtype=np.int64)
     out = _segment_sum(a.value, indices, n_rows)
-    return _make("scatter", out, (a,), lambda g, needs: (g[indices],))
+    return _make("scatter", out, (a,),
+                 lambda g, needs: (np.take(g, indices, axis=0),))
 
 
 def scale_rows(a: Node, s: Node) -> Node:
@@ -412,13 +520,25 @@ def log_softmax_rows(a: Node) -> Node:
     return _make("log_softmax", val, (a,), vjp)
 
 
-def dropout(a: Node, rate: float, rng: np.random.Generator, training: bool) -> Node:
-    """Inverted dropout; identity when not training or rate == 0."""
+def dropout(a: Node, rate: float, rng, training: bool) -> Node:
+    """Inverted dropout; identity when not training or rate == 0.
+
+    `rng` is one generator, or a sequence of them, one per row block of a
+    stacked operand: block i's keep draws come from rng[i].
+    """
     if not 0.0 <= rate < 1.0:
         raise DiffMathError("dropout rate must be in [0, 1)")
     if not training or rate == 0.0:
         return a
-    mask = np.multiply(rng.random(a.value.shape) >= rate, 1.0 / (1.0 - rate))
+    rngs = rng if isinstance(rng, (list, tuple)) else [rng]
+    if a.value.shape[0] % len(rngs):
+        raise DiffMathError(f"{a.value.shape[0]} rows do not split into "
+                            f"{len(rngs)} blocks")
+    n = a.value.shape[0] // len(rngs)
+    mask = np.empty(a.value.shape)
+    for i, r in enumerate(rngs):
+        r.random(out=mask[i * n:(i + 1) * n])
+    np.multiply(mask >= rate, 1.0 / (1.0 - rate), out=mask)
     return _make("dropout", a.value * mask, (a,), lambda g, needs: (g * mask,))
 
 
@@ -558,11 +678,26 @@ class ParameterStore:
         save_arrays(path, self.entries() + list(extra or []), meta)
 
     def load(self, path: str) -> dict:
-        """Load values for matching names; returns the checkpoint meta dict."""
+        """Load every parameter from a checkpoint; returns its meta dict.
+
+        The checkpoint must hold exactly this store's parameters, each in
+        its shape; optimizer entries (group 'opt') are not parameters.
+        Otherwise nothing is loaded and DiffMathError names the mismatch.
+        """
         entries, meta = load_arrays(path)
-        for name, _group, arr in entries:
-            if name in self._nodes:
-                self.set_value(name, arr)
+        saved = {name: arr for name, group, arr in entries if group != "opt"}
+        problems = [f"missing {n}" for n in self._nodes if n not in saved]
+        for name, arr in saved.items():
+            if name not in self._nodes:
+                problems.append(f"unknown {name}")
+            elif arr.shape != self._nodes[name].value.shape:
+                problems.append(f"{name} has shape {arr.shape}, expected "
+                                f"{self._nodes[name].value.shape}")
+        if problems:
+            raise DiffMathError(f"{path}: checkpoint does not match the model: "
+                                + "; ".join(problems))
+        for name, arr in saved.items():
+            self.set_value(name, arr)
         return meta
 
 

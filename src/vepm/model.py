@@ -122,11 +122,6 @@ class EdgePartition:
     def weight_values(self) -> np.ndarray:
         return self.weights.value
 
-    def sum_deviation(self) -> float:
-        if self.rows.size == 0:
-            return 0.0
-        return float(np.abs(self.weights.value.sum(axis=1) - self.edge_vals).max())
-
     def gcn_normalization(self) -> tuple[Node, Node]:
         """`_gcn_normalization` of the weights, computed once when they are
         constant, as for the partition frozen across the theta steps."""
@@ -135,13 +130,6 @@ class EdgePartition:
         if self._gcn_norm is None:
             self._gcn_norm = _gcn_normalization(self.weights, self.support)
         return self._gcn_norm
-
-    def to_sparse_matrices(self) -> list[SparseMatrix]:
-        w = self.weights.value
-        return [
-            SparseMatrix(self.n, self.n, self.rows.copy(), self.cols.copy(), w[:, j].copy())
-            for j in range(self.k)
-        ]
 
 
 @dataclass
@@ -216,6 +204,38 @@ def _add_layer(store, rng, name, din, dout, kind, group):
         store.add(f"{name}.b2", np.zeros(dout), group)
 
 
+def _add_bank(store, cfg, din, seed):
+    """The K community GNNs' parameters, stacked per layer.
+
+    Layer li holds `bank.{li}.W` (K*din_li, bw), the K weights stacked as
+    row blocks, and `bank.{li}.b` (K, bw), one bias row per community; GIN
+    stacks `W1`/`W2` and `b1`/`b2` the same way and has one `eps` per
+    community, (K,). The GCN's first layer is one fused product over the
+    shared input, so it is `bank.0.W` (din, K*bw) with the K weights as
+    column blocks and `bank.0.b` (K*bw,). Community k's blocks are drawn
+    from the ("init", "bank", k, li) substream.
+    """
+    k_meta, bw = cfg.n_metacommunities, cfg.bank_width
+    bdims = [din] + [bw] * cfg.bank_layers
+    for li in range(cfg.bank_layers):
+        name, a = f"bank.{li}", bdims[li]
+        rngs = [substream(seed, "init", "bank", k, li) for k in range(k_meta)]
+        if cfg.layer_kind == "gcn" and li == 0:
+            store.add(f"{name}.W", np.hstack([_glorot(r, a, bw) for r in rngs]), "theta")
+            store.add(f"{name}.b", np.zeros(k_meta * bw), "theta")
+        elif cfg.layer_kind == "gcn":
+            store.add(f"{name}.W", np.vstack([_glorot(r, a, bw) for r in rngs]), "theta")
+            store.add(f"{name}.b", np.zeros((k_meta, bw)), "theta")
+        else:
+            w1 = [_glorot(r, a, bw) for r in rngs]
+            w2 = [_glorot(r, bw, bw) for r in rngs]
+            store.add(f"{name}.eps", np.zeros(k_meta), "theta")
+            store.add(f"{name}.W1", np.vstack(w1), "theta")
+            store.add(f"{name}.b1", np.zeros((k_meta, bw)), "theta")
+            store.add(f"{name}.W2", np.vstack(w2), "theta")
+            store.add(f"{name}.b2", np.zeros((k_meta, bw)), "theta")
+
+
 def init_params(cfg: ModelConfig, n_features: int, n_classes: int, seed: int,
                 task: str) -> ParameterStore:
     """Fresh parameter store for the full architecture."""
@@ -229,17 +249,11 @@ def init_params(cfg: ModelConfig, n_features: int, n_classes: int, seed: int,
 
     store.add("gamma_raw", CommunityActivations.initial_raw(c_total), "shared")
 
-    bw = cfg.bank_width
-    din = _bank_input_dim(cfg, n_features)
-    for k in range(cfg.n_metacommunities):
-        bdims = [din] + [bw] * cfg.bank_layers
-        for li in range(cfg.bank_layers):
-            rng = substream(seed, "init", "bank", k, li)
-            _add_layer(store, rng, f"bank.{k}.{li}", bdims[li], bdims[li + 1],
-                       cfg.layer_kind, "theta")
+    _add_bank(store, cfg, _bank_input_dim(cfg, n_features), seed)
 
     comp_out = n_classes if task == "node" else cfg.hidden_dim
-    cdims = [cfg.n_metacommunities * bw] + [cfg.hidden_dim] * (cfg.composer_layers - 1) + [comp_out]
+    cdims = ([cfg.n_metacommunities * cfg.bank_width]
+             + [cfg.hidden_dim] * (cfg.composer_layers - 1) + [comp_out])
     comp_kind = cfg.layer_kind if cfg.composer_kind == "gnn" else "dense"
     for li in range(cfg.composer_layers):
         rng = substream(seed, "init", "comp", li)
@@ -306,10 +320,7 @@ def draw_random_partition_weights(adjacency: SparseMatrix, cfg: ModelConfig,
     uniq = np.unique(pair_key)
     raw = substream(seed, "random-partition").uniform(0.0, 100.0,
                                                       (uniq.size, cfg.n_metacommunities))
-    x = raw / cfg.tau
-    x = x - x.max(axis=1, keepdims=True)
-    e = np.exp(x)
-    w = e / e.sum(axis=1, keepdims=True)
+    w = dm.row_softmax_with_temperature(dm.constant(raw), cfg.tau).value
     return w[np.searchsorted(uniq, pair_key)]
 
 
@@ -342,10 +353,19 @@ def partition_edges(adjacency: SparseMatrix, z: Optional[Node], gamma: Optional[
 # layers
 
 
+def _dropout(h, cfg, training, step, seed, tags):
+    """Dropout on the row blocks of `h`, block i masked with draws from
+    the ("dropout", *tags[i], step) substream."""
+    if not training:
+        return h
+    rngs = [substream(seed, "dropout", *tag, step) for tag in tags]
+    return dm.dropout(h, cfg.dropout, rngs, True)
+
+
 def _linear(h, store, name, cfg, training, step, seed, drop_tag, first):
     """h @ W + b, with dropout on every input but a module's first."""
-    if training and not first:
-        h = dm.dropout(h, cfg.dropout, substream(seed, "dropout", *drop_tag, step), True)
+    if not first:
+        h = _dropout(h, cfg, training, step, seed, [drop_tag])
     return dm.matmul(h, store[f"{name}.W"], store[f"{name}.b"])
 
 
@@ -365,18 +385,12 @@ def _gcn_normalization(weights: Node, support: SparseMatrix) -> tuple[Node, Node
     return ew, dm.power(deg, -1.0)
 
 
-def _gin_layer(h, support, w_edge, store, name, cfg, training, step, seed,
-               drop_tag, first):
-    """Sum aggregation with learnable self-weight and a 2-layer transform."""
-    if training and not first:
-        h = dm.dropout(h, cfg.dropout, substream(seed, "dropout", *drop_tag, step), True)
+def _gin_layer(h, support, w_edge, store, name, product):
+    """Sum aggregation with learnable self-weight and a 2-layer transform;
+    `product` is `dm.matmul`, or `dm.block_matmul` for the stacked bank."""
     agg = dm.edge_spmm(support, w_edge, h, diag=dm.constant(1.0) + store[f"{name}.eps"])
-    m = dm.relu(dm.matmul(agg, store[f"{name}.W1"], store[f"{name}.b1"]))
-    return dm.matmul(m, store[f"{name}.W2"], store[f"{name}.b2"])
-
-
-def _column(a: Node, k: int) -> Node:
-    return dm.reshape(dm.slice_columns(a, k, k + 1), (a.value.shape[0],))
+    m = dm.relu(product(agg, store[f"{name}.W1"], store[f"{name}.b1"]))
+    return product(m, store[f"{name}.W2"], store[f"{name}.b2"])
 
 
 # ---------------------------------------------------------------------------
@@ -420,65 +434,63 @@ def _blocks_matmul(blocks: list, w: Node) -> Node:
 def community_gnn_forward(x_star, partition: EdgePartition,
                           store: ParameterStore, cfg: ModelConfig,
                           training: bool = False, step: int = 0,
-                          seed: int = 0) -> list[Node]:
-    """One L2-layer GNN per metacommunity over its partitioned graph.
+                          seed: int = 0) -> Node:
+    """One L2-layer GNN per metacommunity over its partitioned graph, run
+    as one stacked computation: between the layers the K communities'
+    activations are the row blocks of one (K*N, bw) node, and each layer
+    is one `edge_spmm` over all K parts. Returns the N x (K*bw) node whose
+    column block k is community k's embedding.
 
     `x_star` is the list of column blocks from `build_input_features`, or a
     single node.
     """
     blocks = x_star if isinstance(x_star, list) else [x_star]
-    k_meta, bw = cfg.n_metacommunities, cfg.bank_width
+    k_meta = cfg.n_metacommunities
     support = partition.support
-
     if cfg.layer_kind == "gcn":
         ew, self_w = partition.gcn_normalization()
-        # the first transform shares its (wide) input across communities,
-        # so it runs as one fused product
-        w_cat = dm.concat_columns([store[f"bank.{k}.0.W"] for k in range(k_meta)])
-        b_cat = dm.concat_columns(
-            [dm.reshape(store[f"bank.{k}.0.b"], (1, bw)) for k in range(k_meta)])
-        m_all = _blocks_matmul(blocks, w_cat) + b_cat
     elif len(blocks) != 1:
         raise ModelError("the GIN bank takes its input as one dense block")
 
-    out = []
-    for k in range(k_meta):
+    h = None
+    for li in range(cfg.bank_layers):
+        name = f"bank.{li}"
+        if li > 0:
+            h = _dropout(h, cfg, training, step, seed,
+                         [("bank", k, li) for k in range(k_meta)])
         if cfg.layer_kind == "gcn":
-            ew_k, self_k = _column(ew, k), _column(self_w, k)
-        else:
-            h, w_k = blocks[0], _column(partition.weights, k)
-        for li in range(cfg.bank_layers):
-            name, tag = f"bank.{k}.{li}", ("bank", k, li)
-            if cfg.layer_kind == "gcn":
-                if li == 0:
-                    m = dm.slice_columns(m_all, k * bw, (k + 1) * bw)
-                else:
-                    m = _linear(h, store, name, cfg, training, step, seed, tag, first=False)
-                h = dm.edge_spmm(support, ew_k, m, diag=self_k)
+            if li == 0:
+                # the first transform shares its (wide) input across
+                # communities, so it runs as one fused product
+                m = dm.column_blocks_to_rows(
+                    _blocks_matmul(blocks, store[f"{name}.W"]) + store[f"{name}.b"], k_meta)
             else:
-                h = _gin_layer(h, support, w_k, store, name, cfg, training, step, seed,
-                               tag, first=(li == 0))
-            if li < cfg.bank_layers - 1:
-                h = dm.relu(h)
-        out.append(h)
-    return out
+                m = dm.block_matmul(h, store[f"{name}.W"], store[f"{name}.b"])
+            h = dm.edge_spmm(support, ew, m, diag=self_w)
+        else:
+            # the first layer aggregates the shared input once per part
+            h = _gin_layer(blocks[0] if li == 0 else h, support, partition.weights,
+                           store, name, dm.block_matmul)
+        if li < cfg.bank_layers - 1:
+            h = dm.relu(h)
+    return dm.row_blocks_to_columns(h, k_meta)
 
 
 # ---------------------------------------------------------------------------
 # module 3: representation composer
 
 
-def compose_representations(h_list: list[Node], prep: PreparedGraph,
+def compose_representations(h: Node, prep: PreparedGraph,
                             store: ParameterStore, cfg: ModelConfig,
                             training: bool = False, step: int = 0,
                             seed: int = 0) -> Node:
-    """Fuse the K community embeddings into one representation.
+    """Fuse the K community embeddings (the column blocks of `h`) into one
+    representation.
 
-    The gnn composer aggregates the concatenation over the full (normalized
-    or binary, matching the layer kind) graph; the dense variant is a
-    per-node map that never touches the adjacency.
+    The gnn composer aggregates them over the full (normalized or binary,
+    matching the layer kind) graph; the dense variant is a per-node map
+    that never touches the adjacency.
     """
-    h = dm.concat_columns(h_list)
     adj = prep.graph.adjacency
     for li in range(cfg.composer_layers):
         name, tag, first = f"comp.{li}", ("comp", li), li == 0
@@ -488,8 +500,9 @@ def compose_representations(h_list: list[Node], prep: PreparedGraph,
             h = dm.sparse_dense_matmul(
                 prep.a_norm, _linear(h, store, name, cfg, training, step, seed, tag, first))
         else:
-            h = _gin_layer(h, adj, dm.constant(np.ones(adj.nnz)), store, name, cfg,
-                           training, step, seed, tag, first)
+            if not first:
+                h = _dropout(h, cfg, training, step, seed, [tag])
+            h = _gin_layer(h, adj, dm.constant(np.ones(adj.nnz)), store, name, dm.matmul)
         if li < cfg.composer_layers - 1:
             h = dm.relu(h)
     return h
@@ -512,24 +525,12 @@ def forward_logits(prep: PreparedGraph, z: Node, partition: EdgePartition,
                    x_star: Optional[list] = None) -> Node:
     if x_star is None:
         x_star = build_input_features(prep, z, cfg, seed)
-    h_list = community_gnn_forward(x_star, partition, store, cfg, training, step, seed)
-    h_v = compose_representations(h_list, prep, store, cfg, training, step, seed)
+    h = community_gnn_forward(x_star, partition, store, cfg, training, step, seed)
+    h_v = compose_representations(h, prep, store, cfg, training, step, seed)
     if prep.task == "node":
         return h_v
     pooled = graph_pool(h_v, prep.graph_ids, prep.n_graphs)
     return dm.matmul(pooled, store["out.W"], store["out.b"])
-
-
-def predict_probabilities(prep: PreparedGraph, store: ParameterStore,
-                          cfg: ModelConfig, uniforms: np.ndarray,
-                          partition_seed: int = 0) -> np.ndarray:
-    """Single-sample class probabilities (evaluation mode, no dropout)."""
-    store = store.detached()
-    post = encode_communities(prep, store, cfg, uniforms)
-    part = partition_edges(prep.graph.adjacency, post.z, gamma_node(store), cfg,
-                           seed=partition_seed)
-    logits = forward_logits(prep, post.z, part, store, cfg)
-    return dm.row_softmax_with_temperature(logits, 1.0).value
 
 
 def posterior_predictive(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,

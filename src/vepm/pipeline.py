@@ -165,10 +165,10 @@ def _community_probes(cfg: RunConfig, prep, store, out_dir: str) -> list:
     partition = partition_edges(prep.graph.adjacency, post.z, gamma, cfg.model,
                                 seed=cfg.seed)
     x_star = build_input_features(prep, post.z, cfg.model, cfg.seed)
-    h_list = community_gnn_forward(x_star, partition, store, cfg.model)
+    h = community_gnn_forward(x_star, partition, store, cfg.model)
     matrices, kept = community_confusion_matrices(
-        [h.value for h in h_list], prep.graph.labels, folds=cfg.folds,
-        seed=cfg.seed)
+        np.hsplit(h.value, cfg.model.n_metacommunities), prep.graph.labels,
+        folds=cfg.folds, seed=cfg.seed)
     os.makedirs(out_dir, exist_ok=True)
     for k, mat in enumerate(matrices):
         np.savetxt(os.path.join(out_dir, f"confusion_{k}.csv"), mat, delimiter=",")
@@ -236,8 +236,9 @@ def run_partition_export(cfg: RunConfig, checkpoint: str, out_dir: str):
     mu = mu_statistic(post.z.value, gamma.value, cfg.model.n_metacommunities)
     export_partition(out_dir, partition, mu)
     x_star = build_input_features(prep, post.z, cfg.model, cfg.seed)
-    h_list = community_gnn_forward(x_star, partition, store, cfg.model)
-    export_embeddings(out_dir, [h.value for h in h_list], post.z.value)
+    h = community_gnn_forward(x_star, partition, store, cfg.model)
+    export_embeddings(out_dir, np.hsplit(h.value, cfg.model.n_metacommunities),
+                      post.z.value)
     return partition
 
 

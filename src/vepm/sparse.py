@@ -28,7 +28,7 @@ class SparseMatrix:
     _indptr: np.ndarray = field(init=False, repr=False)
     _csr: object = field(default=None, init=False, repr=False)
     _csr_t: object = field(default=None, init=False, repr=False)
-    _diag_layout: object = field(default=None, init=False, repr=False)
+    _block_layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.rows = np.array(self.rows, dtype=np.int64)
@@ -73,36 +73,50 @@ class SparseMatrix:
         lo, hi = self._indptr[i], self._indptr[i + 1]
         return self.cols[lo:hi], self.vals[lo:hi]
 
-    def csr_with_diagonal(self, vals: np.ndarray, diag) -> sp.csr_matrix:
-        """A scipy CSR matrix on this support with the diagonal merged in:
-        `vals` on the stored entries and `diag` (a scalar or one value per
-        row) on the diagonal.
+    def block_csr_with_diagonal(self, vals: np.ndarray, diag: np.ndarray,
+                                shared: bool) -> sp.csr_matrix:
+        """K copies of this support with the diagonal merged in, stacked as
+        row blocks of one scipy CSR matrix.
 
-        The merged layout is built on first use and reused, so a call only
-        fills the data array. The support must be square and store no
-        diagonal entry.
+        Block k carries `vals[:, k]` (vals is nnz x K) on the stored entries
+        and row k of `diag` on the diagonal: `diag` is K x N, or K x 1 for
+        one value per block. The blocks sit on the block diagonal of a
+        (K*N) x (K*N) matrix, or, when `shared`, all over the same N
+        columns, so one product with an N x d operand gives every block.
+
+        The layout is built on first use per (K, shared) and reused, so a
+        call only fills the data array. The support must be square and
+        store no diagonal entry.
         """
-        if self._diag_layout is None:
+        k, n = vals.shape[1], self.n_rows
+        shape = (k * n, n if shared else k * n)
+        layout = self._block_layouts.get((k, shared))
+        if layout is None:
             if self.n_rows != self.n_cols or not self.has_zero_diagonal():
                 raise SparseError("the diagonal merges only into a square support "
                                   "without diagonal entries")
-            n = self.n_rows
-            # row i moves right by i slots; entries right of the diagonal by one more
+            # one block: row i moves right by i slots; entries right of the
+            # diagonal by one more
             entry_slots = np.arange(self.nnz) + self.rows + (self.cols > self.rows)
             left = np.bincount(self.rows[self.cols < self.rows], minlength=n)
             diag_slots = self._indptr[:-1] + np.arange(n) + left
-            indices = np.empty(self.nnz + n, dtype=np.int64)
+            width = self.nnz + n
+            indices = np.empty(width, dtype=np.int64)
             indices[entry_slots] = self.cols
             indices[diag_slots] = np.arange(n)
+            indptr = self._indptr[:-1] + np.arange(n)
+            blocks = [indices if shared else indices + b * n for b in range(k)]
+            ptrs = [indptr + b * width for b in range(k)] + [[k * width]]
             # scipy picks the index dtype once here, not on every call
-            template = sp.csr_matrix((np.zeros(indices.size), indices,
-                                      self._indptr + np.arange(n + 1)), shape=self.shape)
-            self._diag_layout = (template.indices, template.indptr, entry_slots, diag_slots)
-        indices, indptr, entry_slots, diag_slots = self._diag_layout
-        data = np.empty(indices.size, dtype=vals.dtype)
-        data[entry_slots] = vals
-        data[diag_slots] = diag
-        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+            template = sp.csr_matrix((np.zeros(k * width), np.concatenate(blocks),
+                                      np.concatenate(ptrs)), shape=shape)
+            layout = (template.indices, template.indptr, entry_slots, diag_slots)
+            self._block_layouts[(k, shared)] = layout
+        indices, indptr, entry_slots, diag_slots = layout
+        data = np.empty((k, entry_slots.size + diag_slots.size), dtype=vals.dtype)
+        data[:, entry_slots] = vals.T
+        data[:, diag_slots] = diag
+        return sp.csr_matrix((data.reshape(-1), indices, indptr), shape=shape)
 
     def to_scipy(self) -> sp.csr_matrix:
         if self._csr is None:

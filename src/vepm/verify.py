@@ -76,6 +76,18 @@ def _primitive_cases(seed=0):
     w_edge = rng.uniform(0.5, 2.0, adj_iso.nnz)
     bias = rng.standard_normal(3)
     self_loops = rng.uniform(0.5, 2.0, n)
+    # K-part inputs, drawn after the rest so no other case's inputs move
+    k = 3
+    w_parts = rng.uniform(0.5, 2.0, (adj_iso.nnz, k))
+    stacked = _avoid_kinks(rng, (k * n, d))
+    loops_parts = rng.uniform(0.5, 2.0, (n, k))
+    loops_shared = rng.uniform(0.5, 2.0, k)
+    w_blocks = _avoid_kinks(rng, (k * d, 3))
+    bias_blocks = rng.standard_normal((k, 3))
+    mix["parts"] = rng.standard_normal((k * n, d))
+    mix["parts3"] = rng.standard_normal((k * n, 3))
+    mix["wide"] = rng.standard_normal((n, k * d))
+    wide = rng.standard_normal((n, k * d))
 
     def mixed(node, key=2):
         return dm.reduce_sum(dm.elementwise_mul(node, dm.constant(mix[key])))
@@ -106,6 +118,25 @@ def _primitive_cases(seed=0):
     case("edge_spmm_diag_scalar", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi"),
                                              s.add("d", np.array(1.3), "phi")),
          lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"])))
+    case("edge_spmm_parts", lambda s: (s.add("w", w_parts, "phi"),
+                                       s.add("x", stacked, "phi"),
+                                       s.add("d", loops_parts, "phi")),
+         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"]), "parts"))
+    case("edge_spmm_parts_shared", lambda s: (s.add("w", w_parts, "phi"),
+                                              s.add("x", a, "phi"),
+                                              s.add("d", loops_shared, "phi")),
+         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"]), "parts"))
+    case("edge_spmm_parts_scalar", lambda s: (s.add("w", w_parts, "phi"),
+                                              s.add("x", stacked, "phi"),
+                                              s.add("d", loops_shared, "phi")),
+         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"]), "parts"))
+    case("block_matmul", lambda s: (s.add("x", stacked, "phi"), s.add("w", w_blocks, "phi"),
+                                    s.add("b", bias_blocks, "phi")),
+         lambda s: mixed(dm.block_matmul(s["x"], s["w"], s["b"]), "parts3"))
+    case("column_blocks_to_rows", lambda s: s.add("x", wide, "phi"),
+         lambda s: mixed(dm.column_blocks_to_rows(s["x"], k), "parts"))
+    case("row_blocks_to_columns", lambda s: s.add("x", stacked, "phi"),
+         lambda s: mixed(dm.row_blocks_to_columns(s["x"], k), "wide"))
     case("relu", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.relu(s["x"])))
     case("softplus", lambda s: s.add("x", a, "phi"),

@@ -168,6 +168,33 @@ class TestPipelineCommands:
         # theta optimizer took inner_steps updates per additional epoch
         assert int(meta2["adam_theta_t"]) == int(meta["adam_theta_t"]) + 10
 
+    def test_per_community_checkpoint_refused(self, synth_run, capsys):
+        """A checkpoint that names the bank per community (the layout before
+        the bank was stacked) is refused, not loaded with a random bank."""
+        from vepm.diffmath import save_arrays
+
+        tmp, _data, out, cfg = synth_run
+        assert main(["pretrain", "--config", cfg]) == 0
+        entries, meta = load_arrays(os.path.join(out, "pretrain.ckpt"))
+        old = []
+        for name, group, arr in entries:
+            if name.startswith("bank."):
+                _bank, li, p = name.split(".")
+                blocks = np.hsplit(arr, 4) if name == "bank.0.W" else np.split(arr, 4)
+                old += [(f"bank.{k}.{li}.{p}", group, b.reshape(-1, b.shape[-1])
+                         if p == "W" else b.reshape(-1)) for k, b in enumerate(blocks)]
+            else:
+                old.append((name, group, arr))
+        old_ckpt = str(tmp / "per_community.ckpt")
+        save_arrays(old_ckpt, old, meta)
+        capsys.readouterr()
+        for argv in (["eval", "--config", cfg, "--checkpoint", old_ckpt],
+                     ["pretrain", "--config", cfg, "--resume", old_ckpt]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "VEPM-ERROR kind=config" in err
+            assert "unknown bank.0.0.W" in err and "missing bank.0.W" in err
+
     def test_eval_keep_rate_runs_reduced(self, synth_run):
         _tmp, _data, out, cfg = synth_run
         assert main(["eval", "--config", cfg, "--keep-rate", "0.5"]) == 0

@@ -230,6 +230,67 @@ def test_dropout_mask_matches_the_scaled_keep_draws():
     np.testing.assert_array_equal(out, a * (keep / (1.0 - 0.3)))
 
 
+def test_edge_spmm_parts_match_dense_blocks():
+    rng = substream(8, "edge-spmm-parts")
+    # node 4 has no edges
+    adj = SparseMatrix(5, 5, np.array([0, 1, 1, 2, 3, 3]), np.array([1, 0, 3, 3, 1, 2]),
+                       np.ones(6))
+    k = 3
+    w = rng.uniform(0.5, 2.0, (adj.nnz, k))
+    stacked = rng.normal(0, 1, (k * 5, 2))
+    shared = rng.normal(0, 1, (5, 2))
+    for m, d in ((stacked, rng.uniform(0.5, 2.0, (5, k))), (shared, rng.uniform(0.5, 2.0, k)),
+                 (stacked, rng.uniform(0.5, 2.0, k))):
+        out = dm.edge_spmm(adj, dm.constant(w), dm.constant(m), dm.constant(d)).value
+        assert out.shape == (k * 5, 2)
+        for b in range(k):
+            m_b = m if m.shape[0] == 5 else m[b * 5:(b + 1) * 5]
+            dense = _dense_with_diagonal(adj, w[:, b], d[:, b] if d.ndim == 2 else d[b])
+            np.testing.assert_allclose(out[b * 5:(b + 1) * 5], dense @ m_b, rtol=0, atol=1e-12)
+    with pytest.raises(DiffMathError, match="diag"):
+        dm.edge_spmm(adj, dm.constant(w), dm.constant(stacked), dm.constant(np.ones(5)))
+
+
+def test_block_matmul_matches_per_block_matmul_bit_for_bit():
+    rng = substream(3, "block-matmul")
+    k, n, din, dout = 3, 7, 4, 5
+    h = rng.normal(0, 1, (k * n, din))
+    w = rng.normal(0, 1, (k * din, dout))
+    b = rng.normal(0, 1, (k, dout))
+    g = rng.normal(0, 1, (k * n, dout))
+    store = ParameterStore()
+    nodes = [store.add(name, v, "phi") for name, v in (("h", h), ("w", w), ("b", b))]
+    out = dm.block_matmul(*nodes)
+    backward(dm.reduce_sum(dm.elementwise_mul(out, dm.constant(g))))
+    for i in range(k):
+        ref = ParameterStore()
+        parts = [ref.add("h", h[i * n:(i + 1) * n], "phi"),
+                 ref.add("w", w[i * din:(i + 1) * din], "phi"), ref.add("b", b[i], "phi")]
+        ref_out = dm.matmul(*parts)
+        backward(dm.reduce_sum(dm.elementwise_mul(ref_out, dm.constant(g[i * n:(i + 1) * n]))))
+        np.testing.assert_array_equal(out.value[i * n:(i + 1) * n], ref_out.value)
+        np.testing.assert_array_equal(store.grad("h")[i * n:(i + 1) * n], ref.grad("h"))
+        np.testing.assert_array_equal(store.grad("w")[i * din:(i + 1) * din], ref.grad("w"))
+        np.testing.assert_array_equal(store.grad("b")[i], ref.grad("b"))
+
+
+def test_block_layout_conversions_are_inverse():
+    a = substream(2, "blocks").normal(0, 1, (4, 6))
+    rows = dm.column_blocks_to_rows(dm.constant(a), 3).value
+    np.testing.assert_array_equal(rows, np.vstack(np.hsplit(a, 3)))
+    np.testing.assert_array_equal(dm.row_blocks_to_columns(dm.constant(rows), 3).value, a)
+
+
+def test_dropout_takes_one_generator_per_row_block():
+    a = substream(9, "drop-in").normal(0, 1, (3 * 40, 6))
+    rngs = [substream(9, "drop", i) for i in range(3)]
+    out = dm.dropout(dm.constant(a), 0.3, rngs, True).value
+    for i in range(3):
+        block = a[i * 40:(i + 1) * 40]
+        single = dm.dropout(dm.constant(block), 0.3, substream(9, "drop", i), True).value
+        np.testing.assert_array_equal(out[i * 40:(i + 1) * 40], single)
+
+
 def test_segment_sum_matches_sequential_loop():
     rng = substream(4, "segsum")
     idx = rng.integers(0, 7, 40)
@@ -317,6 +378,39 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     store.add("w", np.ones((3, 3)), "phi")
     with pytest.raises(DiffMathError, match="shape"):
         store.load(path)
+
+
+def test_checkpoint_missing_parameter_rejected(tmp_path):
+    path = str(tmp_path / "short.ckpt")
+    save_arrays(path, [("w", "phi", np.ones(2)), ("adam.m.w", "opt", np.ones(2))])
+    store = ParameterStore()
+    store.add("w", np.zeros(2), "phi")
+    store.add("v", np.zeros(3), "theta")
+    with pytest.raises(DiffMathError, match="missing v"):
+        store.load(path)
+    # a refused checkpoint loads nothing
+    assert np.array_equal(store["w"].value, np.zeros(2))
+
+
+def test_checkpoint_unknown_parameter_rejected(tmp_path):
+    path = str(tmp_path / "long.ckpt")
+    save_arrays(path, [("w", "phi", np.ones(2)), ("u", "theta", np.ones(1))])
+    store = ParameterStore()
+    store.add("w", np.zeros(2), "phi")
+    with pytest.raises(DiffMathError, match="unknown u"):
+        store.load(path)
+    assert np.array_equal(store["w"].value, np.zeros(2))
+
+
+def test_checkpoint_reshaped_parameter_rejected_by_name(tmp_path):
+    path = str(tmp_path / "reshaped.ckpt")
+    save_arrays(path, [("w", "phi", np.ones(2)), ("v", "theta", np.ones((2, 3)))])
+    store = ParameterStore()
+    store.add("w", np.zeros(2), "phi")
+    store.add("v", np.zeros(6), "theta")
+    with pytest.raises(DiffMathError, match=r"v has shape \(2, 3\), expected \(6,\)"):
+        store.load(path)
+    assert np.array_equal(store["w"].value, np.zeros(2))
 
 
 def test_fd_check_detects_nondeterministic_builder():

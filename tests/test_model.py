@@ -21,7 +21,6 @@ from vepm.model import (
     node_ordering,
     partition_edges,
     posterior_predictive,
-    predict_probabilities,
     prepare_graph_batch,
     prepare_node_graph,
 )
@@ -39,6 +38,16 @@ def small_setup(seed=0, **cfg_kw):
     prep = prepare_node_graph(graph)
     store = init_params(cfg, graph.n_features, graph.n_classes(), seed, "node")
     return graph, cfg, prep, store
+
+
+def predict_probabilities(prep, store, cfg, uniforms, partition_seed=0):
+    """Single-sample class probabilities (evaluation mode, no dropout)."""
+    store = store.detached()
+    post = encode_communities(prep, store, cfg, uniforms)
+    part = partition_edges(prep.graph.adjacency, post.z, gamma_node(store), cfg,
+                           seed=partition_seed)
+    logits = forward_logits(prep, post.z, part, store, cfg)
+    return dm.row_softmax_with_temperature(logits, 1.0).value
 
 
 class TestModelConfig:
@@ -126,7 +135,8 @@ class TestPartitioner:
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
         post = encode_communities(prep, store, cfg, u)
         part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg, seed=5)
-        assert part.sum_deviation() < 1e-9
+        deviation = np.abs(part.weight_values().sum(axis=1) - part.edge_vals).max()
+        assert deviation < 1e-9
 
     def test_random_mode_frozen_and_symmetric(self):
         graph, cfg, prep, store = small_setup(partition_mode="random")
@@ -157,7 +167,8 @@ class TestPartitioner:
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
         post = encode_communities(prep, store, cfg, u)
         part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg)
-        mats = part.to_sparse_matrices()
+        w = part.weight_values()
+        mats = [SparseMatrix(40, 40, part.rows, part.cols, w[:, j]) for j in range(part.k)]
         assert len(mats) == 4
         total = sum(m.to_dense() for m in mats)
         np.testing.assert_allclose(total, graph.adjacency.to_dense(), atol=1e-9)
@@ -180,20 +191,22 @@ class TestBankAndComposer:
     def test_identical_parts_and_params_give_identical_embeddings(self):
         graph, cfg, prep, store = small_setup(n_metacommunities=2, hidden_dim=8,
                                               input_mode="features_only")
-        ref = {"W": store["bank.0.0.W"].value, "b": store["bank.0.0.b"].value,
-               "W1": store["bank.0.1.W"].value, "b1": store["bank.0.1.b"].value}
-        store.set_value("bank.1.0.W", ref["W"])
-        store.set_value("bank.1.0.b", ref["b"])
-        store.set_value("bank.1.1.W", ref["W1"])
-        store.set_value("bank.1.1.b", ref["b1"])
+        # community 1 gets community 0's blocks of the stacked parameters
+        bw = cfg.bank_width
+        w0, b0 = store["bank.0.W"].value, store["bank.0.b"].value
+        w0[:, bw:] = w0[:, :bw]
+        b0[bw:] = b0[:bw]
+        w1, b1 = store["bank.1.W"].value, store["bank.1.b"].value
+        w1[bw:] = w1[:bw]
+        b1[1] = b1[0]
         e = graph.adjacency.nnz
         part = partition_edges(graph.adjacency, None, None,
                                ModelConfig(n_metacommunities=2,
                                            communities_per_block=1,
                                            partition_mode="even"))
         x_star = dm.constant(graph.features)
-        h = community_gnn_forward(x_star, part, store, cfg)
-        np.testing.assert_allclose(h[0].value, h[1].value, atol=1e-12)
+        h = np.hsplit(community_gnn_forward(x_star, part, store, cfg).value, 2)
+        np.testing.assert_allclose(h[0], h[1], atol=1e-12)
 
     def test_zero_weight_part_reduces_to_per_node_transform(self):
         graph, cfg, prep, store = small_setup(n_metacommunities=1, hidden_dim=4,
@@ -208,8 +221,8 @@ class TestBankAndComposer:
                              edge_vals=graph.adjacency.vals,
                              weights=dm.constant(np.zeros((e, 1))))
         x_star = dm.constant(graph.features)
-        h = community_gnn_forward(x_star, part, store, cfg)[0]
-        expected = graph.features @ store["bank.0.0.W"].value + store["bank.0.0.b"].value
+        h = community_gnn_forward(x_star, part, store, cfg)
+        expected = graph.features @ store["bank.0.W"].value + store["bank.0.b"].value
         np.testing.assert_allclose(h.value, expected, atol=1e-12)
 
     def test_sparse_feature_blocks_match_dense_input(self):
@@ -220,9 +233,10 @@ class TestBankAndComposer:
         blocks = build_input_features(prep, z, cfg, 0)
         assert isinstance(blocks[0], SparseMatrix)
         dense = dm.concat_columns([dm.constant(graph.features), z])
-        for a, b in zip(community_gnn_forward(blocks, part, store, cfg),
-                        community_gnn_forward(dense, part, store, cfg)):
-            np.testing.assert_allclose(a.value, b.value, atol=1e-12)
+        k = cfg.n_metacommunities
+        for a, b in zip(np.hsplit(community_gnn_forward(blocks, part, store, cfg).value, k),
+                        np.hsplit(community_gnn_forward(dense, part, store, cfg).value, k)):
+            np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_dense_composer_ignores_adjacency(self):
         graph, cfg, prep, store = small_setup(composer_kind="dense")
@@ -252,10 +266,10 @@ class TestBankAndComposer:
         part = partition_edges(graph.adjacency, z_const,
                                dm.constant(gamma_node(store).value), cfg)
         x_star = build_input_features(prep, z_const, cfg, 0)
-        h1 = community_gnn_forward(x_star, part, store, cfg)[0]
+        h1 = community_gnn_forward(x_star, part, store, cfg)
         store.set_value("comp.0.W", np.eye(4, graph.n_classes()))
         store.set_value("comp.0.b", np.zeros(graph.n_classes()))
-        out = compose_representations([h1], prep, store, cfg).value
+        out = compose_representations(h1, prep, store, cfg).value
         expected = prep.a_norm.matmul_dense(h1.value @ np.eye(4, graph.n_classes()))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -266,6 +280,87 @@ class TestBankAndComposer:
         part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg)
         logits = forward_logits(prep, post.z, part, store, cfg)
         assert logits.value.shape == (40, graph.n_classes())
+
+
+def per_community_bank(x, part, store, cfg, training, step, seed):
+    """The bank as K separate chains, one per community, built from the
+    single-part primitives over slices of the stacked parameters: the
+    reference for the stacked bank. Returns the K outputs."""
+    k_meta, bw, n = cfg.n_metacommunities, cfg.bank_width, x.value.shape[0]
+    support = part.support
+
+    def block(name, k):
+        """Community k's block of a stacked parameter."""
+        p = store[name]
+        if p.value.ndim == 1:  # eps (K,) or the GCN's first bias (K*bw,)
+            width = p.value.shape[0] // k_meta
+            row = dm.slice_columns(dm.reshape(p, (1, p.value.shape[0])),
+                                   k * width, (k + 1) * width)
+            return dm.reshape(row, ()) if width == 1 else row
+        if name == "bank.0.W" and cfg.layer_kind == "gcn":
+            return dm.slice_columns(p, k * bw, (k + 1) * bw)
+        rows = p.value.shape[0] // k_meta
+        return dm.slice_rows(p, k * rows, (k + 1) * rows)
+
+    if cfg.layer_kind == "gcn":
+        ew, self_w = part.gcn_normalization()
+    outs = []
+    for k in range(k_meta):
+        h = x
+        for li in range(cfg.bank_layers):
+            name = f"bank.{li}"
+            if training and li > 0:
+                h = dm.dropout(h, cfg.dropout,
+                               substream(seed, "dropout", "bank", k, li, step), True)
+            if cfg.layer_kind == "gcn":
+                m = dm.matmul(h, block(f"{name}.W", k), block(f"{name}.b", k))
+                h = dm.edge_spmm(support, dm.reshape(dm.slice_columns(ew, k, k + 1), (-1,)),
+                                 m, dm.reshape(dm.slice_columns(self_w, k, k + 1), (n,)))
+            else:
+                w_k = dm.reshape(dm.slice_columns(part.weights, k, k + 1), (-1,))
+                agg = dm.edge_spmm(support, w_k, h, dm.constant(1.0) + block(f"{name}.eps", k))
+                m = dm.relu(dm.matmul(agg, block(f"{name}.W1", k), block(f"{name}.b1", k)))
+                h = dm.matmul(m, block(f"{name}.W2", k), block(f"{name}.b2", k))
+            if li < cfg.bank_layers - 1:
+                h = dm.relu(h)
+        outs.append(h)
+    return outs
+
+
+class TestStackedBank:
+    """The stacked bank against the K-chain reference, in values and in
+    the gradients of a random mix of its output."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("layer_kind", ["gcn", "gin"])
+    def test_matches_per_community_chains(self, layer_kind, training):
+        graph, cfg, prep, store = small_setup(layer_kind=layer_kind, dropout=0.4,
+                                              bank_layers=3)
+        k_meta, n = cfg.n_metacommunities, graph.n_nodes
+        u = encoder_uniforms(n, cfg.total_communities, 0, "ref")
+        z = encode_communities(prep, store, cfg, u).z
+        part = partition_edges(graph.adjacency, z, gamma_node(store), cfg)
+        x = dm.concat_columns([dm.constant(graph.features), z])
+        mix = substream(4, "ref-mix").standard_normal((n, k_meta * cfg.bank_width))
+        names = [name for name in store.names() if name.startswith("bank.")]
+
+        def loss_and_grads(outputs):
+            loss = dm.reduce_sum(dm.elementwise_mul(outputs, dm.constant(mix)))
+            store.zero_grad()
+            dm.backward(loss)
+            return outputs.value, {name: store.grad(name).copy()
+                                   for name in names + ["gamma_raw", "enc.0.W"]}
+
+        got, got_grads = loss_and_grads(
+            community_gnn_forward(x, part, store, cfg, training, step=3, seed=9))
+        ref, ref_grads = loss_and_grads(dm.concat_columns(
+            per_community_bank(x, part, store, cfg, training, step=3, seed=9)))
+        assert np.abs(got - ref).max() <= 1e-12
+        for name, g in ref_grads.items():
+            assert np.abs(got_grads[name] - g).max() <= 1e-12 * max(1.0, np.abs(g).max()), name
+        if training:
+            eval_out = community_gnn_forward(x, part, store, cfg).value
+            assert np.abs(eval_out - got).max() > 1e-3
 
 
 class TestPooling:
@@ -382,7 +477,7 @@ class TestEquivariance:
                                            communities_per_block=1,
                                            partition_mode="even"))
         x_star = dm.constant(union.features)
-        h = community_gnn_forward(x_star, part, store, cfg)
+        h = np.hsplit(community_gnn_forward(x_star, part, store, cfg).value, 2)
         n = union.n_nodes
         perm = substream(2, "gperm").permutation(n)
         inv = np.argsort(perm)
@@ -392,10 +487,10 @@ class TestEquivariance:
                                  ModelConfig(layer_kind="gin", n_metacommunities=2,
                                              communities_per_block=1,
                                              partition_mode="even"))
-        h_p = community_gnn_forward(dm.constant(union.features[perm]), part_p,
-                                    store, cfg)
+        h_p = np.hsplit(community_gnn_forward(dm.constant(union.features[perm]), part_p,
+                                              store, cfg).value, 2)
         for a, b in zip(h, h_p):
-            assert np.abs(b.value - a.value[perm]).max() < 1e-9
+            assert np.abs(b - a[perm]).max() < 1e-9
 
 
 class TestExports:
