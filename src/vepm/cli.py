@@ -52,15 +52,14 @@ def _load_cfg(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
-def _add_common(p):
+def _add_run_config(p):
+    """The run configuration file and the keys a flag may override; every
+    command that reads a run configuration takes these."""
     p.add_argument("--config", help="run configuration file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--resume", default=None)
     p.add_argument("--protocol", choices=("xu", "zhang"), default=None)
     p.add_argument("--keep-rate", dest="keep_rate", type=float, default=None)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
 
 
 def _cmd_pretrain(args) -> int:
@@ -172,15 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="edge-partitioned graph representation learning")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("pretrain", _cmd_pretrain), ("train", _cmd_train),
-                     ("eval", _cmd_eval)):
+    for name, fn in (("pretrain", _cmd_pretrain), ("train", _cmd_train)):
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "eval":
-            p.add_argument("--checkpoint", default=None)
-            p.add_argument("--probes", action="store_true",
-                           help="write per-community confusion matrices")
+        _add_run_config(p)
+        p.add_argument("--resume", default=None)
         p.set_defaults(fn=fn)
+
+    p = sub.add_parser("eval")
+    _add_run_config(p)
+    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
+    p.add_argument("--probes", action="store_true",
+                   help="write per-community confusion matrices")
+    p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("synth")
     p.add_argument("--n", type=int, default=200)
@@ -200,12 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("partition-export")
-    _add_common(p)
+    _add_run_config(p)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=_cmd_partition_export)
 
     p = sub.add_parser("ablate")
-    _add_common(p)
+    _add_run_config(p)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--axis", required=True, choices=ABLATION_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated values for the chosen axis")

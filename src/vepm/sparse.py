@@ -29,6 +29,7 @@ class SparseMatrix:
     _csr: object = field(default=None, init=False, repr=False)
     _csr_t: object = field(default=None, init=False, repr=False)
     _block_layouts: dict = field(default_factory=dict, init=False, repr=False)
+    _pair_layout: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.rows = np.array(self.rows, dtype=np.int64)
@@ -84,13 +85,14 @@ class SparseMatrix:
         (K*N) x (K*N) matrix, or, when `shared`, all over the same N
         columns, so one product with an N x d operand gives every block.
 
-        The layout is built on first use per (K, shared) and reused, so a
-        call only fills the data array. The support must be square and
-        store no diagonal entry.
+        The layout is built on first use per (K, shared, diag width) and
+        reused, so a call only fills the data array: one gather from vals
+        and diag through a cached source index. The support must be square
+        and store no diagonal entry.
         """
-        k, n = vals.shape[1], self.n_rows
+        k, n, dw = vals.shape[1], self.n_rows, diag.shape[1]
         shape = (k * n, n if shared else k * n)
-        layout = self._block_layouts.get((k, shared))
+        layout = self._block_layouts.get((k, shared, dw))
         if layout is None:
             if self.n_rows != self.n_cols or not self.has_zero_diagonal():
                 raise SparseError("the diagonal merges only into a square support "
@@ -110,13 +112,37 @@ class SparseMatrix:
             # scipy picks the index dtype once here, not on every call
             template = sp.csr_matrix((np.zeros(k * width), np.concatenate(blocks),
                                       np.concatenate(ptrs)), shape=shape)
-            layout = (template.indices, template.indptr, entry_slots, diag_slots)
-            self._block_layouts[(k, shared)] = layout
-        indices, indptr, entry_slots, diag_slots = layout
-        data = np.empty((k, entry_slots.size + diag_slots.size), dtype=vals.dtype)
-        data[:, entry_slots] = vals.T
-        data[:, diag_slots] = diag
-        return sp.csr_matrix((data.reshape(-1), indices, indptr), shape=shape)
+            # slot (b, s) of the data reads vals.flat[e*K + b] for entry e,
+            # or diag.flat[b*dw + i] for node i, both offset as in
+            # concatenate((vals, diag), axis=None)
+            block = np.arange(k)[:, None]
+            source = np.empty((k, width), dtype=np.int64)
+            source[:, entry_slots] = np.arange(self.nnz) * k + block
+            source[:, diag_slots] = self.nnz * k + block * dw + np.arange(n) % dw
+            layout = (template.indices, template.indptr, source.reshape(-1))
+            self._block_layouts[(k, shared, dw)] = layout
+        indices, indptr, source = layout
+        data = np.take(np.concatenate((vals, diag), axis=None), source)
+        return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+    def pair_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`undirected_pairs(self)` and, for each stored entry, the position
+        of its unordered pair among them: both directions of an edge share
+        one. Built on first use and reused; the support must be symmetric.
+        """
+        if self._pair_layout is None:
+            iu, ju = undirected_pairs(self)
+            n = self.n_rows
+            pair_keys = iu * n + ju
+            key = np.minimum(self.rows, self.cols) * n + np.maximum(self.rows, self.cols)
+            index = np.searchsorted(pair_keys, key)
+            # without duplicates, each pair has both directions exactly when
+            # every entry finds its pair and there are two entries per pair
+            if (self.nnz != 2 * iu.size or np.any(index >= pair_keys.size)
+                    or np.any(pair_keys[index] != key)):
+                raise SparseError("pair layout of a support that is not symmetric")
+            self._pair_layout = (iu, ju, index)
+        return self._pair_layout
 
     def to_scipy(self) -> sp.csr_matrix:
         if self._csr is None:

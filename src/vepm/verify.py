@@ -16,8 +16,13 @@ from scipy.special import gammaln as sp_gammaln
 
 from . import diffmath as dm
 from .diffmath import ParameterStore, finite_difference_check
-from .distributions import kl_weibull_gamma, kl_weibull_gamma_value
-from .graphs import GraphCollection, batch_graphs, sample_epm_graph
+from .distributions import (
+    bernoulli_poisson_loglik,
+    kl_weibull_gamma,
+    kl_weibull_gamma_value,
+    weibull_rsample,
+)
+from .graphs import Graph, GraphCollection, batch_graphs, sample_epm_graph
 from .model import (
     ModelConfig,
     init_params,
@@ -88,6 +93,25 @@ def _primitive_cases(seed=0):
     mix["parts3"] = rng.standard_normal((k * n, 3))
     mix["wide"] = rng.standard_normal((n, k * d))
     wide = rng.standard_normal((n, k * d))
+    # ELBO-term inputs, drawn after the rest so no other case's inputs move
+    raw = rng.uniform(-3.0, 3.0, (n, d))
+    # bounds halfway between the 4th and 5th softplus values from each end:
+    # 4 entries are clamped on each side, and none sits on a bound
+    ordered = np.sort(np.logaddexp(0.0, raw), axis=None)
+    lo, hi = (ordered[3] + ordered[4]) / 2, (ordered[-5] + ordered[-4]) / 2
+    shape_k = rng.uniform(0.5, 2.5, (n, d))
+    scale = rng.uniform(0.5, 2.5, (n, d))
+    u = rng.uniform(0.05, 0.95, (n, d))
+    z = rng.uniform(0.2, 1.5, (n, d))
+    gamma = rng.uniform(0.3, 1.2, d)
+    # a triangle and an edge, batched into one 5-node union
+    pieces = [adjacency_from_edges(3, np.array([[0, 1], [1, 2], [0, 2]])),
+              adjacency_from_edges(2, np.array([[0, 1]]))]
+    union, union_ids, _ = batch_graphs(
+        GraphCollection(graphs=[Graph(adjacency=p, features=np.ones((p.n_rows, 1)))
+                                for p in pieces], graph_labels=np.array([0, 1])),
+        np.arange(2))
+    edgeless = adjacency_from_edges(n, np.zeros((0, 2), np.int64))
 
     def mixed(node, key=2):
         return dm.reduce_sum(dm.elementwise_mul(node, dm.constant(mix[key])))
@@ -184,6 +208,20 @@ def _primitive_cases(seed=0):
          lambda s: mixed(dm.log_softmax_rows(s["x"])))
     case("dropout", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.dropout(s["x"], 0.4, substream(11, "dropmask"), True)))
+    case("softplus_bounded", lambda s: s.add("x", raw, "phi"),
+         lambda s: mixed(dm.softplus(s["x"], lo, hi)))
+    case("weibull_rsample", lambda s: (s.add("k", shape_k, "phi"), s.add("lam", scale, "phi")),
+         lambda s: mixed(weibull_rsample(s["k"], s["lam"], u)))
+    case("kl_weibull_gamma", lambda s: (s.add("k", shape_k, "phi"),
+                                        s.add("lam", scale, "phi")),
+         lambda s: mixed(kl_weibull_gamma(s["k"], s["lam"], 1.3, 0.7)))
+    for name, support, kw in (
+            ("edge_loglik", adj, {}),
+            ("edge_loglik_batch", union.adjacency, {"graph_ids": union_ids, "n_graphs": 2}),
+            ("edge_loglik_edgeless", edgeless, {})):
+        case(name, lambda s: (s.add("z", z, "phi"), s.add("gamma", gamma, "shared")),
+             lambda s, support=support, kw=kw: bernoulli_poisson_loglik(
+                 support, s["z"], s["gamma"], **kw))
     return cases
 
 

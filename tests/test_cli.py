@@ -261,6 +261,21 @@ class TestVerifyCommand:
         assert "FAIL" not in capsys.readouterr().out
 
 
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "--jobs", "2"],
+        ["train", "--mc-samples", "3"],
+        ["eval", "--resume", "model.ckpt"],
+        ["partition-export", "--checkpoint", "model.ckpt", "--jobs", "2"],
+        ["ablate", "--axis", "tau", "--values", "1", "--resume", "model.ckpt"],
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", "run.cfg"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 class TestPartitionExport:
     def test_export_files_and_weight_sums(self, synth_run):
         _tmp, _data, out, cfg = synth_run

@@ -85,6 +85,28 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
             np.testing.assert_allclose(s, shifted, atol=1e-12)
 
 
+@pytest.mark.parametrize("width", [1, 3, 7, 8, 12])
+def test_softmax_rows_match_numpy_axis_reductions_bit_for_bit(width):
+    rng = substream(5, "softmax-narrow", width)
+    x, g = rng.normal(0, 3, (50, width)), rng.normal(0, 1, (50, width))
+    tau = 0.7
+    s = x / tau
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    soft = e / e.sum(axis=-1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    log_soft = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    for op, val, grad in (
+            (lambda a: dm.row_softmax_with_temperature(a, tau), soft,
+             soft * (g - (g * soft).sum(axis=-1, keepdims=True)) / tau),
+            (dm.log_softmax_rows, log_soft,
+             g - np.exp(log_soft) * g.sum(axis=-1, keepdims=True))):
+        store = ParameterStore()
+        out = op(store.add("x", x, "phi"))
+        backward(dm.reduce_sum(dm.elementwise_mul(out, dm.constant(g))))
+        np.testing.assert_array_equal(out.value, val)
+        np.testing.assert_array_equal(store.grad("x"), grad)
+
+
 def test_concat_then_slice_is_identity():
     rng = substream(1, "concat")
     a, b = rng.random((4, 3)), rng.random((4, 5))
@@ -298,7 +320,7 @@ def test_segment_sum_matches_sequential_loop():
     ref = np.zeros((7, 3))
     for e, i in enumerate(idx):
         ref[i] += values[e]
-    np.testing.assert_array_equal(dm._segment_sum(values, idx, 7), ref)
+    np.testing.assert_array_equal(dm.segment_sum(values, idx, 7), ref)
 
 
 def test_backward_determinism_bit_identical():

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
+from scipy.special import expit
+from scipy.special import gammaln as sp_gammaln
 from scipy.stats import kstest
 
+from conftest import masked_node_graph, synthetic_collection
 from vepm import diffmath as dm
+from vepm import model, training
 from vepm.diffmath import ParameterStore, finite_difference_check
 from vepm.distributions import (
+    EDGE_EPS,
+    EULER_GAMMA,
+    SCALE_MAX,
+    SCALE_MIN,
+    SHAPE_MAX,
+    SHAPE_MIN,
+    UNIFORM_EPS,
     DistributionError,
     bernoulli_poisson_loglik,
     bernoulli_poisson_loglik_bruteforce,
@@ -17,9 +28,9 @@ from vepm.distributions import (
     weibull_mean,
     weibull_rsample,
 )
-from vepm.graphs import sample_epm_graph
+from vepm.graphs import batch_graphs, sample_epm_graph
 from vepm.rng import substream
-from vepm.sparse import adjacency_from_edges
+from vepm.sparse import adjacency_from_edges, undirected_pairs
 from vepm.verify import kl_quadrature
 
 
@@ -216,3 +227,148 @@ def test_clamp_weibull_bounds():
     assert shape.value[0] == 1e-2 and shape.value[2] == 1e2
     np.testing.assert_allclose(shape.value[1], np.log(2.0))
     assert scale.value[0] == 1e-8
+
+
+# ---------------------------------------------------------------------------
+# each fused ELBO term against the chain of generic tape ops that computes
+# the same formula
+
+
+def _chain_softplus(a):
+    av = a.value
+    return dm.make_node("softplus", np.logaddexp(0.0, av), (a,),
+                        lambda g, needs: (g * expit(av),))
+
+
+def _chain_clamp_weibull(shape_raw, scale_raw):
+    return (dm.clip(_chain_softplus(shape_raw), SHAPE_MIN, SHAPE_MAX),
+            dm.clip(_chain_softplus(scale_raw), SCALE_MIN, SCALE_MAX))
+
+
+def _chain_weibull_rsample(shape_k, scale, uniforms):
+    u = np.clip(np.asarray(uniforms, dtype=np.float64), UNIFORM_EPS, 1.0 - UNIFORM_EPS)
+    log_c = dm.constant(np.log(-np.log1p(-u)))
+    return dm.elementwise_mul(
+        scale, dm.exp(dm.elementwise_mul(log_c, dm.power(shape_k, -1.0))))
+
+
+def _chain_kl(shape_k, scale, alpha, beta):
+    kinv = dm.power(shape_k, -1.0)
+    gamma_term = dm.exp(dm.gammaln(dm.constant(1.0) + kinv))
+    const = -EULER_GAMMA - 1.0 - alpha * np.log(beta) + float(sp_gammaln(alpha))
+    out = dm.constant(-alpha) * dm.log(scale)
+    out = out + dm.constant(EULER_GAMMA * alpha) * kinv
+    out = out + dm.log(shape_k)
+    out = out + dm.constant(beta) * dm.elementwise_mul(scale, gamma_term)
+    return out + dm.constant(const)
+
+
+def _chain_loglik(adjacency, z, gamma, graph_ids=None, n_graphs=1):
+    iu, ju = undirected_pairs(adjacency)
+    zg = dm.elementwise_mul(z, gamma)
+    edge_term = edge_rate_sum = dm.constant(0.0)
+    if iu.size:
+        rates = dm.reduce_sum(
+            dm.elementwise_mul(dm.gather_rows(zg, iu), dm.gather_rows(z, ju)), axis=1)
+        one = dm.constant(1.0 + EDGE_EPS)
+        edge_term = dm.reduce_sum(dm.log(one + dm.negate(dm.exp(dm.negate(rates)))))
+        edge_rate_sum = dm.reduce_sum(rates)
+    if graph_ids is None:
+        col_sums = dm.reshape(dm.reduce_sum(z, axis=0), (1, z.value.shape[1]))
+    else:
+        col_sums = dm.scatter_add_rows(z, graph_ids, n_graphs)
+    sq = dm.elementwise_mul(dm.power(col_sums, 2.0), gamma)
+    diag = dm.elementwise_mul(dm.power(z, 2.0), gamma)
+    total_rate = dm.constant(0.5) * (dm.reduce_sum(sq) + dm.negate(dm.reduce_sum(diag)))
+    return edge_term + dm.negate(total_rate + dm.negate(edge_rate_sum))
+
+
+def _use_chains(monkeypatch):
+    monkeypatch.setattr(dm, "softplus", _chain_softplus)
+    monkeypatch.setattr(model, "clamp_weibull", _chain_clamp_weibull)
+    monkeypatch.setattr(model, "weibull_rsample", _chain_weibull_rsample)
+    monkeypatch.setattr(training, "kl_weibull_gamma", _chain_kl)
+    monkeypatch.setattr(training, "bernoulli_poisson_loglik", _chain_loglik)
+
+
+class TestFusedTermsMatchOpChains:
+    def test_sample_and_kl_forward_bit_for_bit(self):
+        rng = substream(21, "fused-forward")
+        k = dm.constant(rng.uniform(SHAPE_MIN, 5.0, (50, 6)))
+        lam = dm.constant(rng.uniform(0.01, 10.0, (50, 6)))
+        u = rng.random((50, 6))
+        np.testing.assert_array_equal(weibull_rsample(k, lam, u).value,
+                                      _chain_weibull_rsample(k, lam, u).value)
+        np.testing.assert_array_equal(kl_weibull_gamma(k, lam, 1.3, 0.7).value,
+                                      _chain_kl(k, lam, 1.3, 0.7).value)
+
+    def test_softplus_within_4_ulps(self):
+        x = np.concatenate([substream(22, "softplus-ulps").uniform(-40.0, 40.0, 20000),
+                            [-800.0, -30.0, -1e-300, 0.0, 1e-300, 30.0, 800.0]])
+        ref = np.logaddexp(0.0, x)
+        got = dm.softplus(dm.constant(x)).value
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+        lo, hi = 0.1, 3.0
+        np.testing.assert_array_equal(dm.softplus(dm.constant(x), lo, hi).value,
+                                      np.clip(got, lo, hi))
+
+    def test_edge_loglik_value_and_gradients(self):
+        graph, _ = sample_epm_graph(40, 3, 1.0, 1.0, np.full(3, 0.1), seed=23)
+        rng = substream(23, "fused-loglik")
+        z, gamma = rng.gamma(1.0, 1.0, (40, 3)), rng.random(3) + 0.2
+
+        def evaluate(fn, **kw):
+            store = ParameterStore()
+            store.add("z", z, "phi")
+            store.add("gamma", gamma, "shared")
+            loss = fn(graph.adjacency, store["z"], store["gamma"], **kw)
+            dm.backward(loss)
+            return float(loss.value), store.grad("z"), store.grad("gamma")
+
+        for kw in ({}, {"graph_ids": np.repeat(np.arange(4), 10), "n_graphs": 4}):
+            got = evaluate(bernoulli_poisson_loglik, **kw)
+            ref = evaluate(_chain_loglik, **kw)
+            assert abs(got[0] - ref[0]) <= 1e-13 * abs(ref[0])
+            for a, b in zip(got[1:], ref[1:]):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @staticmethod
+    def _step_gradients(prep, store, cfg, uniforms, **kw):
+        """The parameter gradients of one training step's loss."""
+        tcfg = training.TrainConfig()
+        _terms, loss, _aux = training.elbo(prep, store, cfg, uniforms, tcfg,
+                                           training=True, step=3, seed=5, **kw)
+        store.zero_grad()
+        dm.backward(loss)
+        names = store.names(("phi", "shared"))
+        return {n: store.grad(n).copy() for n in names}
+
+    @pytest.mark.parametrize("run", ["gcn-node", "gin-graph", "sampler"])
+    @pytest.mark.parametrize("step", ["pretrain", "phi"])
+    def test_training_step_gradients(self, monkeypatch, run, step):
+        if run == "gin-graph":
+            coll = synthetic_collection(n_graphs=6, seed=3)
+            union, gids, labels = batch_graphs(coll, np.arange(6))
+            prep = model.prepare_graph_batch(union, gids, labels, 2)
+            cfg = model.ModelConfig(n_metacommunities=2, communities_per_block=2,
+                                    hidden_dim=8, layer_kind="gin", dropout=0.5)
+            task = "graph"
+        else:
+            prep = model.prepare_node_graph(masked_node_graph(seed=4, n=60))
+            cfg = model.ModelConfig(n_metacommunities=4, communities_per_block=2,
+                                    hidden_dim=16, dropout=0.5)
+            task = "node"
+        store = model.init_params(cfg, prep.graph.n_features, prep.n_classes, 2, task)
+        uniforms = model.encoder_uniforms(prep.n_nodes, cfg.total_communities, 6, "ref")
+        kw = {"include_task": step == "phi"}
+        if run == "sampler":
+            kw["sub"] = training.sample_subgraph(
+                prep.graph, training.SamplerConfig(enabled=True, n_sub=25),
+                substream(6, "ref-sampler"))
+        fused = self._step_gradients(prep, store, cfg, uniforms, **kw)
+        with monkeypatch.context() as m:
+            _use_chains(m)
+            chain = self._step_gradients(prep, store, cfg, uniforms, **kw)
+        largest = max(np.abs(g).max() for g in chain.values())
+        worst = max(np.abs(fused[n] - chain[n]).max() for n in chain)
+        assert worst <= 1e-12 * largest

@@ -99,3 +99,39 @@ def test_induced_adjacency():
     sub = induced_adjacency(adj, np.array([0, 1, 2]))
     np.testing.assert_array_equal(sub.to_dense(),
                                   adj.to_dense()[:3, :3])
+
+
+def test_pair_layout_shares_one_pair_per_edge():
+    adj = adjacency_from_edges(5, np.array([[0, 3], [1, 2], [2, 4], [0, 1]]))
+    iu, ju, entry_pair = adj.pair_layout()
+    ref_iu, ref_ju = undirected_pairs(adj)
+    np.testing.assert_array_equal(iu, ref_iu)
+    np.testing.assert_array_equal(ju, ref_ju)
+    np.testing.assert_array_equal(iu[entry_pair], np.minimum(adj.rows, adj.cols))
+    np.testing.assert_array_equal(ju[entry_pair], np.maximum(adj.rows, adj.cols))
+    assert adj.pair_layout() is adj.pair_layout()
+    for rows, cols in (([0], [1]), ([1], [0]), ([0, 0, 1], [1, 2, 0])):
+        with pytest.raises(SparseError):
+            SparseMatrix(3, 3, np.array(rows), np.array(cols), np.ones(len(rows))).pair_layout()
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("per_node", [False, True])
+def test_block_csr_places_every_value(shared, per_node):
+    rng = substream(12, "block-csr")
+    # node 4 has no edges; rows 1 and 3 hold entries on both sides of the diagonal
+    adj = SparseMatrix(5, 5, np.array([0, 1, 1, 2, 3, 3]), np.array([1, 0, 3, 3, 1, 2]),
+                       np.ones(6))
+    k = 3
+    vals = rng.uniform(0.5, 2.0, (adj.nnz, k))
+    diag = rng.uniform(0.5, 2.0, (k, 5 if per_node else 1))
+    out = adj.block_csr_with_diagonal(vals, diag, shared).toarray()
+    assert out.shape == (k * 5, 5 if shared else k * 5)
+    for b in range(k):
+        block = np.zeros((5, 5))
+        block[adj.rows, adj.cols] = vals[:, b]
+        block[np.arange(5), np.arange(5)] = diag[b]
+        cols = slice(0, 5) if shared else slice(b * 5, (b + 1) * 5)
+        np.testing.assert_array_equal(out[b * 5:(b + 1) * 5, cols], block)
+        out[b * 5:(b + 1) * 5, cols] = 0.0
+    assert not out.any()
