@@ -37,29 +37,26 @@ def _error(kind: str, msg: str) -> None:
     sys.stderr.write(f"VEPM-ERROR kind={kind} msg={msg}\n")
 
 
+_OVERRIDES = ("seed", "out", "protocol", "keep_rate")
+
+
 def _load_cfg(args) -> RunConfig:
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = args.out
-    if getattr(args, "protocol", None) is not None:
-        overrides["protocol"] = args.protocol
-    if getattr(args, "keep_rate", None) is not None:
-        overrides["keep_rate"] = args.keep_rate
     if not args.config:
         raise ConfigError("--config is required")
-    return load_run_config(args.config, overrides)
+    return load_run_config(args.config, {key: getattr(args, key, None)
+                                         for key in _OVERRIDES})
 
 
 def _add_run_config(p):
-    """The run configuration file and the keys a flag may override; every
-    command that reads a run configuration takes these."""
+    """The run configuration file and the keys every command that reads
+    one may override by flag."""
     p.add_argument("--config", help="run configuration file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
+
+
+def _add_protocol(p):
     p.add_argument("--protocol", choices=("xu", "zhang"), default=None)
-    p.add_argument("--keep-rate", dest="keep_rate", type=float, default=None)
 
 
 def _cmd_pretrain(args) -> int:
@@ -179,6 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval")
     _add_run_config(p)
+    _add_protocol(p)
+    p.add_argument("--keep-rate", dest="keep_rate", type=float, default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
     p.add_argument("--probes", action="store_true",
@@ -209,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate")
     _add_run_config(p)
+    _add_protocol(p)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--axis", required=True, choices=ABLATION_AXES)
     p.add_argument("--values", required=True,

@@ -75,9 +75,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __repr__(self):
         return f"Node({self.op}, shape={self.value.shape})"
 
@@ -133,9 +130,6 @@ def make_node(op, value, parents, vjp) -> Node:
 
 def segment_sum(values: np.ndarray, indices: np.ndarray, n_rows: int) -> np.ndarray:
     """out[indices[e]] += values[e], accumulated in entry order."""
-    if values.ndim == 1:
-        return np.bincount(indices, weights=values, minlength=n_rows).astype(
-            values.dtype, copy=False)
     # (E x n_rows) selector with a 1 at (e, indices[e]), built in O(E)
     e = indices.shape[0]
     select = sp.csr_matrix((np.ones(e), indices, np.arange(e + 1)), shape=(e, n_rows))
@@ -513,13 +507,6 @@ def scatter_add_rows(a: Node, indices: np.ndarray, n_rows: int) -> Node:
                      lambda g, needs: (np.take(g, indices, axis=0),))
 
 
-def scale_rows(a: Node, s: Node) -> Node:
-    """Multiply row i of matrix `a` by scalar s[i]."""
-    if a.value.ndim != 2 or s.value.ndim != 1:
-        raise DiffMathError("scale_rows expects (matrix, vector)")
-    return elementwise_mul(a, reshape(s, (s.value.shape[0], 1)))
-
-
 def _row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
     """`ufunc` reduced over the last axis, keeping it.
 
@@ -563,17 +550,13 @@ def log_softmax_rows(a: Node) -> Node:
     return make_node("log_softmax", val, (a,), vjp)
 
 
-def dropout(a: Node, rate: float, rng, training: bool) -> Node:
-    """Inverted dropout; identity when not training or rate == 0.
-
-    `rng` is one generator, or a sequence of them, one per row block of a
-    stacked operand: block i's keep draws come from rng[i].
-    """
+def dropout(a: Node, rate: float, rngs: list) -> Node:
+    """Inverted dropout on the row blocks of `a`, block i's keep draws
+    coming from rngs[i]; identity when rate == 0."""
     if not 0.0 <= rate < 1.0:
         raise DiffMathError("dropout rate must be in [0, 1)")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return a
-    rngs = rng if isinstance(rng, (list, tuple)) else [rng]
     if a.value.shape[0] % len(rngs):
         raise DiffMathError(f"{a.value.shape[0]} rows do not split into "
                             f"{len(rngs)} blocks")

@@ -11,8 +11,14 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph, GraphCollection, batch_graphs, kfold_split
-from .model import ModelConfig, mu_statistic, prepare_graph_batch, prepare_node_graph
-from .model import init_params
+from .model import (
+    ModelConfig,
+    init_params,
+    mu_statistic,
+    posterior_predictive,
+    prepare_graph_batch,
+    prepare_node_graph,
+)
 from .rng import substream
 from .training import SamplerConfig, TrainConfig, finetune, pretrain
 
@@ -228,8 +234,6 @@ def reduced_label_run(graph: Graph, keep_rate: float, seed: int, cfg: ModelConfi
     store = init_params(cfg, graph.n_features, graph.n_classes(), seed, task="node")
     pretrain(prep, store, cfg, tcfg, sampler=sampler, seed=seed)
     result = finetune(prep, store, cfg, tcfg, seed=seed)
-    from .model import posterior_predictive  # local import avoids a cycle
-
     probs = posterior_predictive(prep, store, cfg, cfg.mc_samples, seed,
                                  partition_seed=seed)
     test_acc = accuracy(probs, graph.labels, graph.test_mask)

@@ -98,26 +98,18 @@ class AffiliationPosterior:
 class EdgePartition:
     """K weighted edge sets sharing the adjacency support.
 
-    `weights` has one row per stored (directed) entry and K columns; the
-    row sums reproduce the original edge values.
+    `weights` has one row per stored (directed) entry of `support`, in its
+    row-major order, and K columns; each row sums to one, the value of
+    every stored entry of a binary adjacency.
     """
 
-    n: int
-    k: int
-    rows: np.ndarray
-    cols: np.ndarray
-    edge_vals: np.ndarray
+    support: SparseMatrix
     weights: Node
-    support: Optional[SparseMatrix] = None
     _gcn_norm: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        if self.support is None:
-            self.support = SparseMatrix(self.n, self.n, self.rows, self.cols,
-                                        self.edge_vals)
-            if not (np.array_equal(self.support.rows, self.rows)
-                    and np.array_equal(self.support.cols, self.cols)):
-                raise ModelError("partition entries must be in row-major order")
+    @property
+    def k(self) -> int:
+        return self.weights.value.shape[1]
 
     def weight_values(self) -> np.ndarray:
         return self.weights.value
@@ -314,39 +306,34 @@ def draw_random_partition_weights(adjacency: SparseMatrix, cfg: ModelConfig,
                                   seed: int) -> np.ndarray:
     """Frozen random partition: U(0,100) per undirected edge and block,
     softmax-normalized at temperature tau, mirrored to both directions."""
-    n = adjacency.n_rows
-    rows, cols = adjacency.rows, adjacency.cols
-    pair_key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
-    uniq = np.unique(pair_key)
+    iu, _ju, entry_pair = adjacency.pair_layout()
     raw = substream(seed, "random-partition").uniform(0.0, 100.0,
-                                                      (uniq.size, cfg.n_metacommunities))
+                                                      (iu.size, cfg.n_metacommunities))
     w = dm.row_softmax_with_temperature(dm.constant(raw), cfg.tau).value
-    return w[np.searchsorted(uniq, pair_key)]
+    return w[entry_pair]
 
 
 def partition_edges(adjacency: SparseMatrix, z: Optional[Node], gamma: Optional[Node],
                     cfg: ModelConfig, seed: int = 0) -> EdgePartition:
-    """Split each edge into K weights summing to the original edge value.
+    """Split each edge of a binary adjacency into K weights summing to one.
 
     learned: per-edge softmax of the K metacommunity interaction rates at
     temperature tau; even: every weight 1/K; random: frozen seeded weights.
     """
-    rows, cols, vals = adjacency.rows, adjacency.cols, adjacency.vals
-    e, k = rows.size, cfg.n_metacommunities
+    k = cfg.n_metacommunities
     if cfg.partition_mode == "learned":
         if z is None or gamma is None:
             raise ModelError("learned partition requires affiliations and activations")
         zg = dm.elementwise_mul(z, gamma)
-        prod = dm.elementwise_mul(dm.gather_rows(zg, rows), dm.gather_rows(z, cols))
+        prod = dm.elementwise_mul(dm.gather_rows(zg, adjacency.rows),
+                                  dm.gather_rows(z, adjacency.cols))
         rates = dm.matmul(prod, dm.constant(block_structure(cfg.total_communities, k)))
-        soft = dm.row_softmax_with_temperature(rates, cfg.tau)
+        weights = dm.row_softmax_with_temperature(rates, cfg.tau)
     elif cfg.partition_mode == "even":
-        soft = dm.constant(np.full((e, k), 1.0 / k))
+        weights = dm.constant(np.full((adjacency.nnz, k), 1.0 / k))
     else:
-        soft = dm.constant(draw_random_partition_weights(adjacency, cfg, seed))
-    weights = dm.scale_rows(soft, dm.constant(vals))
-    return EdgePartition(n=adjacency.n_rows, k=k, rows=rows, cols=cols,
-                         edge_vals=vals, weights=weights, support=adjacency)
+        weights = dm.constant(draw_random_partition_weights(adjacency, cfg, seed))
+    return EdgePartition(support=adjacency, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +346,7 @@ def _dropout(h, cfg, training, step, seed, tags):
     if not training:
         return h
     rngs = [substream(seed, "dropout", *tag, step) for tag in tags]
-    return dm.dropout(h, cfg.dropout, rngs, True)
+    return dm.dropout(h, cfg.dropout, rngs)
 
 
 def _linear(h, store, name, cfg, training, step, seed, drop_tag, first):
@@ -431,7 +418,7 @@ def _blocks_matmul(blocks: list, w: Node) -> Node:
     return out
 
 
-def community_gnn_forward(x_star, partition: EdgePartition,
+def community_gnn_forward(x_star: list, partition: EdgePartition,
                           store: ParameterStore, cfg: ModelConfig,
                           training: bool = False, step: int = 0,
                           seed: int = 0) -> Node:
@@ -441,15 +428,13 @@ def community_gnn_forward(x_star, partition: EdgePartition,
     is one `edge_spmm` over all K parts. Returns the N x (K*bw) node whose
     column block k is community k's embedding.
 
-    `x_star` is the list of column blocks from `build_input_features`, or a
-    single node.
+    `x_star` is the list of column blocks from `build_input_features`.
     """
-    blocks = x_star if isinstance(x_star, list) else [x_star]
     k_meta = cfg.n_metacommunities
     support = partition.support
     if cfg.layer_kind == "gcn":
         ew, self_w = partition.gcn_normalization()
-    elif len(blocks) != 1:
+    elif len(x_star) != 1:
         raise ModelError("the GIN bank takes its input as one dense block")
 
     h = None
@@ -463,13 +448,13 @@ def community_gnn_forward(x_star, partition: EdgePartition,
                 # the first transform shares its (wide) input across
                 # communities, so it runs as one fused product
                 m = dm.column_blocks_to_rows(
-                    _blocks_matmul(blocks, store[f"{name}.W"]) + store[f"{name}.b"], k_meta)
+                    _blocks_matmul(x_star, store[f"{name}.W"]) + store[f"{name}.b"], k_meta)
             else:
                 m = dm.block_matmul(h, store[f"{name}.W"], store[f"{name}.b"])
             h = dm.edge_spmm(support, ew, m, diag=self_w)
         else:
             # the first layer aggregates the shared input once per part
-            h = _gin_layer(blocks[0] if li == 0 else h, support, partition.weights,
+            h = _gin_layer(x_star[0] if li == 0 else h, support, partition.weights,
                            store, name, dm.block_matmul)
         if li < cfg.bank_layers - 1:
             h = dm.relu(h)
@@ -596,12 +581,12 @@ def node_ordering(mu: np.ndarray) -> np.ndarray:
 def export_partition(out_dir: str, partition: EdgePartition, mu: np.ndarray):
     """part_k.csv files (one undirected edge per row) plus the node order."""
     os.makedirs(out_dir, exist_ok=True)
-    w = partition.weight_values()
-    keep = partition.rows < partition.cols
-    iu, ju = partition.rows[keep], partition.cols[keep]
+    iu, ju, entry_pair = partition.support.pair_layout()
+    # in row-major order a pair's first stored entry is its (i, j), i < j
+    w = partition.weight_values()[np.unique(entry_pair, return_index=True)[1]]
     for k in range(partition.k):
         with open(os.path.join(out_dir, f"part_{k}.csv"), "w", encoding="utf-8") as fh:
-            for i, j, v in zip(iu, ju, w[keep, k]):
+            for i, j, v in zip(iu, ju, w[:, k]):
                 fh.write(f"{i},{j},{float(v)!r}\n")
     assign = np.argmax(mu, axis=1)
     with open(os.path.join(out_dir, "node_order.csv"), "w", encoding="utf-8") as fh:

@@ -15,6 +15,7 @@ from .diffmath import load_arrays
 from .evaluation import (
     EvalReport,
     accuracy,
+    community_confusion_matrices,
     cross_validate_graphs,
     hard_assign_communities,
     nmi,
@@ -99,8 +100,7 @@ def run_pretrain(cfg: RunConfig, resume: Optional[str] = None) -> TrainResult:
     return result
 
 
-def run_train(cfg: RunConfig, resume: Optional[str] = None,
-              scheme: str = "pretrain_finetune") -> TrainResult:
+def run_train(cfg: RunConfig, resume: Optional[str] = None) -> TrainResult:
     data = load_dataset(cfg)
     prep = _prepare(cfg, data)
     store = _fresh_store(cfg, prep)
@@ -116,7 +116,7 @@ def run_train(cfg: RunConfig, resume: Optional[str] = None,
         restore_optimizer(phi_state, "adam_phi", entries,
                           int(meta.get("adam_phi_t", 0)))
         start = int(meta.get("epoch", 0))
-    elif scheme == "pretrain_finetune":
+    else:
         pre_path = os.path.join(cfg.out, PRETRAIN_CKPT)
         if os.path.isfile(pre_path):
             store.load(pre_path)
@@ -137,12 +137,19 @@ def run_train(cfg: RunConfig, resume: Optional[str] = None,
     return result
 
 
+def _load_checkpoint(cfg: RunConfig, prep, path: str):
+    """A fresh parameter store with the checkpoint at `path` loaded."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"checkpoint not found: {path!r}")
+    store = _fresh_store(cfg, prep)
+    store.load(path)
+    return store
+
+
 def _nmi_from_checkpoint(cfg: RunConfig, prep, path: str) -> Optional[float]:
     if not os.path.isfile(path) or prep.graph.labels is None:
         return None
-    store = _fresh_store(cfg, prep)
-    store.load(path)
-    store = store.detached()
+    store = _load_checkpoint(cfg, prep, path).detached()
     uniforms = encoder_uniforms(prep.n_nodes, cfg.model.total_communities,
                                 cfg.seed, "nmi")
     post = encode_communities(prep, store, cfg.model, uniforms)
@@ -152,23 +159,28 @@ def _nmi_from_checkpoint(cfg: RunConfig, prep, path: str) -> Optional[float]:
     return nmi(assign, prep.graph.labels)
 
 
-def _community_probes(cfg: RunConfig, prep, store, out_dir: str) -> list:
-    """Cross-validated linear probes on each community's embeddings,
-    written as one normalized confusion matrix CSV per community."""
-    from .evaluation import community_confusion_matrices
-
+def _community_forward(cfg: RunConfig, prep, store, tag: str):
+    """One forward-only pass up to the community-GNN bank, with encoder
+    noise from the ("encoder-noise", tag) substream. Returns the posterior,
+    gamma, the edge partition and the K community embeddings."""
     store = store.detached()
     uniforms = encoder_uniforms(prep.n_nodes, cfg.model.total_communities,
-                                cfg.seed, "probe")
+                                cfg.seed, tag)
     post = encode_communities(prep, store, cfg.model, uniforms)
     gamma = gamma_node(store)
     partition = partition_edges(prep.graph.adjacency, post.z, gamma, cfg.model,
                                 seed=cfg.seed)
     x_star = build_input_features(prep, post.z, cfg.model, cfg.seed)
     h = community_gnn_forward(x_star, partition, store, cfg.model)
+    return post, gamma, partition, np.hsplit(h.value, cfg.model.n_metacommunities)
+
+
+def _community_probes(cfg: RunConfig, prep, store, out_dir: str) -> list:
+    """Cross-validated linear probes on each community's embeddings,
+    written as one normalized confusion matrix CSV per community."""
+    _post, _gamma, _partition, h_list = _community_forward(cfg, prep, store, "probe")
     matrices, kept = community_confusion_matrices(
-        np.hsplit(h.value, cfg.model.n_metacommunities), prep.graph.labels,
-        folds=cfg.folds, seed=cfg.seed)
+        h_list, prep.graph.labels, folds=cfg.folds, seed=cfg.seed)
     os.makedirs(out_dir, exist_ok=True)
     for k, mat in enumerate(matrices):
         np.savetxt(os.path.join(out_dir, f"confusion_{k}.csv"), mat, delimiter=",")
@@ -190,11 +202,8 @@ def run_eval(cfg: RunConfig, checkpoint: Optional[str] = None,
                                  cfg.train, sampler=cfg.sampler)
 
     prep = prepare_node_graph(data)
-    store = _fresh_store(cfg, prep)
     ckpt = checkpoint or os.path.join(cfg.out, MODEL_CKPT)
-    if not os.path.isfile(ckpt):
-        raise ConfigError(f"checkpoint not found: {ckpt!r}")
-    store.load(ckpt)
+    store = _load_checkpoint(cfg, prep, ckpt)
     probs = posterior_predictive(prep, store, cfg.model, samples, cfg.seed,
                                  partition_seed=cfg.seed)
     report = EvalReport(protocol="standard-split",
@@ -222,23 +231,11 @@ def run_eval(cfg: RunConfig, checkpoint: Optional[str] = None,
 def run_partition_export(cfg: RunConfig, checkpoint: str, out_dir: str):
     data = load_dataset(cfg)
     prep = _prepare(cfg, data)
-    store = _fresh_store(cfg, prep)
-    if not os.path.isfile(checkpoint):
-        raise ConfigError(f"checkpoint not found: {checkpoint!r}")
-    store.load(checkpoint)
-    store = store.detached()
-    uniforms = encoder_uniforms(prep.n_nodes, cfg.model.total_communities,
-                                cfg.seed, "export")
-    post = encode_communities(prep, store, cfg.model, uniforms)
-    gamma = gamma_node(store)
-    partition = partition_edges(prep.graph.adjacency, post.z, gamma, cfg.model,
-                                seed=cfg.seed)
+    store = _load_checkpoint(cfg, prep, checkpoint)
+    post, gamma, partition, h_list = _community_forward(cfg, prep, store, "export")
     mu = mu_statistic(post.z.value, gamma.value, cfg.model.n_metacommunities)
     export_partition(out_dir, partition, mu)
-    x_star = build_input_features(prep, post.z, cfg.model, cfg.seed)
-    h = community_gnn_forward(x_star, partition, store, cfg.model)
-    export_embeddings(out_dir, np.hsplit(h.value, cfg.model.n_metacommunities),
-                      post.z.value)
+    export_embeddings(out_dir, h_list, post.z.value)
     return partition
 
 

@@ -41,6 +41,10 @@ class RunConfig:
             raise ConfigError("task must be 'node' or 'graph'")
         if self.protocol not in ("xu", "zhang"):
             raise ConfigError("protocol must be 'xu' or 'zhang'")
+        if not 0.0 < self.keep_rate <= 1.0:
+            raise ConfigError(f"keep_rate must lie in (0, 1], got {self.keep_rate}")
+        if self.keep_rate < 1.0 and self.task != "node":
+            raise ConfigError("keep_rate below 1 needs task = node")
 
 
 def _coerce(raw: str, target_type, key: str):
@@ -81,7 +85,8 @@ _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "sampler": SamplerConfi
 
 
 def build_run_config(raw: dict[str, str], overrides: Optional[dict] = None) -> RunConfig:
-    """Assemble a RunConfig from raw strings plus typed CLI overrides."""
+    """Assemble a RunConfig from raw strings plus typed overrides of its
+    top-level keys (the CLI flags); None means not given."""
     raw = dict(raw)
     top_fields = {f.name: f.type for f in fields(RunConfig)
                   if f.name not in _SECTIONS}
@@ -104,6 +109,7 @@ def build_run_config(raw: dict[str, str], overrides: Optional[dict] = None) -> R
                 raise ConfigError(f"unknown config key {key!r}")
             top_kwargs[key] = _coerce(value, _TYPE_LOOKUP[top_fields[key]], key)
 
+    top_kwargs.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     # node tasks default to degree-normalized layers, graph tasks to sum
     task = top_kwargs.get("task", "node")
     section_kwargs["model"].setdefault("layer_kind",
@@ -117,17 +123,6 @@ def build_run_config(raw: dict[str, str], overrides: Optional[dict] = None) -> R
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        obj = cfg
-        attr = key
-        if "." in key:
-            section, attr = key.split(".", 1)
-            obj = getattr(cfg, section)
-        if not hasattr(obj, attr):
-            raise ConfigError(f"unknown override {key!r}")
-        setattr(obj, attr, value)
     return cfg
 
 

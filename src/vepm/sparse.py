@@ -1,7 +1,7 @@
 """Sparse matrices for graph adjacency and its normalized variants.
 
-Entries are kept in canonical row-major COO order with a CSR row index for
-row queries; heavy products delegate to scipy.sparse internally.
+Entries are kept in canonical row-major COO order with a CSR row pointer;
+heavy products delegate to scipy.sparse internally.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return int(self.vals.size)
-
-    def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of row i."""
-        lo, hi = self._indptr[i], self._indptr[i + 1]
-        return self.cols[lo:hi], self.vals[lo:hi]
 
     def block_csr_with_diagonal(self, vals: np.ndarray, diag: np.ndarray,
                                 shared: bool) -> sp.csr_matrix:

@@ -139,12 +139,11 @@ def _pair_count(n: int) -> float:
 # objective
 
 
-def _task_logprob(prep: PreparedGraph, logits: Node, mask: np.ndarray | None) -> Node:
-    """Masked mean log-probability of the observed labels."""
+def _task_logprob(prep: PreparedGraph, logits: Node) -> Node:
+    """Mean log-probability of the observed training labels."""
     logp = dm.log_softmax_rows(logits)
     if prep.task == "node":
-        if mask is None:
-            mask = prep.graph.train_mask
+        mask = prep.graph.train_mask
         if mask is None or not mask.any():
             raise TrainingError("empty training mask")
         idx = np.flatnonzero(mask)
@@ -175,8 +174,7 @@ def _egen_term(prep: PreparedGraph, z: Node, gamma: Node,
 def elbo(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
          uniforms: np.ndarray, tcfg: TrainConfig, *, training: bool = False,
          step: int = 0, seed: int = 0, partition_seed: int = 0,
-         mask: np.ndarray | None = None, sub: Optional[tuple] = None,
-         include_task: bool = True):
+         sub: Optional[tuple] = None, include_task: bool = True):
     """Single-sample evidence lower bound.
 
     Returns (terms, loss_node, aux): `terms` carries the three summands as
@@ -199,7 +197,7 @@ def elbo(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
                                     seed=partition_seed)
         logits = forward_logits(prep, post.z, partition, store, cfg,
                                 training=training, step=step, seed=seed)
-        l_task = _task_logprob(prep, logits, mask)
+        l_task = _task_logprob(prep, logits)
     else:
         l_task = dm.constant(0.0)
 
@@ -331,8 +329,6 @@ class TrainResult:
     test_curve: list[float] = field(default_factory=list)
     val_curve: list[float] = field(default_factory=list)
     stopped_early: bool = False
-    optimizer: Optional["OptimizerState"] = None
-    optimizer_phi: Optional["OptimizerState"] = None
 
 
 # Each training step builds and differentiates its tape inside a helper that
@@ -361,7 +357,6 @@ def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
     _, w_egen, w_kl = tcfg.elbo_weights
     best, stall = -np.inf, 0
     result = TrainResult(records=[], timings=[])
-    result.optimizer = state
 
     for epoch in range(start_epoch, tcfg.pretrain_epochs):
         t0 = time.perf_counter()
@@ -427,7 +422,7 @@ def _theta_step(prep, store, cfg, tcfg, state, names, z, partition, x_star, step
                 seed):
     logits = forward_logits(prep, z, partition, store, cfg, training=True,
                             step=step, seed=seed, x_star=x_star)
-    l_task = _task_logprob(prep, logits, None)
+    l_task = _task_logprob(prep, logits)
     loss = dm.negate(dm.constant(tcfg.elbo_weights[0]) * l_task)
     _descend(store, loss, state, tcfg.lr_theta, names)
 
@@ -455,7 +450,6 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
     adam_phi = optimizers[1] if optimizers else OptimizerState()
     m_steps = tcfg.inner_steps
     result = TrainResult(records=[], timings=[])
-    result.optimizer, result.optimizer_phi = adam_theta, adam_phi
     node_task = prep.task == "node"
     best_val, best_snap, stall = -np.inf, None, 0
 

@@ -32,7 +32,7 @@ from .model import (
     prepare_node_graph,
 )
 from .rng import substream
-from .sparse import adjacency_from_edges
+from .sparse import adjacency_from_edges, normalize_adjacency
 from .training import TrainConfig, elbo, finetune, pretrain, subsample_probabilities
 
 
@@ -72,8 +72,6 @@ def _primitive_cases(seed=0):
     mix = {2: rng.standard_normal((n, d)), 3: rng.standard_normal((n, 3)),
            "vec": rng.standard_normal(n), "cat": rng.standard_normal((n, 2 * d))}
     adj = adjacency_from_edges(n, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]))
-    from .sparse import normalize_adjacency
-
     a_norm = normalize_adjacency(adj)
     idx = np.array([0, 2, 2, 4, 1])
     # node 4 is isolated: its output row is zero and its input row gets no gradient
@@ -199,15 +197,12 @@ def _primitive_cases(seed=0):
     case("scatter_add_rows", lambda s: s.add("x", a, "phi"),
          lambda s: dm.reduce_sum(dm.elementwise_mul(
              dm.scatter_add_rows(s["x"], idx, n), dm.constant(mix[2]))))
-    case("scale_rows", lambda s: (s.add("x", a, "phi"),
-                                  s.add("s", pos[:, 0].copy(), "phi")),
-         lambda s: mixed(dm.scale_rows(s["x"], s["s"])))
     case("row_softmax_tau", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.row_softmax_with_temperature(s["x"], 0.7)))
     case("log_softmax_rows", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.log_softmax_rows(s["x"])))
     case("dropout", lambda s: s.add("x", a, "phi"),
-         lambda s: mixed(dm.dropout(s["x"], 0.4, substream(11, "dropmask"), True)))
+         lambda s: mixed(dm.dropout(s["x"], 0.4, [substream(11, "dropmask")])))
     case("softplus_bounded", lambda s: s.add("x", raw, "phi"),
          lambda s: mixed(dm.softplus(s["x"], lo, hi)))
     case("weibull_rsample", lambda s: (s.add("k", shape_k, "phi"), s.add("lam", scale, "phi")),
@@ -422,14 +417,16 @@ def partition_deviation_run(mode: str, seed: int = 0, epochs: int = 10) -> float
 
 
 def edge_weight_entropies(tau_grid, seed: int = 0) -> np.ndarray:
-    """Mean per-edge weight entropy at each temperature, fixed random rates."""
-    rates = substream(seed, "tau-rates").uniform(0.0, 3.0, (200, 4))
+    """Mean per-edge weight entropy of the learned partition at each
+    temperature, for fixed random affiliations on a fixed random graph."""
+    rng = substream(seed, "tau-rates")
+    adj = adjacency_from_edges(40, rng.integers(0, 40, (100, 2)))
+    z = dm.constant(rng.uniform(0.0, 3.0, (40, 4)))
+    gamma = dm.constant(np.ones(4))
     out = []
     for tau in tau_grid:
-        x = rates / tau
-        x = x - x.max(axis=1, keepdims=True)
-        e = np.exp(x)
-        w = e / e.sum(axis=1, keepdims=True)
+        cfg = ModelConfig(n_metacommunities=4, communities_per_block=1, tau=tau)
+        w = partition_edges(adj, z, gamma, cfg).weight_values()
         ent = -np.sum(np.where(w > 0, w * np.log(w), 0.0), axis=1)
         out.append(ent.mean())
     return np.asarray(out)
@@ -449,11 +446,11 @@ def partition_suite(seed: int = 0) -> list[CheckResult]:
                                float(np.diff(ents).min()),
                                "entropy non-decreasing over tau grid"))
 
-    rates = np.array([[0.3, 1.7, 0.9, 0.2]])
-    x = rates / 1e-3
-    x = x - x.max(axis=1, keepdims=True)
-    e = np.exp(x)
-    w = e / e.sum(axis=1, keepdims=True)
+    # one edge whose rates are z_0 = (0.3, 1.7, 0.9, 0.2)
+    cfg = ModelConfig(n_metacommunities=4, communities_per_block=1, tau=1e-3)
+    z = np.array([[0.3, 1.7, 0.9, 0.2], [1.0, 1.0, 1.0, 1.0]])
+    w = partition_edges(adjacency_from_edges(2, np.array([[0, 1]])), dm.constant(z),
+                        dm.constant(np.ones(4)), cfg).weight_values()
     results.append(CheckResult("partition/one_hot_as_tau_vanishes",
                                w.max() > 0.999, float(w.max()), "> 0.999"))
 

@@ -202,8 +202,36 @@ class TestPipelineCommands:
         assert report["protocol"] == "reduced-label"
         assert report["details"]["keep_rate"] == 0.5
 
+    @pytest.mark.parametrize("keep_rate", ["0", "1.5", "nan"])
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_keep_rate_outside_unit_interval_exit_2(self, synth_run, capsys,
+                                                   keep_rate, source):
+        _tmp, _data, _out, cfg = synth_run
+        argv = ["eval", "--config", cfg]
+        if source == "file":
+            with open(cfg, "a") as fh:
+                fh.write(f"keep_rate = {keep_rate}\n")
+        else:
+            argv += ["--keep-rate", keep_rate]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err and "keep_rate must lie in (0, 1]" in err
+
 
 class TestGraphTaskCommands:
+    def test_graph_eval_keep_rate_exit_2(self, tmp_path, capsys):
+        cfg = str(tmp_path / "g.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(f"dataset = {tmp_path}\ntask = graph\nout = {tmp_path / 'out'}\n")
+        assert main(["eval", "--config", cfg, "--keep-rate", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err and "keep_rate below 1 needs task = node" in err
+        with open(cfg, "a") as fh:
+            fh.write("keep_rate = 0.5\n")
+        assert main(["eval", "--config", cfg]) == 2
+        assert "keep_rate below 1 needs task = node" in capsys.readouterr().err
+
+
     def test_graph_pipeline_and_protocols(self, tmp_path):
         from conftest import synthetic_collection
         from vepm.graphs import save_graph_dataset
@@ -268,6 +296,11 @@ class TestFlags:
         ["eval", "--resume", "model.ckpt"],
         ["partition-export", "--checkpoint", "model.ckpt", "--jobs", "2"],
         ["ablate", "--axis", "tau", "--values", "1", "--resume", "model.ckpt"],
+        ["pretrain", "--keep-rate", "0.5"],
+        ["train", "--protocol", "xu"],
+        ["eval", "--jobs", "2"],
+        ["partition-export", "--checkpoint", "model.ckpt", "--keep-rate", "0.5"],
+        ["ablate", "--axis", "tau", "--values", "1", "--keep-rate", "0.5"],
     ])
     def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,6 +12,7 @@ from vepm.diffmath import (
     load_arrays,
     save_arrays,
 )
+from vepm.model import ModelConfig, _dropout
 from vepm.rng import substream
 from vepm.sparse import SparseMatrix
 from vepm.verify import _primitive_cases
@@ -247,7 +248,7 @@ def test_reduced_reverse_rules_match_reference():
 
 def test_dropout_mask_matches_the_scaled_keep_draws():
     a = substream(9, "drop-in").normal(0, 1, (40, 6))
-    out = dm.dropout(dm.constant(a), 0.3, substream(9, "drop"), True).value
+    out = dm.dropout(dm.constant(a), 0.3, [substream(9, "drop")]).value
     keep = substream(9, "drop").random(a.shape) >= 0.3
     np.testing.assert_array_equal(out, a * (keep / (1.0 - 0.3)))
 
@@ -306,10 +307,10 @@ def test_block_layout_conversions_are_inverse():
 def test_dropout_takes_one_generator_per_row_block():
     a = substream(9, "drop-in").normal(0, 1, (3 * 40, 6))
     rngs = [substream(9, "drop", i) for i in range(3)]
-    out = dm.dropout(dm.constant(a), 0.3, rngs, True).value
+    out = dm.dropout(dm.constant(a), 0.3, rngs).value
     for i in range(3):
         block = a[i * 40:(i + 1) * 40]
-        single = dm.dropout(dm.constant(block), 0.3, substream(9, "drop", i), True).value
+        single = dm.dropout(dm.constant(block), 0.3, [substream(9, "drop", i)]).value
         np.testing.assert_array_equal(out[i * 40:(i + 1) * 40], single)
 
 
@@ -330,7 +331,7 @@ def test_backward_determinism_bit_identical():
         w = store.add("w", rng.normal(0, 1, (6, 4)), "phi")
         v = store.add("v", rng.normal(0, 1, (4, 2)), "phi")
         h = dm.relu(dm.matmul(w, v))
-        h = dm.dropout(h, 0.3, substream(5, "detdrop"), True)
+        h = dm.dropout(h, 0.3, [substream(5, "detdrop")])
         backward(dm.reduce_sum(dm.elementwise_mul(h, h)))
         return store.grad("w").copy(), store.grad("v").copy()
 
@@ -340,8 +341,10 @@ def test_backward_determinism_bit_identical():
 
 def test_dropout_identity_in_eval_and_scaling_in_train():
     x = dm.constant(np.ones((100, 50)))
-    assert dm.dropout(x, 0.4, substream(0, "d"), False) is x
-    out = dm.dropout(x, 0.4, substream(0, "d"), True).value
+    # evaluation skips the op in the model; rate 0 is the identity here
+    assert _dropout(x, ModelConfig(dropout=0.4), False, 0, 0, [("t",)]) is x
+    assert dm.dropout(x, 0.0, [substream(0, "d")]) is x
+    out = dm.dropout(x, 0.4, [substream(0, "d")]).value
     kept = out[out > 0]
     np.testing.assert_allclose(kept, 1.0 / 0.6)
     assert abs((out > 0).mean() - 0.6) < 0.05

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import masked_node_graph, planted_graph, synthetic_collection
 from vepm import diffmath as dm
-from vepm.distributions import weibull_rsample
+from vepm.distributions import block_structure, weibull_rsample
 from vepm.graphs import Graph, batch_graphs
 from vepm.model import (
     ModelConfig,
@@ -135,7 +135,7 @@ class TestPartitioner:
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
         post = encode_communities(prep, store, cfg, u)
         part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg, seed=5)
-        deviation = np.abs(part.weight_values().sum(axis=1) - part.edge_vals).max()
+        deviation = np.abs(part.weight_values().sum(axis=1) - part.support.vals).max()
         assert deviation < 1e-9
 
     def test_random_mode_frozen_and_symmetric(self):
@@ -145,11 +145,45 @@ class TestPartitioner:
         assert np.array_equal(part1.weight_values(), part2.weight_values())
         # mirrored entries carry the same weights
         w = part1.weight_values()
-        key = {(r, c): w[e] for e, (r, c) in enumerate(zip(part1.rows, part1.cols))}
+        support = part1.support
+        key = {(r, c): w[e] for e, (r, c) in enumerate(zip(support.rows, support.cols))}
         for (r, c), v in key.items():
             np.testing.assert_array_equal(v, key[(c, r)])
         assert not np.array_equal(
             w, partition_edges(graph.adjacency, None, None, cfg, seed=6).weight_values())
+
+    @pytest.mark.parametrize("graph_kind", ["isolated_node", "batched_union"])
+    def test_random_weights_match_the_pair_key_reference(self, graph_kind):
+        """The random partition read through `pair_layout` equals the
+        earlier standalone pair search (pair key, `np.unique`,
+        `searchsorted`) bit for bit."""
+        if graph_kind == "isolated_node":
+            adj = adjacency_from_edges(7, np.array([[0, 1], [1, 2], [2, 5], [0, 5],
+                                                    [3, 5], [1, 3]]))  # 4 and 6 isolated
+        else:
+            adj = batch_graphs(synthetic_collection(n_graphs=5, seed=4),
+                               np.array([4, 0, 2]))[0].adjacency
+        cfg = ModelConfig(n_metacommunities=3, communities_per_block=1, tau=0.7,
+                          partition_mode="random")
+        n, rows, cols = adj.n_rows, adj.rows, adj.cols
+        pair_key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        uniq = np.unique(pair_key)
+        raw = substream(5, "random-partition").uniform(0.0, 100.0, (uniq.size, 3))
+        ref = dm.row_softmax_with_temperature(dm.constant(raw), 0.7).value
+        got = partition_edges(adj, None, None, cfg, seed=5).weight_values()
+        np.testing.assert_array_equal(got, ref[np.searchsorted(uniq, pair_key)])
+
+    def test_learned_weights_are_the_softmax_of_block_rates_bit_for_bit(self):
+        graph, cfg, prep, store = small_setup(communities_per_block=3, tau=0.6)
+        u = encoder_uniforms(40, cfg.total_communities, 0, "t")
+        z = encode_communities(prep, store, cfg, u).z
+        gamma = gamma_node(store)
+        part = partition_edges(graph.adjacency, z, gamma, cfg)
+        rows, cols = graph.adjacency.rows, graph.adjacency.cols
+        prod = np.take(z.value * gamma.value, rows, axis=0) * np.take(z.value, cols, axis=0)
+        rates = prod @ block_structure(cfg.total_communities, cfg.n_metacommunities)
+        ref = dm.row_softmax_with_temperature(dm.constant(rates), cfg.tau).value
+        np.testing.assert_array_equal(part.weight_values(), ref)
 
     def test_entropy_monotone_in_tau(self):
         ents = edge_weight_entropies((0.1, 1.0, 10.0, 100.0, 1000.0), seed=0)
@@ -168,7 +202,8 @@ class TestPartitioner:
         post = encode_communities(prep, store, cfg, u)
         part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg)
         w = part.weight_values()
-        mats = [SparseMatrix(40, 40, part.rows, part.cols, w[:, j]) for j in range(part.k)]
+        mats = [SparseMatrix(40, 40, part.support.rows, part.support.cols, w[:, j])
+                for j in range(part.k)]
         assert len(mats) == 4
         total = sum(m.to_dense() for m in mats)
         np.testing.assert_allclose(total, graph.adjacency.to_dense(), atol=1e-9)
@@ -204,7 +239,7 @@ class TestBankAndComposer:
                                ModelConfig(n_metacommunities=2,
                                            communities_per_block=1,
                                            partition_mode="even"))
-        x_star = dm.constant(graph.features)
+        x_star = [dm.constant(graph.features)]
         h = np.hsplit(community_gnn_forward(x_star, part, store, cfg).value, 2)
         np.testing.assert_allclose(h[0], h[1], atol=1e-12)
 
@@ -213,15 +248,11 @@ class TestBankAndComposer:
                                               bank_layers=1,
                                               input_mode="features_only")
         e = graph.adjacency.nnz
-        part_zero = type("P", (), {})()
         from vepm.model import EdgePartition
 
-        part = EdgePartition(n=40, k=1, rows=graph.adjacency.rows,
-                             cols=graph.adjacency.cols,
-                             edge_vals=graph.adjacency.vals,
+        part = EdgePartition(support=graph.adjacency,
                              weights=dm.constant(np.zeros((e, 1))))
-        x_star = dm.constant(graph.features)
-        h = community_gnn_forward(x_star, part, store, cfg)
+        h = community_gnn_forward([dm.constant(graph.features)], part, store, cfg)
         expected = graph.features @ store["bank.0.W"].value + store["bank.0.b"].value
         np.testing.assert_allclose(h.value, expected, atol=1e-12)
 
@@ -235,7 +266,7 @@ class TestBankAndComposer:
         dense = dm.concat_columns([dm.constant(graph.features), z])
         k = cfg.n_metacommunities
         for a, b in zip(np.hsplit(community_gnn_forward(blocks, part, store, cfg).value, k),
-                        np.hsplit(community_gnn_forward(dense, part, store, cfg).value, k)):
+                        np.hsplit(community_gnn_forward([dense], part, store, cfg).value, k)):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_dense_composer_ignores_adjacency(self):
@@ -311,7 +342,7 @@ def per_community_bank(x, part, store, cfg, training, step, seed):
             name = f"bank.{li}"
             if training and li > 0:
                 h = dm.dropout(h, cfg.dropout,
-                               substream(seed, "dropout", "bank", k, li, step), True)
+                               [substream(seed, "dropout", "bank", k, li, step)])
             if cfg.layer_kind == "gcn":
                 m = dm.matmul(h, block(f"{name}.W", k), block(f"{name}.b", k))
                 h = dm.edge_spmm(support, dm.reshape(dm.slice_columns(ew, k, k + 1), (-1,)),
@@ -352,14 +383,14 @@ class TestStackedBank:
                                    for name in names + ["gamma_raw", "enc.0.W"]}
 
         got, got_grads = loss_and_grads(
-            community_gnn_forward(x, part, store, cfg, training, step=3, seed=9))
+            community_gnn_forward([x], part, store, cfg, training, step=3, seed=9))
         ref, ref_grads = loss_and_grads(dm.concat_columns(
             per_community_bank(x, part, store, cfg, training, step=3, seed=9)))
         assert np.abs(got - ref).max() <= 1e-12
         for name, g in ref_grads.items():
             assert np.abs(got_grads[name] - g).max() <= 1e-12 * max(1.0, np.abs(g).max()), name
         if training:
-            eval_out = community_gnn_forward(x, part, store, cfg).value
+            eval_out = community_gnn_forward([x], part, store, cfg).value
             assert np.abs(eval_out - got).max() > 1e-3
 
 
@@ -476,7 +507,7 @@ class TestEquivariance:
                                ModelConfig(layer_kind="gin", n_metacommunities=2,
                                            communities_per_block=1,
                                            partition_mode="even"))
-        x_star = dm.constant(union.features)
+        x_star = [dm.constant(union.features)]
         h = np.hsplit(community_gnn_forward(x_star, part, store, cfg).value, 2)
         n = union.n_nodes
         perm = substream(2, "gperm").permutation(n)
@@ -487,7 +518,7 @@ class TestEquivariance:
                                  ModelConfig(layer_kind="gin", n_metacommunities=2,
                                              communities_per_block=1,
                                              partition_mode="even"))
-        h_p = np.hsplit(community_gnn_forward(dm.constant(union.features[perm]), part_p,
+        h_p = np.hsplit(community_gnn_forward([dm.constant(union.features[perm])], part_p,
                                               store, cfg).value, 2)
         for a, b in zip(h, h_p):
             assert np.abs(b - a[perm]).max() < 1e-9

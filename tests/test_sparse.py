@@ -78,15 +78,6 @@ def test_edge_list_dedup_and_self_loop_drop():
     assert adj.has_zero_diagonal()
 
 
-def test_row_slice_queries():
-    adj = adjacency_from_edges(4, np.array([[0, 1], [0, 3], [1, 2]]))
-    cols, vals = adj.row_slice(0)
-    np.testing.assert_array_equal(cols, [1, 3])
-    np.testing.assert_array_equal(vals, [1.0, 1.0])
-    cols, _ = adj.row_slice(2)
-    np.testing.assert_array_equal(cols, [1])
-
-
 def test_undirected_pairs_each_edge_once():
     adj = adjacency_from_edges(4, np.array([[0, 1], [2, 3], [1, 2]]))
     iu, ju = undirected_pairs(adj)

@@ -69,7 +69,7 @@ class TestElbo:
         graph, cfg, prep, store = node_setup()
         logits = np.full((60, graph.n_classes()), -1e4)
         logits[np.arange(60), graph.labels] = 1e4
-        l_task = _task_logprob(prep, dm.constant(logits), None)
+        l_task = _task_logprob(prep, dm.constant(logits))
         assert abs(float(l_task.value)) < 1e-12
 
     def test_empty_training_mask_rejected(self):
