@@ -55,6 +55,16 @@ def _add_run_config(p):
     p.add_argument("--out", default=None)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_protocol(p):
     p.add_argument("--protocol", choices=("xu", "zhang"), default=None)
 
@@ -162,8 +172,17 @@ def _cmd_convert_tu(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the VEPM-ERROR line on a usage error; exit code 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _error("config", f"{self.prog}: {message}")
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vepm",
         description="edge-partitioned graph representation learning")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -179,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_protocol(p)
     p.add_argument("--keep-rate", dest="keep_rate", type=float, default=None)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
+    p.add_argument("--mc-samples", dest="mc_samples", type=_positive_int, default=None)
     p.add_argument("--probes", action="store_true",
                    help="write per-community confusion matrices")
     p.set_defaults(fn=_cmd_eval)
@@ -209,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate")
     _add_run_config(p)
     _add_protocol(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--axis", required=True, choices=ABLATION_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated values for the chosen axis")

@@ -24,6 +24,7 @@ transforms with K stacked weights.
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -224,7 +225,8 @@ def sparse_dense_matmul(s: SparseMatrix, b: Node) -> Node:
     return make_node("spmm", val, (b,), vjp)
 
 
-def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node) -> Node:
+def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node,
+              operator: Optional[sp.csr_matrix] = None) -> Node:
     """K-part weighted aggregation over one support: block k of the result
     is (A_{w_k} + diag(d_k)) @ m_k, where A_{w_k} is `adj`'s support
     carrying column k of w (one weight per stored entry, in adj's
@@ -242,6 +244,10 @@ def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node) -> Node:
     shared), the sampled dense-dense product sum(g_k[rows] * m_k[cols], 1)
     per part for w, and the row dots sum(g_k * m_k, 1) for d, summed when
     d_k is a scalar; the w half is skipped when w is constant.
+
+    `operator` is that CSR matrix as `adj.block_csr_with_diagonal` builds
+    it from w and diag, for a caller that holds one built earlier from
+    these same values; without it the matrix is built here.
     """
     wv, mv, dv = w.value, m.value, diag.value
     n = adj.n_rows
@@ -261,10 +267,16 @@ def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node) -> Node:
         raise DiffMathError(f"edge_spmm diag of shape {dv.shape} for {k} parts "
                             f"of {n} nodes")
     shared = mv.shape[0] != k * n
-    try:
-        a = adj.block_csr_with_diagonal(wv.reshape(adj.nnz, k), d_rows, shared)
-    except SparseError as err:
-        raise DiffMathError(str(err)) from None
+    if operator is None:
+        try:
+            a = adj.block_csr_with_diagonal(wv.reshape(adj.nnz, k), d_rows, shared)
+        except SparseError as err:
+            raise DiffMathError(str(err)) from None
+    elif operator.shape == (k * n, n if shared else k * n):
+        a = operator
+    else:
+        raise DiffMathError(f"edge_spmm operator of shape {operator.shape} for {k} "
+                            f"parts of {n} nodes")
     val = np.asarray(a @ mv)
 
     def part(x, b):
@@ -523,19 +535,28 @@ def _row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
     return ufunc.reduce(x, axis=-1, keepdims=True)
 
 
+def softmax_rows(x: np.ndarray, tau: float) -> np.ndarray:
+    """The row softmax of x / tau, as an array; the value of
+    `row_softmax_with_temperature`."""
+    x = x / tau
+    x = x - _row_reduce(np.maximum, x)
+    e = np.exp(x)
+    return e / _row_reduce(np.add, e)
+
+
+def softmax_rows_grad(val: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
+    """The reverse rule of a row softmax at temperature tau whose value is
+    `val`, for the output gradient g."""
+    inner = _row_reduce(np.add, g * val)
+    return (val * (g - inner)) / tau
+
+
 def row_softmax_with_temperature(a: Node, tau: float) -> Node:
     if tau <= 0:
         raise DiffMathError("temperature must be positive")
-    x = a.value / tau
-    x = x - _row_reduce(np.maximum, x)
-    e = np.exp(x)
-    val = e / _row_reduce(np.add, e)
-
-    def vjp(g, needs):
-        inner = _row_reduce(np.add, g * val)
-        return ((val * (g - inner)) / tau,)
-
-    return make_node("softmax", val, (a,), vjp)
+    val = softmax_rows(a.value, tau)
+    return make_node("softmax", val, (a,),
+                     lambda g, needs: (softmax_rows_grad(val, g, tau),))
 
 
 def log_softmax_rows(a: Node) -> Node:
@@ -745,10 +766,21 @@ def save_arrays(path: str, entries, meta: Optional[dict] = None):
         header.append(f"param {name} {group} {dims}")
         blobs.append(arr.astype("<f8").tobytes())
     header.append("data")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("utf-8"))
-        for blob in blobs:
-            fh.write(blob)
+    # written whole to a file beside `path`, then renamed over it, so a
+    # failed write leaves the previous checkpoint as it was
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(header) + "\n").encode("utf-8"))
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_arrays(path: str):

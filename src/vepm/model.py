@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import diffmath as dm
 from .diffmath import Node, ParameterStore
@@ -106,6 +107,7 @@ class EdgePartition:
     support: SparseMatrix
     weights: Node
     _gcn_norm: Optional[tuple] = field(default=None, init=False, repr=False)
+    _gcn_operator: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -122,6 +124,20 @@ class EdgePartition:
         if self._gcn_norm is None:
             self._gcn_norm = _gcn_normalization(self.weights, self.support)
         return self._gcn_norm
+
+    def gcn_operator(self) -> Optional[sp.csr_matrix]:
+        """The K-part block CSR of `gcn_normalization()` for `edge_spmm`,
+        built once when the weights are constant and reused by every bank
+        layer and theta step that aggregates over them. None when the
+        weights are differentiable: then each `edge_spmm` builds its own.
+        """
+        if self.weights.requires_grad:
+            return None
+        if self._gcn_operator is None:
+            ew, self_w = self.gcn_normalization()
+            self._gcn_operator = self.support.block_csr_with_diagonal(
+                ew.value, self_w.value.T, shared=False)
+        return self._gcn_operator
 
 
 @dataclass
@@ -309,8 +325,47 @@ def draw_random_partition_weights(adjacency: SparseMatrix, cfg: ModelConfig,
     iu, _ju, entry_pair = adjacency.pair_layout()
     raw = substream(seed, "random-partition").uniform(0.0, 100.0,
                                                       (iu.size, cfg.n_metacommunities))
-    w = dm.row_softmax_with_temperature(dm.constant(raw), cfg.tau).value
-    return w[entry_pair]
+    return dm.softmax_rows(raw, cfg.tau)[entry_pair]
+
+
+def _learned_partition(adjacency: SparseMatrix, z: Node, gamma: Node, k: int,
+                       tau: float) -> Node:
+    """Per stored entry, the softmax at temperature tau of its pair's K
+    block rates r_k = sum_{c in block k} z_ic gamma_c z_jc, computed once
+    per unordered pair {i, j} and mirrored to both stored directions.
+
+    One tape op over (z, gamma). Its reverse rule adds the gradients of
+    each pair's two entries, applies the softmax rule, and spreads each
+    block's rate gradient q over the block's communities; then
+        dz_i   = gamma * sum over the stored entries (i, j) of q_ij z_j
+        dgamma = sum over pairs of q_ij z_i z_j
+    where the z sum is one reduction over the support's row pointer.
+    """
+    zv, gv = z.value, gamma.value
+    c = zv.shape[1]
+    if c % k:
+        raise ModelError(f"C={c} communities do not split into K={k} blocks")
+    iu, ju, entry_pair = adjacency.pair_layout()
+    zj = np.take(zv, ju, axis=0)
+    prod = np.take(zv * gv, iu, axis=0) * zj
+    w_pair = dm.softmax_rows(prod.reshape(iu.size, k, c // k).sum(axis=2), tau)
+
+    def vjp(g, needs):
+        first, second = adjacency.pair_entries()
+        q = dm.softmax_rows_grad(
+            w_pair, np.take(g, first, axis=0) + np.take(g, second, axis=0), tau)
+        if c > k:
+            q = np.repeat(q, c // k, axis=1)
+        g_z = g_gamma = None
+        if needs[0]:
+            g_z = adjacency.entry_row_sums(np.take(q, entry_pair, axis=0)
+                                           * np.take(zv, adjacency.cols, axis=0))
+            g_z *= gv
+        if needs[1]:
+            g_gamma = (q * np.take(zv, iu, axis=0) * zj).sum(axis=0)
+        return g_z, g_gamma
+
+    return dm.make_node("partition", np.take(w_pair, entry_pair, axis=0), (z, gamma), vjp)
 
 
 def partition_edges(adjacency: SparseMatrix, z: Optional[Node], gamma: Optional[Node],
@@ -324,11 +379,7 @@ def partition_edges(adjacency: SparseMatrix, z: Optional[Node], gamma: Optional[
     if cfg.partition_mode == "learned":
         if z is None or gamma is None:
             raise ModelError("learned partition requires affiliations and activations")
-        zg = dm.elementwise_mul(z, gamma)
-        prod = dm.elementwise_mul(dm.gather_rows(zg, adjacency.rows),
-                                  dm.gather_rows(z, adjacency.cols))
-        rates = dm.matmul(prod, dm.constant(block_structure(cfg.total_communities, k)))
-        weights = dm.row_softmax_with_temperature(rates, cfg.tau)
+        weights = _learned_partition(adjacency, z, gamma, k, cfg.tau)
     elif cfg.partition_mode == "even":
         weights = dm.constant(np.full((adjacency.nnz, k), 1.0 / k))
     else:
@@ -358,18 +409,37 @@ def _linear(h, store, name, cfg, training, step, seed, drop_tag, first):
 
 def _gcn_normalization(weights: Node, support: SparseMatrix) -> tuple[Node, Node]:
     """Per-part normalization D^{-1/2} (A^(k) + I) D^{-1/2} of K weighted
-    edge sets on one support, differentiable in the weights.
+    edge sets on one symmetric support, differentiable in the weights.
 
-    Column k of `weights` (E x K) is A^(k); its weighted degrees include
-    the unit self-loop. Returns the normalized edge weights (E x K) and
-    the self-loop weights 1/d (N x K).
+    Column k of `weights` (E x K) is A^(k); its weighted degrees d include
+    the unit self-loop. Returns the normalized edge weights (E x K),
+    w_ij s_i s_j with s = d^{-1/2}, and the self-loop weights 1/d (N x K):
+    one forward pass, whose two outputs are tape nodes with a reverse rule
+    each. The edge side's is g s_i s_j plus its degree term gd[i] with
+        gs = sum over the stored entries (i, j) of (t_ij + t_ji) s_j,
+        gd = -gs d^{-3/2} / 2,    t = g w,
+    where t_ji, the column side, is read through the support's reverse-
+    entry permutation; the self-loop side's is -(g / d^2)[i].
     """
-    deg = dm.scatter_add_rows(weights, support.rows, support.n_rows) + dm.constant(1.0)
-    dinv_sqrt = dm.power(deg, -0.5)
-    ew = dm.elementwise_mul(
-        weights, dm.elementwise_mul(dm.gather_rows(dinv_sqrt, support.rows),
-                                    dm.gather_rows(dinv_sqrt, support.cols)))
-    return ew, dm.power(deg, -1.0)
+    wv = weights.value
+    rows, cols = support.rows, support.cols
+    deg = support.entry_row_sums(wv) + 1.0
+    dinv_sqrt = deg ** -0.5
+    scale = np.take(dinv_sqrt, rows, axis=0) * np.take(dinv_sqrt, cols, axis=0)
+    self_w = deg ** -1.0
+
+    def edge_vjp(g, needs):
+        t = g * wv
+        t += np.take(t, support.reverse_entries(), axis=0)
+        t *= np.take(dinv_sqrt, cols, axis=0)
+        g_deg = support.entry_row_sums(t) * (-0.5 * deg ** -1.5)
+        return (g * scale + np.take(g_deg, rows, axis=0),)
+
+    def self_vjp(g, needs):
+        return (np.take(-g * self_w * self_w, rows, axis=0),)
+
+    return (dm.make_node("gcn_norm", wv * scale, (weights,), edge_vjp),
+            dm.make_node("gcn_self_loops", self_w, (weights,), self_vjp))
 
 
 def _gin_layer(h, support, w_edge, store, name, product):
@@ -434,6 +504,7 @@ def community_gnn_forward(x_star: list, partition: EdgePartition,
     support = partition.support
     if cfg.layer_kind == "gcn":
         ew, self_w = partition.gcn_normalization()
+        operator = partition.gcn_operator()
     elif len(x_star) != 1:
         raise ModelError("the GIN bank takes its input as one dense block")
 
@@ -451,7 +522,7 @@ def community_gnn_forward(x_star: list, partition: EdgePartition,
                     _blocks_matmul(x_star, store[f"{name}.W"]) + store[f"{name}.b"], k_meta)
             else:
                 m = dm.block_matmul(h, store[f"{name}.W"], store[f"{name}.b"])
-            h = dm.edge_spmm(support, ew, m, diag=self_w)
+            h = dm.edge_spmm(support, ew, m, diag=self_w, operator=operator)
         else:
             # the first layer aggregates the shared input once per part
             h = _gin_layer(x_star[0] if li == 0 else h, support, partition.weights,
@@ -581,9 +652,8 @@ def node_ordering(mu: np.ndarray) -> np.ndarray:
 def export_partition(out_dir: str, partition: EdgePartition, mu: np.ndarray):
     """part_k.csv files (one undirected edge per row) plus the node order."""
     os.makedirs(out_dir, exist_ok=True)
-    iu, ju, entry_pair = partition.support.pair_layout()
-    # in row-major order a pair's first stored entry is its (i, j), i < j
-    w = partition.weight_values()[np.unique(entry_pair, return_index=True)[1]]
+    iu, ju, _entry_pair = partition.support.pair_layout()
+    w = partition.weight_values()[partition.support.pair_entries()[0]]
     for k in range(partition.k):
         with open(os.path.join(out_dir, f"part_{k}.csv"), "w", encoding="utf-8") as fh:
             for i, j, v in zip(iu, ju, w[:, k]):

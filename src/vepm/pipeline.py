@@ -189,8 +189,17 @@ def _community_probes(cfg: RunConfig, prep, store, out_dir: str) -> list:
 
 def run_eval(cfg: RunConfig, checkpoint: Optional[str] = None,
              mc_samples: Optional[int] = None, probes: bool = False) -> EvalReport:
+    if cfg.task == "graph" or cfg.keep_rate < 1.0:
+        # both protocols train and evaluate their own models
+        unread = [flag for flag, given in (("--checkpoint", checkpoint is not None),
+                                           ("--mc-samples", mc_samples is not None),
+                                           ("--probes", probes)) if given]
+        if unread:
+            run = ("graph cross-validation" if cfg.task == "graph"
+                   else "reduced-label run (keep_rate < 1)")
+            raise ConfigError(f"{', '.join(unread)} not read by the {run}")
     data = load_dataset(cfg)
-    samples = mc_samples or cfg.model.mc_samples
+    samples = cfg.model.mc_samples if mc_samples is None else mc_samples
 
     if cfg.task == "graph":
         return cross_validate_graphs(data, cfg.model, cfg.train,

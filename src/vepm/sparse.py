@@ -30,6 +30,9 @@ class SparseMatrix:
     _csr_t: object = field(default=None, init=False, repr=False)
     _block_layouts: dict = field(default_factory=dict, init=False, repr=False)
     _pair_layout: object = field(default=None, init=False, repr=False)
+    _pair_entries: object = field(default=None, init=False, repr=False)
+    _reverse_entries: object = field(default=None, init=False, repr=False)
+    _incidence: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.rows = np.array(self.rows, dtype=np.int64)
@@ -138,6 +141,47 @@ class SparseMatrix:
                 raise SparseError("pair layout of a support that is not symmetric")
             self._pair_layout = (iu, ju, index)
         return self._pair_layout
+
+    def pair_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each pair of `pair_layout()`, the positions of its two stored
+        entries: (i, j) with i < j, and its mirror (j, i). Built on first
+        use and reused; the support must be symmetric.
+        """
+        if self._pair_entries is None:
+            _iu, _ju, entry_pair = self.pair_layout()
+            # in row-major order the entries with i < j come in pair order
+            first = np.flatnonzero(self.rows < self.cols)
+            lower = np.flatnonzero(self.rows > self.cols)
+            second = np.empty_like(first)
+            second[entry_pair[lower]] = lower
+            self._pair_entries = (first, second)
+        return self._pair_entries
+
+    def reverse_entries(self) -> np.ndarray:
+        """For each stored entry (i, j), the position of its mirror (j, i):
+        the permutation that turns a column-side scatter into a row-side
+        one. Built on first use and reused; the support must be symmetric.
+        """
+        if self._reverse_entries is None:
+            first, second = self.pair_entries()
+            rev = np.empty(self.nnz, dtype=np.int64)
+            rev[first] = second
+            rev[second] = first
+            self._reverse_entries = rev
+        return self._reverse_entries
+
+    def entry_row_sums(self, x: np.ndarray) -> np.ndarray:
+        """out[i] = the sum of x[e] over the stored entries e of row i,
+        added in entry order; x has one row per stored entry.
+
+        One product with the (n_rows x nnz) row incidence, which is built
+        once from the row pointer.
+        """
+        if self._incidence is None:
+            self._incidence = sp.csr_matrix(
+                (np.ones(self.nnz), np.arange(self.nnz), self._indptr),
+                shape=(self.n_rows, self.nnz))
+        return np.asarray(self._incidence @ x)
 
     def to_scipy(self) -> sp.csr_matrix:
         if self._csr is None:

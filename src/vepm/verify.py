@@ -24,6 +24,7 @@ from .distributions import (
 )
 from .graphs import Graph, GraphCollection, batch_graphs, sample_epm_graph
 from .model import (
+    EdgePartition,
     ModelConfig,
     init_params,
     encoder_uniforms,
@@ -110,6 +111,16 @@ def _primitive_cases(seed=0):
                                 for p in pieces], graph_labels=np.array([0, 1])),
         np.arange(2))
     edgeless = adjacency_from_edges(n, np.zeros((0, 2), np.int64))
+    # partition inputs, drawn after the rest so no other case's inputs move:
+    # K = 2 blocks of 2 communities on the support with isolated node 4,
+    # and 3 parts of edge weights, different on the two directions of an edge
+    part_cfg = ModelConfig(n_metacommunities=2, communities_per_block=2, tau=0.7)
+    z_part = rng.uniform(0.2, 1.5, (n, d))
+    gamma_part = rng.uniform(0.3, 1.2, d)
+    w_norm = rng.uniform(0.5, 2.0, (adj_iso.nnz, k))
+    mix["entries"] = rng.standard_normal((adj_iso.nnz, 2))
+    mix["norm_edges"] = rng.standard_normal((adj_iso.nnz, k))
+    mix["norm_loops"] = rng.standard_normal((n, k))
 
     def mixed(node, key=2):
         return dm.reduce_sum(dm.elementwise_mul(node, dm.constant(mix[key])))
@@ -217,6 +228,16 @@ def _primitive_cases(seed=0):
         case(name, lambda s: (s.add("z", z, "phi"), s.add("gamma", gamma, "shared")),
              lambda s, support=support, kw=kw: bernoulli_poisson_loglik(
                  support, s["z"], s["gamma"], **kw))
+    case("partition_learned", lambda s: (s.add("z", z_part, "phi"),
+                                         s.add("gamma", gamma_part, "shared")),
+         lambda s: mixed(partition_edges(adj_iso, s["z"], s["gamma"], part_cfg).weights,
+                         "entries"))
+
+    def gcn_normalization_loss(s):
+        ew, self_w = EdgePartition(support=adj_iso, weights=s["w"]).gcn_normalization()
+        return mixed(ew, "norm_edges") + mixed(self_w, "norm_loops")
+
+    case("gcn_normalization", lambda s: s.add("w", w_norm, "phi"), gcn_normalization_loss)
     return cases
 
 

@@ -202,6 +202,17 @@ class TestPipelineCommands:
         assert report["protocol"] == "reduced-label"
         assert report["details"]["keep_rate"] == 0.5
 
+    @pytest.mark.parametrize("flag", [["--checkpoint", "model.ckpt"],
+                                      ["--mc-samples", "3"], ["--probes"]])
+    def test_reduced_label_eval_refuses_flags_it_does_not_read(self, synth_run, capsys,
+                                                             flag):
+        _tmp, _data, out, cfg = synth_run
+        assert main(["eval", "--config", cfg, "--keep-rate", "0.5"] + flag) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err
+        assert f"{flag[0]} not read by the reduced-label run" in err
+        assert not os.path.exists(os.path.join(out, "eval_report.json"))
+
     @pytest.mark.parametrize("keep_rate", ["0", "1.5", "nan"])
     @pytest.mark.parametrize("source", ["file", "flag"])
     def test_keep_rate_outside_unit_interval_exit_2(self, synth_run, capsys,
@@ -231,6 +242,17 @@ class TestGraphTaskCommands:
         assert main(["eval", "--config", cfg]) == 2
         assert "keep_rate below 1 needs task = node" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("flag", [["--checkpoint", "model.ckpt"],
+                                      ["--mc-samples", "3"], ["--probes"]])
+    def test_graph_eval_refuses_flags_it_does_not_read(self, tmp_path, capsys, flag):
+        cfg = str(tmp_path / "g.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(f"dataset = {tmp_path}\ntask = graph\nout = {tmp_path / 'out'}\n")
+        assert main(["eval", "--config", cfg] + flag) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err
+        assert f"{flag[0]} not read by the graph cross-validation" in err
 
     def test_graph_pipeline_and_protocols(self, tmp_path):
         from conftest import synthetic_collection
@@ -307,6 +329,28 @@ class TestFlags:
             main(argv + ["--config", "run.cfg"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--mc-samples", "0"],
+        ["eval", "--mc-samples", "-2"],
+        ["ablate", "--axis", "tau", "--values", "1", "--jobs", "0"],
+        ["ablate", "--axis", "tau", "--values", "1", "--jobs", "-1"],
+    ])
+    def test_count_below_one_is_rejected_while_parsing(self, argv, capsys, monkeypatch):
+        import vepm.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "run_eval", unreachable)
+        monkeypatch.setattr(cli, "run_ablate", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", "run.cfg"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err
+        assert f"argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
 
 
 class TestPartitionExport:

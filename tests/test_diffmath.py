@@ -396,6 +396,48 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert np.array_equal(other["enc.W"].value, store["enc.W"].value)
 
 
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A save that fails after some bytes are written (here: the disk fills
+    on the second write) raises, and leaves the previous checkpoint byte
+    for byte and no other file in its directory."""
+    import builtins
+    import errno
+
+    import vepm.diffmath as dm_mod
+
+    path = str(tmp_path / "model.ckpt")
+    save_arrays(path, [("w", "phi", np.arange(6.0).reshape(2, 3))], {"epoch": "3"})
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    class FillsUp:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    monkeypatch.setattr(dm_mod, "open", lambda *a, **kw: FillsUp(builtins.open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_arrays(path, [("w", "phi", np.ones((2, 3)))], {"epoch": "4"})
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
 def test_checkpoint_shape_mismatch_rejected(tmp_path):
     path = str(tmp_path / "bad.ckpt")
     save_arrays(path, [("w", "phi", np.ones((2, 2)))])

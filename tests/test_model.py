@@ -5,7 +5,9 @@ from conftest import masked_node_graph, planted_graph, synthetic_collection
 from vepm import diffmath as dm
 from vepm.distributions import block_structure, weibull_rsample
 from vepm.graphs import Graph, batch_graphs
+from vepm.diffmath import ParameterStore
 from vepm.model import (
+    EdgePartition,
     ModelConfig,
     ModelError,
     build_input_features,
@@ -38,6 +40,33 @@ def small_setup(seed=0, **cfg_kw):
     prep = prepare_node_graph(graph)
     store = init_params(cfg, graph.n_features, graph.n_classes(), seed, "node")
     return graph, cfg, prep, store
+
+
+def reference_support(kind):
+    """A support with isolated nodes 4 and 6, or a 40-node masked graph's."""
+    if kind == "isolated_node":
+        return adjacency_from_edges(7, np.array([[0, 1], [1, 2], [2, 5], [0, 5],
+                                                 [3, 5], [1, 3]]))
+    return masked_node_graph(seed=1, n=40).adjacency
+
+
+def values_and_grads(store, build, mix):
+    """The output values of `build()` (a node or a tuple of nodes) and the
+    gradients of every parameter for the loss sum(output * mix)."""
+    outs = build()
+    outs, mix = (outs, mix) if isinstance(outs, tuple) else ((outs,), [mix])
+    loss = dm.reduce_sum(dm.elementwise_mul(outs[0], mix[0]))
+    for out, m in zip(outs[1:], mix[1:]):
+        loss = loss + dm.reduce_sum(dm.elementwise_mul(out, m))
+    store.zero_grad()
+    dm.backward(loss)
+    return [o.value for o in outs] + [store.grad(n).copy() for n in store.names()]
+
+
+def assert_close_relative(got, ref, rel=1e-12):
+    for a, b in zip(got, ref, strict=True):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= rel * max(1.0, np.abs(b).max())
 
 
 def predict_probabilities(prep, store, cfg, uniforms, partition_seed=0):
@@ -184,6 +213,69 @@ class TestPartitioner:
         rates = prod @ block_structure(cfg.total_communities, cfg.n_metacommunities)
         ref = dm.row_softmax_with_temperature(dm.constant(rates), cfg.tau).value
         np.testing.assert_array_equal(part.weight_values(), ref)
+
+    def test_both_directions_of_an_edge_get_bit_identical_weights(self):
+        graph, cfg, prep, store = small_setup(communities_per_block=3, tau=0.6)
+        rng = substream(2, "directions")
+        z = dm.constant(rng.uniform(0.2, 1.5, (40, cfg.total_communities)))
+        gamma = dm.constant(rng.uniform(0.3, 1.2, cfg.total_communities))
+        part = partition_edges(graph.adjacency, z, gamma, cfg)
+        w = part.weight_values()
+        support = part.support
+        entry = {(r, c): e for e, (r, c) in enumerate(zip(support.rows, support.cols))}
+        mirror = np.array([entry[(c, r)] for r, c in zip(support.rows, support.cols)])
+        assert np.array_equal(w, w[mirror])
+
+    @pytest.mark.parametrize("per_block", [1, 3])
+    @pytest.mark.parametrize("graph_kind", ["isolated_node", "masked"])
+    def test_learned_op_matches_the_generic_op_chain(self, graph_kind, per_block):
+        """The one-op learned partition against the chain of generic ops it
+        replaced (two gathers, a product, a block-sum matmul, a softmax):
+        values and the gradients of z and gamma agree to 1e-12 relative."""
+        adj = reference_support(graph_kind)
+        cfg = ModelConfig(n_metacommunities=2, communities_per_block=per_block, tau=0.7)
+        rng = substream(per_block, "partition-reference")
+        store = ParameterStore()
+        store.add("z", rng.uniform(0.2, 1.5, (adj.n_rows, cfg.total_communities)), "phi")
+        store.add("gamma", rng.uniform(0.3, 1.2, cfg.total_communities), "shared")
+        mix = dm.constant(rng.standard_normal((adj.nnz, 2)))
+
+        def chain(adjacency, z, gamma, cfg_):
+            prod = dm.elementwise_mul(dm.gather_rows(dm.elementwise_mul(z, gamma), adjacency.rows),
+                                      dm.gather_rows(z, adjacency.cols))
+            blocks = block_structure(cfg_.total_communities, cfg_.n_metacommunities)
+            return dm.row_softmax_with_temperature(dm.matmul(prod, dm.constant(blocks)),
+                                                   cfg_.tau)
+
+        got = values_and_grads(
+            store, lambda: partition_edges(adj, store["z"], store["gamma"], cfg).weights, mix)
+        ref = values_and_grads(store, lambda: chain(adj, store["z"], store["gamma"], cfg), mix)
+        assert_close_relative(got, ref)
+
+    @pytest.mark.parametrize("graph_kind", ["isolated_node", "masked"])
+    def test_gcn_normalization_matches_the_generic_op_chain(self, graph_kind):
+        """The fused per-part GCN normalization against the chain it
+        replaced (a scatter, powers, two gathers, products), for weights
+        that differ between the two directions of an edge."""
+        adj = reference_support(graph_kind)
+        rng = substream(3, "normalization-reference")
+        store = ParameterStore()
+        store.add("w", rng.uniform(0.1, 2.0, (adj.nnz, 3)), "phi")
+        mix = [dm.constant(rng.standard_normal((adj.nnz, 3))),
+               dm.constant(rng.standard_normal((adj.n_rows, 3)))]
+
+        def chain(weights, support):
+            deg = dm.scatter_add_rows(weights, support.rows, support.n_rows) + dm.constant(1.0)
+            dinv_sqrt = dm.power(deg, -0.5)
+            ew = dm.elementwise_mul(
+                weights, dm.elementwise_mul(dm.gather_rows(dinv_sqrt, support.rows),
+                                            dm.gather_rows(dinv_sqrt, support.cols)))
+            return ew, dm.power(deg, -1.0)
+
+        got = values_and_grads(store, lambda: EdgePartition(
+            support=adj, weights=store["w"]).gcn_normalization(), mix)
+        ref = values_and_grads(store, lambda: chain(store["w"], adj), mix)
+        assert_close_relative(got, ref)
 
     def test_entropy_monotone_in_tau(self):
         ents = edge_weight_entropies((0.1, 1.0, 10.0, 100.0, 1000.0), seed=0)

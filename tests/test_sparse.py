@@ -106,6 +106,31 @@ def test_pair_layout_shares_one_pair_per_edge():
             SparseMatrix(3, 3, np.array(rows), np.array(cols), np.ones(len(rows))).pair_layout()
 
 
+def test_pair_entries_and_reverse_entries_locate_both_directions():
+    adj = adjacency_from_edges(6, np.array([[0, 3], [1, 2], [2, 4], [0, 1], [3, 4]]))
+    iu, ju, entry_pair = adj.pair_layout()
+    first, second = adj.pair_entries()
+    np.testing.assert_array_equal(adj.rows[first], iu)
+    np.testing.assert_array_equal(adj.cols[first], ju)
+    np.testing.assert_array_equal(adj.rows[second], ju)
+    np.testing.assert_array_equal(adj.cols[second], iu)
+    rev = adj.reverse_entries()
+    np.testing.assert_array_equal(adj.rows[rev], adj.cols)
+    np.testing.assert_array_equal(adj.cols[rev], adj.rows)
+    np.testing.assert_array_equal(entry_pair[rev], entry_pair)
+    assert adj.reverse_entries() is rev
+
+
+def test_entry_row_sums_add_each_row_in_entry_order():
+    # node 5 is isolated, so its row sums to zero
+    adj = adjacency_from_edges(6, np.array([[0, 3], [1, 2], [2, 4], [0, 1], [3, 4]]))
+    x = substream(2, "row-sums").standard_normal((adj.nnz, 3))
+    ref = np.zeros((6, 3))
+    for e in range(adj.nnz):
+        ref[adj.rows[e]] += x[e]
+    np.testing.assert_array_equal(adj.entry_row_sums(x), ref)
+
+
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("per_node", [False, True])
 def test_block_csr_places_every_value(shared, per_node):

@@ -331,6 +331,70 @@ class TestFinetune:
         for a, b in zip(frozen, recomputed):
             assert np.array_equal(a, b)
 
+    def test_frozen_partition_builds_one_bank_operator_per_epoch(self, monkeypatch):
+        """The K-part block CSR of the frozen partition is built once, in the
+        first theta step, and read by both bank layers of every theta step;
+        the phi step's differentiable partition builds one per layer, and
+        each evaluation sample one for its constant partition."""
+        from vepm.sparse import SparseMatrix
+
+        graph, cfg, prep, store = node_setup(bank_layers=2)
+        calls, at_callbacks = [], []
+        original = SparseMatrix.block_csr_with_diagonal
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparseMatrix, "block_csr_with_diagonal", counting)
+        finetune(prep, store, cfg,
+                 TrainConfig(finetune_epochs=1, inner_steps=3, patience=100),
+                 seed=0, eval_samples=2,
+                 step_callback=lambda phase, **kw: at_callbacks.append((phase, len(calls))))
+        assert at_callbacks == [("theta", 1), ("theta", 1), ("theta", 1), ("phi", 3)]
+        assert len(calls) == 3 + 2
+
+    def test_phi_step_reads_no_cached_bank_operator(self, monkeypatch):
+        """Finetuning with the operator cache gives the same phi-step
+        gradients, bit for bit, as finetuning where every edge_spmm builds
+        its own operator; the differentiable partition caches none."""
+        import vepm.training as tr
+        from vepm.model import EdgePartition
+
+        def phi_grads():
+            graph, cfg, prep, store = node_setup(bank_layers=2)
+            grads = []
+
+            def cb(phase, store, **kw):
+                if phase == "phi":
+                    grads.append({n: store.grad(n).copy()
+                                  for n in store.names(("phi", "shared"))})
+
+            finetune(prep, store, cfg,
+                     TrainConfig(finetune_epochs=2, inner_steps=2, patience=100),
+                     seed=0, step_callback=cb)
+            return grads
+
+        learned, original = [], tr.elbo
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            learned.append(out[2]["partition"])
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(tr, "elbo", spy)
+            with_cache = phi_grads()
+        assert len(learned) == 2
+        assert all(p.weights.requires_grad and p._gcn_operator is None for p in learned)
+        with monkeypatch.context() as m:
+            m.setattr(EdgePartition, "gcn_operator", lambda self: None)
+            without_cache = phi_grads()
+        assert len(with_cache) == len(without_cache) == 2
+        for a, b in zip(with_cache, without_cache):
+            for name in a:
+                assert np.array_equal(a[name], b[name]), name
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):
         from vepm.training import _check_finite
