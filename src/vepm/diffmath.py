@@ -7,8 +7,12 @@ topological order. Values are 64-bit, and a non-finite value is rejected
 at the node that produced it.
 
 Gradients of constants are never materialized: an op whose inputs all have
-requires_grad=False folds into a fresh constant. A forward-only pass runs
-over `ParameterStore.detached()`, so it records no tape at all.
+requires_grad=False folds into a fresh constant, and a two-input reverse
+rule skips the product for a constant side. `ParameterStore.detached(keep)`
+turns every parameter outside `keep` into a constant over the same array.
+A forward-only pass runs over `detached()`, with `keep` empty, so it records
+no tape at all; a step that updates only some parameters runs over
+`detached(keep=those names)`, so its reverse pass reaches no other one.
 
 The dense per-node work of a graph layer takes few passes over its N x d
 arrays: `matmul` carries an optional bias, `edge_spmm` a self-loop
@@ -671,15 +675,22 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._nodes
 
-    def detached(self) -> "ParameterStore":
-        """The same parameter arrays as constants, without a copy.
+    def detached(self, keep: Iterable[str] = ()) -> "ParameterStore":
+        """The same parameter arrays, without a copy: the parameters named in
+        `keep` stay this store's live nodes, and every other one becomes a
+        constant over its array.
 
-        Every op over the result folds into a constant, so a forward-only
-        pass on it records no tape and frees each intermediate as soon as
-        its last consumer is done.
+        An op whose inputs are all constants folds into a constant. With
+        `keep` empty, a forward-only pass on the result therefore records
+        no tape and frees each intermediate as soon as its last consumer is
+        done. A step that updates only `keep` builds its tape on the result:
+        the reverse pass computes no gradient for any other parameter, and
+        the kept gradients land on the live nodes.
         """
+        keep = set(keep)
         out = ParameterStore()
-        out._nodes = {n: constant(node.value) for n, node in self._nodes.items()}
+        out._nodes = {n: node if n in keep else constant(node.value)
+                      for n, node in self._nodes.items()}
         out._groups = dict(self._groups)
         return out
 

@@ -64,8 +64,8 @@ class ModelConfig:
                      "bank_layers", "composer_layers", "hidden_dim", "mc_samples"):
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be >= 1")
-        if self.tau <= 0:
-            raise ModelError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ModelError("tau must be finite and positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError("dropout must be in [0, 1)")
         if self.layer_kind not in LAYER_KINDS:

@@ -95,8 +95,8 @@ def run_pretrain(cfg: RunConfig, resume: Optional[str] = None) -> TrainResult:
                meta={"phase": "pretrain", "epoch": str(epochs_done),
                      "adam_t": str(state.t), "seed": str(cfg.seed)},
                extra=optimizer_entries(state, "adam"))
-    write_metrics(os.path.join(cfg.out, "pretrain_metrics.csv"), result.records)
-    write_timings(os.path.join(cfg.out, "pretrain_timings.csv"), result.timings)
+    write_metrics(os.path.join(cfg.out, "pretrain_metrics.csv"), result.records, start)
+    write_timings(os.path.join(cfg.out, "pretrain_timings.csv"), result.timings, start)
     return result
 
 
@@ -132,8 +132,8 @@ def run_train(cfg: RunConfig, resume: Optional[str] = None) -> TrainResult:
                      "adam_phi_t": str(phi_state.t), "seed": str(cfg.seed)},
                extra=optimizer_entries(theta_state, "adam_theta")
                + optimizer_entries(phi_state, "adam_phi"))
-    write_metrics(os.path.join(cfg.out, "train_metrics.csv"), result.records)
-    write_timings(os.path.join(cfg.out, "train_timings.csv"), result.timings)
+    write_metrics(os.path.join(cfg.out, "train_metrics.csv"), result.records, start)
+    write_timings(os.path.join(cfg.out, "train_timings.csv"), result.timings, start)
     return result
 
 

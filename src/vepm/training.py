@@ -8,6 +8,8 @@ affiliation sample and the edge partition frozen across the inner steps.
 
 from __future__ import annotations
 
+import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -67,13 +69,21 @@ class TrainConfig:
     prior_beta: float = 1.0
 
     def __post_init__(self):
+        # 0 pretraining epochs is the ablation's 'scratch' scheme
+        if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
+            raise TrainingError("epoch counts must be >= 0")
         if self.inner_steps < 1:
             raise TrainingError("inner_steps must be >= 1")
-        if min(self.lr_unsup, self.lr_theta, self.lr_phi) < 0:
-            raise TrainingError("learning rates must be nonnegative")
-        if self.prior_alpha <= 0 or self.prior_beta <= 0:
-            raise TrainingError("prior hyperparameters must be positive")
+        if not all(math.isfinite(lr) and lr >= 0
+                   for lr in (self.lr_unsup, self.lr_theta, self.lr_phi)):
+            raise TrainingError("learning rates must be finite and nonnegative")
+        if not all(math.isfinite(p) and p > 0
+                   for p in (self.prior_alpha, self.prior_beta)):
+            raise TrainingError("prior hyperparameters must be finite and positive")
         self.elbo_weights = tuple(float(w) for w in self.elbo_weights)
+        if len(self.elbo_weights) != 3 or not all(map(math.isfinite, self.elbo_weights)):
+            raise TrainingError("elbo_weights must be 3 finite numbers (task, egen, "
+                                f"kl), got {self.elbo_weights}")
 
 
 @dataclass
@@ -85,10 +95,13 @@ class SamplerConfig:
     importance: str = "degree"
 
     def __post_init__(self):
+        if self.enabled and self.n_sub < 2:
+            # a subgraph of fewer nodes holds no pair, so no edge term
+            raise TrainingError(f"n_sub must be >= 2, got {self.n_sub}")
         if not 0.0 <= self.k_mix <= 1.0:
             raise TrainingError("k_mix must lie in [0, 1]")
-        if self.alpha_sharp < 0:
-            raise TrainingError("alpha_sharp must be nonnegative")
+        if not (math.isfinite(self.alpha_sharp) and self.alpha_sharp >= 0):
+            raise TrainingError("alpha_sharp must be finite and nonnegative")
         if self.importance not in ("degree", "uniform"):
             raise TrainingError("importance must be 'degree' or 'uniform'")
 
@@ -297,18 +310,31 @@ def format_metrics(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_metrics(path: str, records: list[dict]):
+def _write_rows(path: str, text: str, start_epoch: int):
+    """Write the CSV `text` (a header, then one row per epoch) to `path`.
+
+    A run resumed at `start_epoch` keeps the rows that `path` already
+    holds for earlier epochs, ahead of its own.
+    """
+    header, *rows = text.splitlines(keepends=True)
+    earlier = []
+    if start_epoch > 0 and os.path.isfile(path):
+        with open(path, encoding="utf-8") as fh:
+            earlier = [row for row in fh.readlines()[1:]
+                       if int(row.split(",", 1)[0]) < start_epoch]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_metrics(records))
+        fh.writelines([header, *earlier, *rows])
 
 
-def write_timings(path: str, rows: list[tuple[int, float]]):
+def write_metrics(path: str, records: list[dict], start_epoch: int = 0):
+    _write_rows(path, format_metrics(records), start_epoch)
+
+
+def write_timings(path: str, rows: list[tuple[int, float]], start_epoch: int = 0):
     # wall time is inherently non-deterministic, so it lives outside the
     # byte-identical metrics file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,wall_ms\n")
-        for epoch, ms in rows:
-            fh.write(f"{epoch},{ms:.3f}\n")
+    text = "epoch,wall_ms\n" + "".join(f"{epoch},{ms:.3f}\n" for epoch, ms in rows)
+    _write_rows(path, text, start_epoch)
 
 
 def _check_finite(value: float):
@@ -467,8 +493,12 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
                 step_callback(epoch=epoch, phase="theta", inner=m,
                               partition=partition.weight_values(), store=store)
 
-        terms, phi_weights = _elbo_step(prep, store, cfg, tcfg, adam_phi, phi_names,
-                                        tcfg.lr_phi, uniforms, step=base, seed=seed,
+        # the phi step updates phi_names only, so every theta weight enters
+        # its tape as a constant and gets no reverse product; the kept
+        # nodes are the live ones that Adam updates
+        terms, phi_weights = _elbo_step(prep, store.detached(keep=phi_names), cfg,
+                                        tcfg, adam_phi, phi_names, tcfg.lr_phi,
+                                        uniforms, step=base, seed=seed,
                                         partition_seed=seed)
         _check_finite(terms.total)
         if step_callback is not None:

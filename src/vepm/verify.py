@@ -251,6 +251,7 @@ def gradcheck_suite(seed: int = 0) -> list[CheckResult]:
         results.append(CheckResult(f"gradcheck/{name}", err < 1e-6, err, "< 1e-6"))
     results.append(_full_elbo_check("full_elbo", elbo_check_setup, seed))
     results.append(_full_elbo_check("full_elbo_gin", gin_elbo_check_setup, seed))
+    results.append(_phi_step_restricted_check(seed))
     return results
 
 
@@ -280,6 +281,26 @@ def _full_elbo_check(name: str, setup, seed: int) -> CheckResult:
 
     err = finite_difference_check(builder, store, eps=1e-5, samples=200, seed=seed)
     return CheckResult(f"gradcheck/{name}", err < 1e-4, err, "< 1e-4")
+
+
+def _phi_step_restricted_check(seed: int) -> CheckResult:
+    """The phi step differentiates the bound on `detached(keep=phi and
+    shared names)`, so every theta weight is a constant on its tape. Its
+    gradients must equal those of the same step on the full store, bit for
+    bit, on the GCN-node and GIN-graph setups."""
+    worst = 0.0
+    for setup in (elbo_check_setup, gin_elbo_check_setup):
+        prep, store, cfg, tcfg, uniforms = setup(seed)
+        names = store.names(("phi", "shared"))
+        grads = []
+        for tape_store in (store, store.detached(keep=names)):
+            store.zero_grad()
+            _terms, loss, _aux = elbo(prep, tape_store, cfg, uniforms, tcfg,
+                                      training=True, step=1, seed=seed)
+            dm.backward(loss)
+            grads.append([store.grad(n).copy() for n in names])
+        worst = max([worst] + [float(np.abs(a - b).max()) for a, b in zip(*grads)])
+    return CheckResult("gradcheck/phi_step_restricted", worst == 0.0, worst, "exactly 0")
 
 
 def gin_elbo_check_setup(seed: int = 7):

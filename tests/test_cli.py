@@ -138,6 +138,68 @@ class TestPipelineCommands:
         assert meta2["epoch"] == "9"
         assert int(meta2["adam_t"]) == 9
 
+    @staticmethod
+    def _with_epochs(tmp, key, epochs):
+        """A copy of the run config with `key` set to `epochs`."""
+        path = str(tmp / f"{key}_{epochs}.cfg")
+        with open(path, "w") as fh:
+            fh.write(read(os.path.join(str(tmp), "run.cfg")).decode()
+                     + f"train.{key} = {epochs}\n")
+        return path
+
+    def test_pretrain_resume_keeps_earlier_metric_rows(self, synth_run):
+        tmp, _data, out, _cfg = synth_run
+        two, four = (self._with_epochs(tmp, "pretrain_epochs", e) for e in (2, 4))
+        straight = str(tmp / "straight")
+        assert main(["pretrain", "--config", four, "--out", straight]) == 0
+        assert main(["pretrain", "--config", two]) == 0
+        timings = read(os.path.join(out, "pretrain_timings.csv"))
+        ckpt = os.path.join(out, "pretrain.ckpt")
+        assert main(["pretrain", "--config", four, "--resume", ckpt]) == 0
+        for name in ("pretrain_metrics.csv", "pretrain.ckpt"):
+            assert read(os.path.join(out, name)) == read(os.path.join(straight, name))
+        resumed = read(os.path.join(out, "pretrain_timings.csv"))
+        assert resumed.startswith(timings)
+        assert [ln.split(b",")[0] for ln in resumed.splitlines()] == [
+            b"epoch", b"0", b"1", b"2", b"3"]
+
+    def test_train_resume_keeps_earlier_metric_rows(self, synth_run):
+        tmp, _data, out, cfg = synth_run
+        assert main(["pretrain", "--config", cfg]) == 0
+        assert main(["train", "--config", self._with_epochs(tmp, "finetune_epochs", 3)]) == 0
+        earlier = {n: read(os.path.join(out, n))
+                   for n in ("train_metrics.csv", "train_timings.csv")}
+        assert main(["train", "--config", self._with_epochs(tmp, "finetune_epochs", 5),
+                     "--resume", os.path.join(out, "model.ckpt")]) == 0
+        for name, blob in earlier.items():
+            text = read(os.path.join(out, name))
+            assert text.startswith(blob), name
+            assert [ln.split(b",")[0] for ln in text.splitlines()[1:]] == [
+                b"0", b"1", b"2", b"3", b"4"], name
+
+    @pytest.mark.parametrize("lines,message", [
+        (["train.pretrain_epochs = -3"], "epoch counts must be >= 0"),
+        (["train.lr_unsup = nan"], "learning rates must be finite and nonnegative"),
+        (["model.tau = inf"], "tau must be finite and positive"),
+        (["sampler.enabled = true", "sampler.n_sub = 0"], "n_sub must be >= 2, got 0"),
+        (["train.elbo_weights = 1,2"], "elbo_weights must be 3 finite numbers"),
+    ])
+    def test_invalid_training_setting_exit_2(self, synth_run, capsys, lines, message):
+        _tmp, _data, out, cfg = synth_run
+        with open(cfg, "a") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["pretrain", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err and message in err
+        assert not os.path.exists(os.path.join(out, "pretrain.ckpt"))
+
+    def test_zero_pretrain_epochs_runs(self, synth_run, capsys):
+        _tmp, _data, out, cfg = synth_run
+        with open(cfg, "a") as fh:
+            fh.write("train.pretrain_epochs = 0\n")
+        assert main(["pretrain", "--config", cfg]) == 0
+        assert "epochs=0" in capsys.readouterr().out
+
     def test_eval_probes_write_confusions(self, synth_run):
         _tmp, _data, out, cfg = synth_run
         assert main(["pretrain", "--config", cfg]) == 0

@@ -9,7 +9,13 @@ from vepm import diffmath as dm
 from vepm.diffmath import ParameterStore, finite_difference_check
 from vepm.distributions import bernoulli_poisson_loglik
 from vepm.graphs import batch_graphs, sample_epm_graph
-from vepm.model import ModelConfig, init_params, prepare_graph_batch, prepare_node_graph
+from vepm.model import (
+    ModelConfig,
+    encoder_uniforms,
+    init_params,
+    prepare_graph_batch,
+    prepare_node_graph,
+)
 from vepm.rng import substream
 from vepm.training import (
     OptimizerState,
@@ -18,6 +24,7 @@ from vepm.training import (
     TrainingDiverged,
     TrainingError,
     _pair_count,
+    _elbo_step,
     _task_logprob,
     adam_step,
     elbo,
@@ -419,6 +426,158 @@ class TestFinetune:
         assert result.best_val == max(vals)
 
 
+def gin_setup(**cfg_kw):
+    """A GIN graph-task batch of six graphs plus a held-out batch of two."""
+    coll = synthetic_collection(n_graphs=8, seed=1)
+    cfg = ModelConfig(n_metacommunities=2, communities_per_block=1, hidden_dim=8,
+                      layer_kind="gin", encoder_layers=1, **cfg_kw)
+    prep, test_prep = (prepare_graph_batch(*batch_graphs(coll, idx), 2)
+                       for idx in (np.arange(6), np.arange(6, 8)))
+    store = init_params(cfg, coll.n_features, 2, 0, "graph")
+    return cfg, prep, test_prep, store
+
+
+def restriction_setup(kind, mode):
+    """(cfg, prep, store, finetune kwargs) for one model kind under one
+    partition mode, with dropout on so its masks are exercised."""
+    if kind == "gin":
+        cfg, prep, test_prep, store = gin_setup(partition_mode=mode, dropout=0.5)
+        return cfg, prep, store, {"test_prep": test_prep, "early_stop": False}
+    composer = "dense" if kind == "dense" else "gnn"
+    _graph, cfg, prep, store = node_setup(partition_mode=mode, composer_kind=composer,
+                                          dropout=0.5)
+    return cfg, prep, store, {}
+
+
+KINDS = ("gcn", "gin", "dense")
+MODES = ("learned", "even", "random")
+
+
+class TestPhiStepRestriction:
+    """The phi step builds its bound on `detached(keep=phi and shared
+    names)`: theta weights are constants on its tape, and the gradients it
+    computes are those of the full store, bit for bit."""
+
+    @staticmethod
+    def _phi_loss(cfg, prep, tape_store):
+        uniforms = encoder_uniforms(prep.n_nodes, cfg.total_communities, 0,
+                                    "finetune", 0)
+        _terms, loss, _aux = elbo(prep, tape_store, cfg, uniforms, TrainConfig(),
+                                  training=True, step=0, seed=0, partition_seed=0)
+        return loss
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_phi_gradients_equal_full_store(self, kind, mode):
+        cfg, prep, store, _kw = restriction_setup(kind, mode)
+        names = store.names(("phi", "shared"))
+        grads = []
+        for tape_store in (store, store.detached(keep=names)):
+            store.zero_grad()
+            dm.backward(self._phi_loss(cfg, prep, tape_store))
+            grads.append({n: store.grad(n).copy() for n in names})
+        assert any(np.any(g != 0) for g in grads[0].values())
+        for name in names:
+            assert np.array_equal(grads[0][name], grads[1][name]), name
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_theta_off_the_phi_tape(self, kind, mode):
+        cfg, prep, store, _kw = restriction_setup(kind, mode)
+        names = store.names(("phi", "shared"))
+        theta = {id(store[n]): n for n in store.names("theta")}
+        kept = store.detached(keep=names)
+        loss = self._phi_loss(cfg, prep, kept)
+        reached = [theta[id(node)] for node in dm._topo_order(loss) if id(node) in theta]
+        assert reached == []
+        # the same bound on the full store does reach them
+        full = dm._topo_order(self._phi_loss(cfg, prep, store))
+        assert any(id(node) in theta for node in full)
+
+        store.zero_grad()
+        _elbo_step(prep, kept, cfg, TrainConfig(), OptimizerState(), names, 1e-3,
+                   encoder_uniforms(prep.n_nodes, cfg.total_communities, 0,
+                                    "finetune", 0), step=0, seed=0)
+        assert [n for n in store.names("theta") if store[n].grad is not None] == []
+        assert all(store[n].grad is not None for n in names)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_finetune_phi_step_leaves_theta_grads(self, kind):
+        """Each theta weight still holds its last theta step's gradient
+        array after the phi step: no reverse product reached it."""
+        cfg, prep, store, kwargs = restriction_setup(kind, "learned")
+        theta = store.names("theta")
+        held, checked = {}, []
+
+        def cb(phase, store, **kw):
+            if phase == "theta":
+                held.update((n, store[n].grad) for n in theta)
+            else:
+                checked.append([n for n in theta if store[n].grad is not held[n]])
+
+        finetune(prep, store, cfg,
+                 TrainConfig(finetune_epochs=2, inner_steps=2, patience=100), seed=0,
+                 step_callback=cb, **kwargs)
+        assert checked == [[], []]
+
+    @staticmethod
+    def _finetune_state(kind, mode):
+        cfg, prep, store, kwargs = restriction_setup(kind, mode)
+        adams = (OptimizerState(), OptimizerState())
+        result = finetune(prep, store, cfg,
+                          TrainConfig(finetune_epochs=3, inner_steps=2, patience=100),
+                          seed=0, optimizers=adams, **kwargs)
+        return result.records, store.snapshot(), adams
+
+    @pytest.mark.parametrize("kind,mode", [("gcn", "learned"), ("gin", "learned"),
+                                           ("dense", "random")])
+    def test_finetune_identical_without_restriction(self, monkeypatch, kind, mode):
+        restricted = self._finetune_state(kind, mode)
+        original = ParameterStore.detached
+        monkeypatch.setattr(ParameterStore, "detached",
+                            lambda self, keep=(): self if keep else original(self))
+        full = self._finetune_state(kind, mode)
+        assert restricted[0] == full[0]
+        assert restricted[1].keys() == full[1].keys()
+        for name, value in restricted[1].items():
+            assert np.array_equal(value, full[1][name]), name
+        for a, b in zip(restricted[2], full[2]):
+            assert a.t == b.t and a.m.keys() == b.m.keys() == a.v.keys()
+            for name in a.m:
+                assert np.array_equal(a.m[name], b.m[name]), name
+                assert np.array_equal(a.v[name], b.v[name]), name
+
+    # Node constructions per pretraining epoch and per theta step, measured
+    # before the phi step was restricted; those steps run on the live store
+    # and must not pay for the restriction
+    NODES_PER_STEP = {"gcn": (23, 29), "dense": (23, 27), "gin": (23, 43)}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pretrain_and_theta_steps_build_no_more_nodes(self, monkeypatch, kind):
+        cfg, prep, store, kwargs = restriction_setup(kind, "learned")
+        count, init = [0], dm.Node.__init__
+
+        def counting(self, *args, **kw):
+            count[0] += 1
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(dm.Node, "__init__", counting)
+        marks = []
+        pretrain(prep, store, cfg, TrainConfig(pretrain_epochs=3, patience=100),
+                 epoch_callback=lambda **kw: marks.append(count[0]))
+        per_epoch = np.diff(marks)
+        marks = []
+        finetune(prep, store, cfg,
+                 TrainConfig(finetune_epochs=2, inner_steps=3, patience=100), seed=0,
+                 step_callback=lambda phase, **kw: marks.append((phase, count[0])),
+                 **kwargs)
+        per_theta = [b[1] - a[1] for a, b in zip(marks, marks[1:])
+                     if a[0] == b[0] == "theta"]
+        pre_limit, theta_limit = self.NODES_PER_STEP[kind]
+        assert len(per_epoch) == 2 and max(per_epoch) <= pre_limit
+        assert len(per_theta) == 4 and max(per_theta) <= theta_limit
+
+
 class TestTapeLifetime:
     """No tape outlives its training step: at every callback the losses of
     all steps so far are dead, and no differentiable node but the
@@ -466,12 +625,7 @@ class TestTapeLifetime:
             graph, cfg, prep, store = node_setup()
             kwargs = {}
         else:
-            coll = synthetic_collection(n_graphs=8, seed=1)
-            cfg = ModelConfig(n_metacommunities=2, communities_per_block=1, hidden_dim=8,
-                              layer_kind="gin", encoder_layers=1)
-            prep, test_prep = (prepare_graph_batch(*batch_graphs(coll, idx), 2)
-                               for idx in (np.arange(6), np.arange(6, 8)))
-            store = init_params(cfg, coll.n_features, 2, 0, "graph")
+            cfg, prep, test_prep, store = gin_setup()
             kwargs = {"test_prep": test_prep, "early_stop": False}
         phases = []
 
