@@ -18,7 +18,8 @@ import pickle
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import DatasetError, Graph, GraphCollection, save_graph_dataset, save_node_dataset
+from .graphs import (DatasetError, Graph, GraphCollection, save_graph_dataset,
+                     save_node_dataset, split_graphs)
 from .sparse import adjacency_from_edges
 
 
@@ -88,17 +89,6 @@ def convert_tu(raw_dir: str, name: str, out_dir: str) -> GraphCollection:
     label_ids = np.unique(graph_labels)
     graph_labels = np.searchsorted(label_ids, graph_labels)
 
-    n_graphs = int(indicator.max()) + 1
-    graphs = []
-    n = node_labels.size
-    for g in range(n_graphs):
-        node_ids = np.flatnonzero(indicator == g)
-        local = -np.ones(n, dtype=np.int64)
-        local[node_ids] = np.arange(node_ids.size)
-        keep = indicator[edges[:, 0]] == g
-        graphs.append(Graph(adjacency=adjacency_from_edges(node_ids.size,
-                                                           local[edges[keep]]),
-                            features=features[node_ids]))
-    collection = GraphCollection(graphs=graphs, graph_labels=graph_labels)
+    collection = split_graphs(features, edges, indicator, graph_labels)
     save_graph_dataset(out_dir, collection)
     return collection

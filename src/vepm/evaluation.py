@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,18 +40,7 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "accuracy_mean": self.accuracy_mean,
-            "accuracy_stderr": self.accuracy_stderr,
-            "best_epoch": self.best_epoch,
-            "config": self.config,
-            "details": self.details,
-            "nmi_finetune": self.nmi_finetune,
-            "nmi_pretrain": self.nmi_pretrain,
-            "per_fold": list(self.per_fold),
-            "protocol": self.protocol,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable)
+        return json.dumps(asdict(self), sort_keys=True, indent=2, default=_jsonable)
 
 
 def _jsonable(x):

@@ -264,10 +264,17 @@ def load_graph_dataset(path: str) -> GraphCollection:
     features, edges, labels = _load_common(path)
     ind_f = os.path.join(path, "graph_indicator.csv")
     _require(ind_f)
-    indicator = _read_int_rows(ind_f, 1)[:, 0]
+    return split_graphs(features, edges, _read_int_rows(ind_f, 1)[:, 0], labels)
+
+
+def split_graphs(features: np.ndarray, edges: np.ndarray, indicator: np.ndarray,
+                 labels: np.ndarray) -> GraphCollection:
+    """Cut one node-indexed edge list into the graphs that `indicator`
+    names: one graph id per node, consecutive from 0, one label per graph,
+    and no edge between two graphs."""
     n = features.shape[0]
     if indicator.shape[0] != n:
-        raise DatasetError("graph_indicator.csv must have one row per node")
+        raise DatasetError("the graph indicator must have one entry per node")
     ids = np.unique(indicator)
     if not np.array_equal(ids, np.arange(ids.size)):
         raise DatasetError("graph ids must be consecutive from 0")

@@ -74,67 +74,60 @@ def _fresh_store(cfg: RunConfig, prep):
     return init_params(cfg.model, n_feat, prep.n_classes, cfg.seed, cfg.task)
 
 
-def run_pretrain(cfg: RunConfig, resume: Optional[str] = None) -> TrainResult:
+# phase -> (checkpoint, metrics file prefix, optimizer state prefixes)
+_PHASES = {"pretrain": (PRETRAIN_CKPT, "pretrain", ("adam",)),
+           "finetune": (MODEL_CKPT, "train", ("adam_theta", "adam_phi"))}
+
+
+def _run_phase(cfg: RunConfig, phase: str, resume: Optional[str]) -> TrainResult:
+    """Resume from `resume`, or start fresh (finetuning from the pretraining
+    checkpoint when there is one); train; then write the phase's checkpoint,
+    metrics and timings to cfg.out."""
+    ckpt, prefix, opt_names = _PHASES[phase]
     data = load_dataset(cfg)
     prep = _prepare(cfg, data)
     store = _fresh_store(cfg, prep)
     os.makedirs(cfg.out, exist_ok=True)
 
-    state = OptimizerState()
+    states = [OptimizerState() for _ in opt_names]
     start = 0
     if resume:
         entries, meta = load_arrays(resume)
         store.load(resume)
-        restore_optimizer(state, "adam", entries, int(meta.get("adam_t", 0)))
+        for state, name in zip(states, opt_names):
+            restore_optimizer(state, name, entries, int(meta.get(f"{name}_t", 0)))
         start = int(meta.get("epoch", 0))
-
-    result = pretrain(prep, store, cfg.model, cfg.train, sampler=cfg.sampler,
-                      seed=cfg.seed, optimizer=state, start_epoch=start)
-    epochs_done = start + len(result.records)
-    store.save(os.path.join(cfg.out, PRETRAIN_CKPT),
-               meta={"phase": "pretrain", "epoch": str(epochs_done),
-                     "adam_t": str(state.t), "seed": str(cfg.seed)},
-               extra=optimizer_entries(state, "adam"))
-    write_metrics(os.path.join(cfg.out, "pretrain_metrics.csv"), result.records, start)
-    write_timings(os.path.join(cfg.out, "pretrain_timings.csv"), result.timings, start)
-    return result
-
-
-def run_train(cfg: RunConfig, resume: Optional[str] = None) -> TrainResult:
-    data = load_dataset(cfg)
-    prep = _prepare(cfg, data)
-    store = _fresh_store(cfg, prep)
-    os.makedirs(cfg.out, exist_ok=True)
-
-    theta_state, phi_state = OptimizerState(), OptimizerState()
-    start = 0
-    if resume:
-        entries, meta = load_arrays(resume)
-        store.load(resume)
-        restore_optimizer(theta_state, "adam_theta", entries,
-                          int(meta.get("adam_theta_t", 0)))
-        restore_optimizer(phi_state, "adam_phi", entries,
-                          int(meta.get("adam_phi_t", 0)))
-        start = int(meta.get("epoch", 0))
-    else:
+    elif phase == "finetune":
         pre_path = os.path.join(cfg.out, PRETRAIN_CKPT)
         if os.path.isfile(pre_path):
             store.load(pre_path)
         else:
             print(f"note: {pre_path} not found; finetuning from scratch")
 
-    result = finetune(prep, store, cfg.model, cfg.train, seed=cfg.seed,
-                      optimizers=(theta_state, phi_state), start_epoch=start)
-    epochs_done = start + len(result.records)
-    store.save(os.path.join(cfg.out, MODEL_CKPT),
-               meta={"phase": "finetune", "epoch": str(epochs_done),
-                     "adam_theta_t": str(theta_state.t),
-                     "adam_phi_t": str(phi_state.t), "seed": str(cfg.seed)},
-               extra=optimizer_entries(theta_state, "adam_theta")
-               + optimizer_entries(phi_state, "adam_phi"))
-    write_metrics(os.path.join(cfg.out, "train_metrics.csv"), result.records, start)
-    write_timings(os.path.join(cfg.out, "train_timings.csv"), result.timings, start)
+    if phase == "pretrain":
+        result = pretrain(prep, store, cfg.model, cfg.train, sampler=cfg.sampler,
+                          seed=cfg.seed, optimizer=states[0], start_epoch=start)
+    else:
+        result = finetune(prep, store, cfg.model, cfg.train, seed=cfg.seed,
+                          optimizers=tuple(states), start_epoch=start)
+    meta = {"phase": phase, "epoch": str(start + len(result.records))}
+    extra = []
+    for state, name in zip(states, opt_names):
+        meta[f"{name}_t"] = str(state.t)
+        extra += optimizer_entries(state, name)
+    meta["seed"] = str(cfg.seed)
+    store.save(os.path.join(cfg.out, ckpt), meta=meta, extra=extra)
+    write_metrics(os.path.join(cfg.out, f"{prefix}_metrics.csv"), result.records, start)
+    write_timings(os.path.join(cfg.out, f"{prefix}_timings.csv"), result.timings, start)
     return result
+
+
+def run_pretrain(cfg: RunConfig, resume: Optional[str] = None) -> TrainResult:
+    return _run_phase(cfg, "pretrain", resume)
+
+
+def run_train(cfg: RunConfig, resume: Optional[str] = None) -> TrainResult:
+    return _run_phase(cfg, "finetune", resume)
 
 
 def _load_checkpoint(cfg: RunConfig, prep, path: str):
@@ -146,10 +139,9 @@ def _load_checkpoint(cfg: RunConfig, prep, path: str):
     return store
 
 
-def _nmi_from_checkpoint(cfg: RunConfig, prep, path: str) -> Optional[float]:
-    if not os.path.isfile(path) or prep.graph.labels is None:
-        return None
-    store = _load_checkpoint(cfg, prep, path).detached()
+def _nmi(cfg: RunConfig, prep, store) -> float:
+    """NMI of the hard community assignments against the node labels."""
+    store = store.detached()
     uniforms = encoder_uniforms(prep.n_nodes, cfg.model.total_communities,
                                 cfg.seed, "nmi")
     post = encode_communities(prep, store, cfg.model, uniforms)
@@ -187,10 +179,19 @@ def _community_probes(cfg: RunConfig, prep, store, out_dir: str) -> list:
     return [m.tolist() for m in matrices]
 
 
+def _train_and_score(cfg: RunConfig, data) -> EvalReport:
+    """The runs that train and score their own models: k-fold
+    cross-validation for graph tasks, the reduced-label run for node tasks."""
+    if cfg.task == "graph":
+        return cross_validate_graphs(data, cfg.model, cfg.train, folds=cfg.folds,
+                                     seed=cfg.seed, protocol=cfg.protocol)
+    return reduced_label_run(data, cfg.keep_rate, cfg.seed, cfg.model, cfg.train,
+                             sampler=cfg.sampler)
+
+
 def run_eval(cfg: RunConfig, checkpoint: Optional[str] = None,
              mc_samples: Optional[int] = None, probes: bool = False) -> EvalReport:
     if cfg.task == "graph" or cfg.keep_rate < 1.0:
-        # both protocols train and evaluate their own models
         unread = [flag for flag, given in (("--checkpoint", checkpoint is not None),
                                            ("--mc-samples", mc_samples is not None),
                                            ("--probes", probes)) if given]
@@ -198,18 +199,10 @@ def run_eval(cfg: RunConfig, checkpoint: Optional[str] = None,
             run = ("graph cross-validation" if cfg.task == "graph"
                    else "reduced-label run (keep_rate < 1)")
             raise ConfigError(f"{', '.join(unread)} not read by the {run}")
+        return _train_and_score(cfg, load_dataset(cfg))
+
     data = load_dataset(cfg)
     samples = cfg.model.mc_samples if mc_samples is None else mc_samples
-
-    if cfg.task == "graph":
-        return cross_validate_graphs(data, cfg.model, cfg.train,
-                                     folds=cfg.folds, seed=cfg.seed,
-                                     protocol=cfg.protocol)
-
-    if cfg.keep_rate < 1.0:
-        return reduced_label_run(data, cfg.keep_rate, cfg.seed, cfg.model,
-                                 cfg.train, sampler=cfg.sampler)
-
     prep = prepare_node_graph(data)
     ckpt = checkpoint or os.path.join(cfg.out, MODEL_CKPT)
     store = _load_checkpoint(cfg, prep, ckpt)
@@ -217,18 +210,18 @@ def run_eval(cfg: RunConfig, checkpoint: Optional[str] = None,
                                  partition_seed=cfg.seed)
     report = EvalReport(protocol="standard-split",
                         config=_config_dict(cfg.model, cfg.train))
-    g = data
     details = {}
-    if g.test_mask is not None and g.test_mask.any():
-        report.accuracy_mean = accuracy(probs, g.labels, g.test_mask)
+    for name, mask in (("test", data.test_mask), ("train", data.train_mask),
+                       ("val", data.val_mask)):
+        if mask is not None and mask.any():
+            details[f"{name}_acc"] = accuracy(probs, data.labels, mask)
+    if "test_acc" in details:
+        report.accuracy_mean = details.pop("test_acc")
         report.per_fold = [report.accuracy_mean]
-    if g.train_mask is not None and g.train_mask.any():
-        details["train_acc"] = accuracy(probs, g.labels, g.train_mask)
-    if g.val_mask is not None and g.val_mask.any():
-        details["val_acc"] = accuracy(probs, g.labels, g.val_mask)
-    report.nmi_pretrain = _nmi_from_checkpoint(
-        cfg, prep, os.path.join(cfg.out, PRETRAIN_CKPT))
-    report.nmi_finetune = _nmi_from_checkpoint(cfg, prep, ckpt)
+    pre_path = os.path.join(cfg.out, PRETRAIN_CKPT)
+    if os.path.isfile(pre_path):
+        report.nmi_pretrain = _nmi(cfg, prep, _load_checkpoint(cfg, prep, pre_path))
+    report.nmi_finetune = _nmi(cfg, prep, store)
     details["mc_samples"] = samples
     if probes:
         details["community_confusions"] = _community_probes(
@@ -248,62 +241,44 @@ def run_partition_export(cfg: RunConfig, checkpoint: str, out_dir: str):
     return partition
 
 
-ABLATION_AXES = ("partition_mode", "composer_kind", "tau", "input_mode",
-                 "k_meta", "training_scheme")
+# ablation axis -> (ModelConfig field, value type); the training scheme
+# axis is apart: 'scratch' is pretrain_epochs = 0
+_ABLATION_FIELDS = {
+    "partition_mode": ("partition_mode", str),
+    "composer_kind": ("composer_kind", str),
+    "tau": ("tau", float),
+    "input_mode": ("input_mode", str),
+    "k_meta": ("n_metacommunities", int),
+}
+ABLATION_AXES = (*_ABLATION_FIELDS, "training_scheme")
 
 
-def _ablate_value(cfg: RunConfig, axis: str, value: str) -> dict:
-    model = cfg.model
-    scheme = "pretrain_finetune"
-    if axis == "partition_mode":
-        model = replace(model, partition_mode=value)
-    elif axis == "composer_kind":
-        model = replace(model, composer_kind=value)
-    elif axis == "tau":
-        model = replace(model, tau=float(value))
-    elif axis == "input_mode":
-        model = replace(model, input_mode=value)
-    elif axis == "k_meta":
-        model = replace(model, n_metacommunities=int(value))
-    elif axis == "training_scheme":
+def _ablate_value(cfg: RunConfig, data, axis: str, value: str) -> dict:
+    """Train and score one axis value through eval's protocols."""
+    if axis == "training_scheme":
         if value not in ("scratch", "pretrain_finetune"):
             raise ConfigError(f"unknown training scheme {value!r}")
-        scheme = value
+        if value == "scratch":
+            cfg = replace(cfg, train=replace(cfg.train, pretrain_epochs=0))
     else:
-        raise ConfigError(f"unknown ablation axis {axis!r}")
-
-    data = load_dataset(cfg)
-    if cfg.task == "graph":
-        tcfg = cfg.train if scheme == "pretrain_finetune" else replace(
-            cfg.train, pretrain_epochs=0)
-        report = cross_validate_graphs(data, model, tcfg, folds=cfg.folds,
-                                       seed=cfg.seed, protocol=cfg.protocol)
-        return {"value": value, "accuracy_mean": report.accuracy_mean,
-                "accuracy_stderr": report.accuracy_stderr,
-                "per_fold": report.per_fold}
-
-    prep = prepare_node_graph(data)
-    store = init_params(model, prep.graph.n_features, prep.n_classes,
-                        cfg.seed, "node")
-    if scheme == "pretrain_finetune":
-        pretrain(prep, store, model, cfg.train, sampler=cfg.sampler, seed=cfg.seed)
-    finetune(prep, store, model, cfg.train, seed=cfg.seed)
-    probs = posterior_predictive(prep, store, model, model.mc_samples, cfg.seed,
-                                 partition_seed=cfg.seed)
-    acc = accuracy(probs, data.labels, data.test_mask)
-    return {"value": value, "accuracy_mean": acc, "accuracy_stderr": None,
-            "per_fold": [acc]}
+        name, kind = _ABLATION_FIELDS[axis]
+        cfg = replace(cfg, model=replace(cfg.model, **{name: kind(value)}))
+    report = _train_and_score(cfg, data)
+    return {"value": value, "accuracy_mean": report.accuracy_mean,
+            "accuracy_stderr": report.accuracy_stderr,
+            "per_fold": report.per_fold}
 
 
 def run_ablate(cfg: RunConfig, axis: str, values: list[str],
                jobs: int = 1) -> list[dict]:
     if axis not in ABLATION_AXES:
         raise ConfigError(f"axis must be one of {ABLATION_AXES}")
+    data = load_dataset(cfg)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda v: _ablate_value(cfg, axis, v), values))
+            rows = list(pool.map(lambda v: _ablate_value(cfg, data, axis, v), values))
     else:
-        rows = [_ablate_value(cfg, axis, v) for v in values]
+        rows = [_ablate_value(cfg, data, axis, v) for v in values]
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, f"ablation_{axis}.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

@@ -74,6 +74,8 @@ class TrainConfig:
             raise TrainingError("epoch counts must be >= 0")
         if self.inner_steps < 1:
             raise TrainingError("inner_steps must be >= 1")
+        if self.patience < 1:
+            raise TrainingError(f"patience must be >= 1, got {self.patience}")
         if not all(math.isfinite(lr) and lr >= 0
                    for lr in (self.lr_unsup, self.lr_theta, self.lr_phi)):
             raise TrainingError("learning rates must be finite and nonnegative")

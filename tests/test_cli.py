@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 from vepm.cli import main
 from vepm.diffmath import load_arrays
 from vepm.graphs import load_graph_dataset, load_node_dataset
+from vepm.runconfig import load_run_config
 
 
 @pytest.fixture()
@@ -37,6 +39,35 @@ train.finetune_epochs = 6
 train.patience = 100
 """)
     return tmp_path, data, out, cfg_path
+
+
+@pytest.fixture()
+def graph_run(tmp_path):
+    """A 9-graph synthetic collection plus a fast 3-fold run config."""
+    from conftest import synthetic_collection
+    from vepm.graphs import save_graph_dataset
+
+    data = str(tmp_path / "gdata")
+    save_graph_dataset(data, synthetic_collection(n_graphs=9, seed=2))
+    out = str(tmp_path / "gout")
+    cfg = str(tmp_path / "g.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(f"""
+dataset = {data}
+task = graph
+out = {out}
+seed = 1
+folds = 3
+model.n_metacommunities = 2
+model.communities_per_block = 2
+model.hidden_dim = 16
+model.dropout = 0.0
+model.mc_samples = 2
+train.pretrain_epochs = 3
+train.finetune_epochs = 4
+train.patience = 100
+""")
+    return out, cfg
 
 
 def read(path):
@@ -183,6 +214,7 @@ class TestPipelineCommands:
         (["model.tau = inf"], "tau must be finite and positive"),
         (["sampler.enabled = true", "sampler.n_sub = 0"], "n_sub must be >= 2, got 0"),
         (["train.elbo_weights = 1,2"], "elbo_weights must be 3 finite numbers"),
+        (["train.patience = 0"], "patience must be >= 1, got 0"),
     ])
     def test_invalid_training_setting_exit_2(self, synth_run, capsys, lines, message):
         _tmp, _data, out, cfg = synth_run
@@ -316,30 +348,8 @@ class TestGraphTaskCommands:
         assert "VEPM-ERROR kind=config" in err
         assert f"{flag[0]} not read by the graph cross-validation" in err
 
-    def test_graph_pipeline_and_protocols(self, tmp_path):
-        from conftest import synthetic_collection
-        from vepm.graphs import save_graph_dataset
-
-        data = str(tmp_path / "gdata")
-        save_graph_dataset(data, synthetic_collection(n_graphs=9, seed=2))
-        out = str(tmp_path / "gout")
-        cfg = str(tmp_path / "g.cfg")
-        with open(cfg, "w") as fh:
-            fh.write(f"""
-dataset = {data}
-task = graph
-out = {out}
-seed = 1
-folds = 3
-model.n_metacommunities = 2
-model.communities_per_block = 2
-model.hidden_dim = 16
-model.dropout = 0.0
-model.mc_samples = 2
-train.pretrain_epochs = 3
-train.finetune_epochs = 4
-train.patience = 100
-""")
+    def test_graph_pipeline_and_protocols(self, graph_run):
+        out, cfg = graph_run
         assert main(["pretrain", "--config", cfg]) == 0
         assert main(["train", "--config", cfg]) == 0
         for protocol in ("xu", "zhang"):
@@ -353,6 +363,19 @@ train.patience = 100
         with open(cfg, "a") as fh:
             fh.write("folds = 2\n")
         assert main(["eval", "--config", cfg, "--protocol", "zhang"]) == 2
+
+    def test_ablate_row_is_the_cross_validation(self, graph_run):
+        from vepm.evaluation import cross_validate_graphs
+
+        out, cfg = graph_run
+        assert main(["ablate", "--config", cfg, "--axis", "partition_mode",
+                     "--values", "even"]) == 0
+        rows = json.loads(read(os.path.join(out, "ablation_partition_mode.json")))["rows"]
+        run = load_run_config(cfg)
+        report = cross_validate_graphs(
+            load_graph_dataset(run.dataset), replace(run.model, partition_mode="even"),
+            run.train, folds=run.folds, seed=run.seed, protocol=run.protocol)
+        assert rows[0]["per_fold"] == report.per_fold
 
 
 class TestVerifyCommand:
@@ -469,12 +492,33 @@ class TestAblate:
                      "--values", "even,random", "--jobs", "1"]) == 0
         assert read(os.path.join(out, "ablation_partition_mode.csv")) == first
 
-    def test_unknown_axis_exit_2(self, synth_run):
+    def test_unknown_axis_exit_2(self, synth_run, capsys):
         _tmp, _data, _out, cfg = synth_run
-        import pytest as _pytest
-
-        with _pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["ablate", "--config", cfg, "--axis", "nope", "--values", "1"])
+        assert exc.value.code == 2
+        assert "VEPM-ERROR kind=config" in capsys.readouterr().err
+
+    def test_rows_follow_the_reduced_label_run(self, synth_run):
+        """At keep_rate < 1 each row is the reduced-label run with the axis
+        value applied; the scratch scheme is that run without pretraining."""
+        from vepm.evaluation import reduced_label_run
+
+        _tmp, data, out, cfg = synth_run
+        with open(cfg, "a") as fh:
+            fh.write("keep_rate = 0.2\n")
+        run = load_run_config(cfg)
+        graph = load_node_dataset(data)
+        for axis, value, model, train in (
+                ("tau", "0.1", replace(run.model, tau=0.1), run.train),
+                ("training_scheme", "scratch", run.model,
+                 replace(run.train, pretrain_epochs=0))):
+            assert main(["ablate", "--config", cfg, "--axis", axis,
+                         "--values", value]) == 0
+            rows = json.loads(read(os.path.join(out, f"ablation_{axis}.json")))["rows"]
+            report = reduced_label_run(graph, 0.2, run.seed, model, train,
+                                       sampler=run.sampler)
+            assert rows[0]["accuracy_mean"] == report.accuracy_mean, axis
 
 
 class TestConverters:
@@ -535,3 +579,16 @@ class TestConverters:
         assert coll.graphs[0].n_edges == 3
         assert coll.n_features == 2
         np.testing.assert_array_equal(coll.graph_labels, [0, 1])
+
+    def test_tu_edge_between_graphs_exit_2(self, tmp_path, capsys):
+        raw = tmp_path / "turaw"
+        raw.mkdir()
+        # node 3 of the first graph joined to node 4 of the second
+        (raw / "TOY_A.txt").write_text("1, 2\n2, 3\n3, 4\n4, 5\n")
+        (raw / "TOY_graph_indicator.txt").write_text("1\n1\n1\n2\n2\n")
+        (raw / "TOY_graph_labels.txt").write_text("0\n1\n")
+        (raw / "TOY_node_labels.txt").write_text("0\n0\n0\n0\n0\n")
+        assert main(["convert-tu", "--raw", str(raw), "--name", "TOY",
+                     "--out", str(tmp_path / "tuconv")]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err and "edge crosses graph boundary" in err
