@@ -75,12 +75,18 @@ def convert_tu(raw_dir: str, name: str, out_dir: str) -> GraphCollection:
     def path(kind):
         return os.path.join(raw_dir, f"{name}_{kind}.txt")
 
-    edges = np.loadtxt(path("A"), delimiter=",", dtype=np.int64).reshape(-1, 2) - 1
-    indicator = np.loadtxt(path("graph_indicator"), dtype=np.int64) - 1
-    graph_labels = np.loadtxt(path("graph_labels"), dtype=np.int64)
+    # ndmin=1: a collection of one graph has one-line label files
+    edges = np.loadtxt(path("A"), delimiter=",", dtype=np.int64).reshape(-1, 2)
+    indicator = np.loadtxt(path("graph_indicator"), dtype=np.int64, ndmin=1) - 1
+    graph_labels = np.loadtxt(path("graph_labels"), dtype=np.int64, ndmin=1)
     if not os.path.isfile(path("node_labels")):
         raise DatasetError(f"missing {path('node_labels')}")
-    node_labels = np.loadtxt(path("node_labels"), dtype=np.int64)
+    node_labels = np.loadtxt(path("node_labels"), dtype=np.int64, ndmin=1)
+    outside = edges[(edges < 1) | (edges > node_labels.size)]
+    if outside.size:
+        raise DatasetError(f"{path('A')}: node id {outside[0]} outside "
+                           f"1..{node_labels.size}")
+    edges = edges - 1
 
     uniq = np.unique(node_labels)
     features = np.zeros((node_labels.size, uniq.size))

@@ -1,4 +1,4 @@
-"""Metrics, the two graph cross-validation protocols, reduced-label runs,
+"""NMI, the two graph cross-validation protocols, reduced-label runs,
 community agreement scores, and per-community confusion matrices."""
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ from .model import (
     prepare_node_graph,
 )
 from .rng import substream
-from .training import SamplerConfig, TrainConfig, finetune, pretrain
-
-
-class EvaluationError(ValueError):
-    pass
+from .training import (EvaluationError, SamplerConfig, TrainConfig, accuracy,
+                       finetune, pretrain)
 
 
 @dataclass
@@ -55,20 +52,6 @@ def _stderr(values: np.ndarray) -> Optional[float]:
     if values.size < 2:
         return None
     return float(values.std(ddof=1) / np.sqrt(values.size))
-
-
-def accuracy(probabilities: np.ndarray, labels: np.ndarray,
-             mask: Optional[np.ndarray] = None) -> float:
-    """Fraction of argmax matches over the masked rows (ties to lowest)."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    if not np.allclose(probabilities.sum(axis=1), 1.0, atol=1e-6):
-        raise EvaluationError("probability rows must sum to 1")
-    labels = np.asarray(labels)
-    idx = np.arange(labels.size) if mask is None else np.flatnonzero(mask)
-    if idx.size == 0:
-        raise EvaluationError("empty evaluation mask")
-    pred = np.argmax(probabilities[idx], axis=1)
-    return float((pred == labels[idx]).mean())
 
 
 def nmi(assignments: np.ndarray, labels: np.ndarray) -> float:
@@ -125,10 +108,9 @@ def _train_fold(collection, train_idx, test_idx, val_idx, cfg, tcfg, seed):
         v_union, v_gids, v_labels = batch_graphs(collection, val_idx)
         val_prep = prepare_graph_batch(v_union, v_gids, v_labels,
                                        collection.n_classes())
-    result = finetune(prep, store, cfg, tcfg, seed=seed, test_prep=test_prep,
-                      val_prep=val_prep, early_stop=False,
-                      eval_samples=cfg.mc_samples, eval_train=False)
-    return result
+    return finetune(prep, store, cfg, tcfg, seed=seed, test_prep=test_prep,
+                    val_prep=val_prep, eval_samples=cfg.mc_samples,
+                    eval_train=False)
 
 
 def cross_validate_graphs(collection: GraphCollection, cfg: ModelConfig,
@@ -158,10 +140,10 @@ def cross_validate_graphs(collection: GraphCollection, cfg: ModelConfig,
             val_idx = chunks[(f + 1) % folds]
             drop = set(test_idx) | set(val_idx)
             train_idx = np.array(sorted(set(range(len(collection))) - drop))
-        result = _train_fold(collection, train_idx, test_idx, val_idx, cfg, tcfg,
-                             seed)
-        test_curves.append(result.test_curve)
-        val_curves.append(result.val_curve)
+        records = _train_fold(collection, train_idx, test_idx, val_idx, cfg, tcfg,
+                              seed).records
+        test_curves.append([rec["test_acc"] for rec in records])
+        val_curves.append([rec["val_acc"] for rec in records])
 
     test_curves = np.asarray(test_curves)
     report = EvalReport(protocol=protocol, config=_config_dict(cfg, tcfg))

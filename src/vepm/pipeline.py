@@ -14,7 +14,6 @@ import numpy as np
 from .diffmath import load_arrays
 from .evaluation import (
     EvalReport,
-    accuracy,
     community_confusion_matrices,
     cross_validate_graphs,
     hard_assign_communities,
@@ -46,6 +45,7 @@ from .training import (
     optimizer_entries,
     pretrain,
     restore_optimizer,
+    score_masks,
     write_metrics,
     write_timings,
 )
@@ -210,11 +210,10 @@ def run_eval(cfg: RunConfig, checkpoint: Optional[str] = None,
                                  partition_seed=cfg.seed)
     report = EvalReport(protocol="standard-split",
                         config=_config_dict(cfg.model, cfg.train))
-    details = {}
-    for name, mask in (("test", data.test_mask), ("train", data.train_mask),
-                       ("val", data.val_mask)):
-        if mask is not None and mask.any():
-            details[f"{name}_acc"] = accuracy(probs, data.labels, mask)
+    scores = score_masks(probs, data.labels, {"test_acc": data.test_mask,
+                                              "train_acc": data.train_mask,
+                                              "val_acc": data.val_mask})
+    details = {name: acc for name, acc in scores.items() if acc is not None}
     if "test_acc" in details:
         report.accuracy_mean = details.pop("test_acc")
         report.per_fold = [report.accuracy_mean]

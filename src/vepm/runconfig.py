@@ -98,6 +98,8 @@ def build_run_config(raw: dict[str, str], overrides: Optional[dict] = None) -> R
     top_kwargs: dict = {}
     section_kwargs: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, value in raw.items():
+        if key == "train.seed":
+            raise ConfigError("train.seed is not read; set the run's seed with 'seed'")
         if "." in key:
             section, sub = key.split(".", 1)
             if section not in _SECTIONS or sub not in section_fields[section]:
@@ -114,6 +116,8 @@ def build_run_config(raw: dict[str, str], overrides: Optional[dict] = None) -> R
     task = top_kwargs.get("task", "node")
     section_kwargs["model"].setdefault("layer_kind",
                                        "gcn" if task == "node" else "gin")
+    # the run's one seed, copied so that reports show the seed in use
+    section_kwargs["train"]["seed"] = top_kwargs.get("seed", RunConfig.seed)
     try:
         cfg = RunConfig(
             model=ModelConfig(**section_kwargs["model"]),

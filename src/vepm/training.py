@@ -188,8 +188,8 @@ def _egen_term(prep: PreparedGraph, z: Node, gamma: Node,
 
 def elbo(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
          uniforms: np.ndarray, tcfg: TrainConfig, *, training: bool = False,
-         step: int = 0, seed: int = 0, partition_seed: int = 0,
-         sub: Optional[tuple] = None, include_task: bool = True):
+         step: int = 0, seed: int = 0, sub: Optional[tuple] = None,
+         include_task: bool = True):
     """Single-sample evidence lower bound.
 
     Returns (terms, loss_node, aux): `terms` carries the three summands as
@@ -209,7 +209,7 @@ def elbo(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
     partition = None
     if include_task:
         partition = partition_edges(prep.graph.adjacency, post.z, gamma, cfg,
-                                    seed=partition_seed)
+                                    seed=seed)
         logits = forward_logits(prep, post.z, partition, store, cfg,
                                 training=training, step=step, seed=seed)
         l_task = _task_logprob(prep, logits)
@@ -292,6 +292,33 @@ def restore_optimizer(state: OptimizerState, prefix: str, entries, t: int):
 # metrics
 
 
+class EvaluationError(ValueError):
+    pass
+
+
+def accuracy(probabilities: np.ndarray, labels: np.ndarray,
+             mask: Optional[np.ndarray] = None) -> float:
+    """Fraction of argmax matches over the masked rows (ties to lowest)."""
+    probabilities = np.asarray(probabilities, dtype=np.float64)
+    if not np.allclose(probabilities.sum(axis=1), 1.0, atol=1e-6):
+        raise EvaluationError("probability rows must sum to 1")
+    labels = np.asarray(labels)
+    idx = np.arange(labels.size) if mask is None else np.flatnonzero(mask)
+    if idx.size == 0:
+        raise EvaluationError("empty evaluation mask")
+    pred = np.argmax(probabilities[idx], axis=1)
+    return float((pred == labels[idx]).mean())
+
+
+def score_masks(probabilities: np.ndarray, labels: np.ndarray,
+                masks: dict) -> dict:
+    """The accuracy under each named mask; None for a mask that is absent
+    or selects no row."""
+    return {name: None if mask is None or not mask.any()
+            else accuracy(probabilities, labels, mask)
+            for name, mask in masks.items()}
+
+
 METRIC_COLUMNS = ("epoch", "l_task", "l_egen", "l_kl", "train_acc", "val_acc",
                   "test_acc")
 
@@ -354,8 +381,6 @@ class TrainResult:
     timings: list[tuple[int, float]]
     best_epoch: Optional[int] = None
     best_val: Optional[float] = None
-    test_curve: list[float] = field(default_factory=list)
-    val_curve: list[float] = field(default_factory=list)
     stopped_early: bool = False
 
 
@@ -419,22 +444,6 @@ def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
 # phase two: supervised finetuning
 
 
-def _mask_accuracy(pred: np.ndarray, labels: np.ndarray, mask) -> Optional[float]:
-    if mask is None or not mask.any():
-        return None
-    idx = np.flatnonzero(mask)
-    return float((pred[idx] == labels[idx]).mean())
-
-
-def _eval_accuracy(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
-                   seed: int, partition_seed: int, samples: int = 1) -> float:
-    """Whole-batch graph-label accuracy under the posterior predictive."""
-    probs = posterior_predictive(prep, store, cfg, samples, seed,
-                                 partition_seed=partition_seed)
-    pred = np.argmax(probs, axis=1)
-    return float((pred == prep.graph_labels).mean())
-
-
 def _frozen_epoch_inputs(prep, store, cfg, uniforms, step, seed):
     """The affiliation sample, edge partition and bank input x* held fixed
     across an epoch's theta steps, computed on the detached parameters."""
@@ -459,8 +468,7 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
              tcfg: TrainConfig, seed: int = 0,
              test_prep: Optional[PreparedGraph] = None,
              val_prep: Optional[PreparedGraph] = None,
-             step_callback: Optional[Callable] = None,
-             early_stop: bool = True, eval_samples: int = 1,
+             step_callback: Optional[Callable] = None, eval_samples: int = 1,
              optimizers: Optional[tuple] = None,
              start_epoch: int = 0, eval_train: bool = True) -> TrainResult:
     """Alternating optimization of the full bound.
@@ -469,6 +477,10 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
     computed and frozen; M generative-side steps maximize the task term;
     one inference-side step maximizes the full bound, differentiating
     through the reparameterized sample and the partition weights.
+
+    Each epoch scores the posterior predictive on a node task's three masks,
+    or on a graph task's batch (if `eval_train`), `val_prep` and `test_prep`.
+    Only a node task stops early, and it ends at its best validation epoch.
     """
     # the partition is frozen during theta steps, so the shared activations
     # get no gradient there; they are updated by the phi step only
@@ -480,6 +492,17 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
     result = TrainResult(records=[], timings=[])
     node_task = prep.task == "node"
     best_val, best_snap, stall = -np.inf, None, 0
+    # (batch, labels, {metric column: mask}), one predictive call each
+    if node_task:
+        g = prep.graph
+        targets = [(prep, g.labels, {"train_acc": g.train_mask,
+                                     "val_acc": g.val_mask,
+                                     "test_acc": g.test_mask})]
+    else:
+        batches = {"train_acc": prep if eval_train else None, "val_acc": val_prep,
+                   "test_acc": test_prep}
+        targets = [(batch, batch.graph_labels, {column: np.ones(batch.n_graphs, bool)})
+                   for column, batch in batches.items() if batch is not None]
 
     for epoch in range(start_epoch, tcfg.finetune_epochs):
         t0 = time.perf_counter()
@@ -500,8 +523,7 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
         # nodes are the live ones that Adam updates
         terms, phi_weights = _elbo_step(prep, store.detached(keep=phi_names), cfg,
                                         tcfg, adam_phi, phi_names, tcfg.lr_phi,
-                                        uniforms, step=base, seed=seed,
-                                        partition_seed=seed)
+                                        uniforms, step=base, seed=seed)
         _check_finite(terms.total)
         if step_callback is not None:
             step_callback(epoch=epoch, phase="phi", inner=None,
@@ -510,32 +532,14 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
         rec = {"epoch": epoch, "l_task": terms.l_task, "l_egen": terms.l_egen,
                "l_kl": terms.l_kl, "train_acc": None, "val_acc": None,
                "test_acc": None}
-        if node_task:
-            g = prep.graph
-            probs = posterior_predictive(prep, store, cfg, eval_samples, seed,
+        for batch, labels, masks in targets:
+            probs = posterior_predictive(batch, store, cfg, eval_samples, seed,
                                          partition_seed=seed)
-            pred = np.argmax(probs, axis=1)
-            rec["train_acc"] = _mask_accuracy(pred, g.labels, g.train_mask)
-            rec["val_acc"] = _mask_accuracy(pred, g.labels, g.val_mask)
-            rec["test_acc"] = _mask_accuracy(pred, g.labels, g.test_mask)
-        else:
-            if eval_train:
-                rec["train_acc"] = _eval_accuracy(prep, store, cfg, seed, seed,
-                                                  samples=eval_samples)
-            if val_prep is not None:
-                acc = _eval_accuracy(val_prep, store, cfg, seed, seed,
-                                     samples=eval_samples)
-                rec["val_acc"] = acc
-                result.val_curve.append(acc)
-            if test_prep is not None:
-                acc = _eval_accuracy(test_prep, store, cfg, seed, seed,
-                                     samples=eval_samples)
-                rec["test_acc"] = acc
-                result.test_curve.append(acc)
+            rec.update(score_masks(probs, labels, masks))
         result.records.append(rec)
         result.timings.append((epoch, (time.perf_counter() - t0) * 1e3))
 
-        if node_task and early_stop and rec["val_acc"] is not None:
+        if node_task and rec["val_acc"] is not None:
             if rec["val_acc"] > best_val:
                 best_val, stall = rec["val_acc"], 0
                 best_snap = store.snapshot()

@@ -453,8 +453,7 @@ def partition_deviation_run(mode: str, seed: int = 0, epochs: int = 10) -> float
         dev = float(np.abs(partition.sum(axis=1) - 1.0).max())
         worst = max(worst, dev)
 
-    finetune(prep, store, cfg, tcfg, seed=seed, step_callback=callback,
-             early_stop=False)
+    finetune(prep, store, cfg, tcfg, seed=seed, step_callback=callback)
     return worst
 
 

@@ -123,7 +123,7 @@ def _partition_deviation_over_run(graph, mode: str, epochs: int, seed: int,
         nonlocal worst
         worst = max(worst, float(np.abs(partition.sum(axis=1) - 1.0).max()))
 
-    finetune(prep, store, cfg, tcfg, seed=seed, step_callback=cb, early_stop=False)
+    finetune(prep, store, cfg, tcfg, seed=seed, step_callback=cb)
     return worst
 
 
@@ -232,7 +232,7 @@ def test_06_cora_nmi_direction():
             return nmi(assign, graph.labels)
 
         before = current_nmi()
-        finetune(prep, store, cfg, tcfg, seed=seed, early_stop=False)
+        finetune(prep, store, cfg, tcfg, seed=seed)
         after = current_nmi()
         scores.append((round(before, 3), round(after, 3)))
         wins += after >= before

@@ -138,6 +138,11 @@ class TestPipelineCommands:
             fh.write(f"dataset = {data}\nmodel.banana = 3\n")
         assert main(["pretrain", "--config", cfg2]) == 2
 
+    def test_train_seed_is_the_run_seed(self, synth_run):
+        _tmp, _data, _out, cfg = synth_run
+        assert load_run_config(cfg).train.seed == 3
+        assert load_run_config(cfg, {"seed": 8}).train.seed == 8
+
     def test_metrics_byte_identical_on_rerun(self, synth_run):
         _tmp, _data, out, cfg = synth_run
         assert main(["pretrain", "--config", cfg]) == 0
@@ -215,6 +220,7 @@ class TestPipelineCommands:
         (["sampler.enabled = true", "sampler.n_sub = 0"], "n_sub must be >= 2, got 0"),
         (["train.elbo_weights = 1,2"], "elbo_weights must be 3 finite numbers"),
         (["train.patience = 0"], "patience must be >= 1, got 0"),
+        (["train.seed = 5"], "train.seed is not read"),
     ])
     def test_invalid_training_setting_exit_2(self, synth_run, capsys, lines, message):
         _tmp, _data, out, cfg = synth_run
@@ -592,3 +598,32 @@ class TestConverters:
                      "--out", str(tmp_path / "tuconv")]) == 2
         err = capsys.readouterr().err
         assert "VEPM-ERROR kind=config" in err and "edge crosses graph boundary" in err
+
+    @pytest.mark.parametrize("edges,bad_id", [("1, 2\n4, 0\n", 0), ("1, 2\n4, 7\n", 7)])
+    def test_tu_node_id_outside_range_exit_2(self, tmp_path, capsys, edges, bad_id):
+        raw = tmp_path / "turaw"
+        raw.mkdir()
+        (raw / "TOY_A.txt").write_text(edges)
+        (raw / "TOY_graph_indicator.txt").write_text("1\n1\n1\n2\n2\n2\n")
+        (raw / "TOY_graph_labels.txt").write_text("0\n1\n")
+        (raw / "TOY_node_labels.txt").write_text("0\n0\n0\n0\n0\n0\n")
+        assert main(["convert-tu", "--raw", str(raw), "--name", "TOY",
+                     "--out", str(tmp_path / "tuconv")]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err
+        assert f"node id {bad_id} outside 1..6" in err
+
+    def test_tu_single_graph(self, tmp_path):
+        raw = tmp_path / "turaw"
+        raw.mkdir()
+        (raw / "TOY_A.txt").write_text("1, 2\n2, 1\n2, 3\n3, 2\n")
+        (raw / "TOY_graph_indicator.txt").write_text("1\n1\n1\n")
+        (raw / "TOY_graph_labels.txt").write_text("1\n")
+        (raw / "TOY_node_labels.txt").write_text("4\n5\n4\n")
+        out = str(tmp_path / "tuconv")
+        assert main(["convert-tu", "--raw", str(raw), "--name", "TOY",
+                     "--out", out]) == 0
+        coll = load_graph_dataset(out)
+        assert len(coll) == 1
+        assert coll.graphs[0].n_nodes == 3 and coll.graphs[0].n_edges == 2
+        np.testing.assert_array_equal(coll.graph_labels, [0])

@@ -180,6 +180,47 @@ class TestCrossValidation:
         assert report.accuracy_mean == pytest.approx(np.mean(report.per_fold))
         assert report.accuracy_mean == pytest.approx(curve[report.best_epoch])
 
+    @staticmethod
+    def _fold_records(monkeypatch):
+        """Record each fold's finetune records as cross-validation runs."""
+        import vepm.evaluation as ev
+
+        folds = []
+        original = ev._train_fold
+
+        def spy(*args, **kwargs):
+            result = original(*args, **kwargs)
+            folds.append(result.records)
+            return result
+
+        monkeypatch.setattr(ev, "_train_fold", spy)
+        return folds
+
+    @pytest.mark.parametrize("protocol,folds", [("xu", 2), ("zhang", 3)])
+    def test_folds_score_held_out_batches_every_epoch(self, monkeypatch, protocol,
+                                                      folds):
+        records = self._fold_records(monkeypatch)
+        coll = synthetic_collection(n_graphs=9, seed=3)
+        cfg, tcfg = fast_cfgs()
+        report = cross_validate_graphs(coll, cfg, tcfg, folds=folds, seed=1,
+                                       protocol=protocol)
+        assert len(records) == folds
+        for fold in records:
+            assert len(fold) == tcfg.finetune_epochs
+            for rec in fold:
+                assert rec["train_acc"] is None
+                assert 0.0 <= rec["test_acc"] <= 1.0
+                assert (rec["val_acc"] is None) == (protocol == "xu")
+        test = np.array([[rec["test_acc"] for rec in fold] for fold in records])
+        if protocol == "xu":
+            np.testing.assert_array_equal(report.details["mean_curve"],
+                                          test.mean(axis=0))
+        else:
+            best = [int(np.argmax([rec["val_acc"] for rec in fold]))
+                    for fold in records]
+            assert report.details["best_epochs"] == best
+            assert report.per_fold == [test[f, e] for f, e in enumerate(best)]
+
     def test_zhang_protocol_runs(self):
         coll = synthetic_collection(n_graphs=9, seed=3)
         cfg, tcfg = fast_cfgs()

@@ -14,6 +14,7 @@ from vepm.model import (
     encoder_uniforms,
     init_params,
     prepare_graph_batch,
+    posterior_predictive,
     prepare_node_graph,
 )
 from vepm.rng import substream
@@ -26,6 +27,7 @@ from vepm.training import (
     _pair_count,
     _elbo_step,
     _task_logprob,
+    accuracy,
     adam_step,
     elbo,
     finetune,
@@ -417,6 +419,36 @@ class TestFinetune:
             finetune(prep, store, cfg, TrainConfig(finetune_epochs=2, patience=10),
                      seed=0)
 
+    def test_node_run_scores_each_mask_every_epoch(self):
+        """Each epoch's accuracy columns score the posterior predictive of
+        the parameters at the end of that epoch on the column's mask."""
+        graph, cfg, prep, store = node_setup()
+        expected = []
+
+        def cb(phase, store, **_kw):
+            if phase == "phi":
+                probs = posterior_predictive(prep, store, cfg, 1, 0, partition_seed=0)
+                expected.append({f"{name}_acc": accuracy(probs, graph.labels, mask)
+                                 for name, mask in (("train", graph.train_mask),
+                                                    ("val", graph.val_mask),
+                                                    ("test", graph.test_mask))})
+
+        result = finetune(prep, store, cfg,
+                          TrainConfig(finetune_epochs=3, patience=100),
+                          seed=0, step_callback=cb)
+        got = [{col: rec[col] for col in ("train_acc", "val_acc", "test_acc")}
+               for rec in result.records]
+        assert got == expected and len(got) == 3
+
+    def test_graph_train_scores_the_training_batch_only(self):
+        cfg, prep, _test_prep, store = gin_setup()
+        result = finetune(prep, store, cfg,
+                          TrainConfig(finetune_epochs=2, patience=100),
+                          seed=0)
+        for rec in result.records:
+            assert 0.0 <= rec["train_acc"] <= 1.0
+            assert rec["val_acc"] is None and rec["test_acc"] is None
+
     def test_early_stop_restores_best_validation_params(self):
         graph, cfg, prep, store = node_setup()
         result = finetune(prep, store, cfg,
@@ -442,7 +474,7 @@ def restriction_setup(kind, mode):
     partition mode, with dropout on so its masks are exercised."""
     if kind == "gin":
         cfg, prep, test_prep, store = gin_setup(partition_mode=mode, dropout=0.5)
-        return cfg, prep, store, {"test_prep": test_prep, "early_stop": False}
+        return cfg, prep, store, {"test_prep": test_prep}
     composer = "dense" if kind == "dense" else "gnn"
     _graph, cfg, prep, store = node_setup(partition_mode=mode, composer_kind=composer,
                                           dropout=0.5)
@@ -463,7 +495,7 @@ class TestPhiStepRestriction:
         uniforms = encoder_uniforms(prep.n_nodes, cfg.total_communities, 0,
                                     "finetune", 0)
         _terms, loss, _aux = elbo(prep, tape_store, cfg, uniforms, TrainConfig(),
-                                  training=True, step=0, seed=0, partition_seed=0)
+                                  training=True, step=0, seed=0)
         return loss
 
     @pytest.mark.parametrize("mode", MODES)
@@ -626,7 +658,7 @@ class TestTapeLifetime:
             kwargs = {}
         else:
             cfg, prep, test_prep, store = gin_setup()
-            kwargs = {"test_prep": test_prep, "early_stop": False}
+            kwargs = {"test_prep": test_prep}
         phases = []
 
         def cb(epoch, phase, inner, partition, store):
