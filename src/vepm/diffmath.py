@@ -87,26 +87,8 @@ class Node:
     def __add__(self, other):
         return add(self, as_node(other))
 
-    def __radd__(self, other):
-        return add(as_node(other), self)
-
-    def __sub__(self, other):
-        return add(self, negate(as_node(other)))
-
-    def __rsub__(self, other):
-        return add(as_node(other), negate(self))
-
     def __mul__(self, other):
         return elementwise_mul(self, as_node(other))
-
-    def __rmul__(self, other):
-        return elementwise_mul(as_node(other), self)
-
-    def __neg__(self):
-        return negate(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_node(other))
 
 
 def constant(value) -> Node:
@@ -735,8 +717,9 @@ class ParameterStore:
     def save(self, path: str, meta: Optional[dict] = None, extra=None):
         save_arrays(path, self.entries() + list(extra or []), meta)
 
-    def load(self, path: str) -> dict:
-        """Load every parameter from a checkpoint; returns its meta dict.
+    def load(self, path: str) -> tuple[list, dict]:
+        """Load every parameter from a checkpoint; returns all its entries
+        and its meta dict, as `load_arrays` reads them.
 
         The checkpoint must hold exactly this store's parameters, each in
         its shape; optimizer entries (group 'opt') are not parameters.
@@ -756,7 +739,7 @@ class ParameterStore:
                                 + "; ".join(problems))
         for name, arr in saved.items():
             self.set_value(name, arr)
-        return meta
+        return entries, meta
 
 
 # ---------------------------------------------------------------------------
@@ -843,13 +826,17 @@ def finite_difference_check(
     """Max relative error between reverse-mode and central differences.
 
     Samples random parameter coordinates; the builder must be deterministic
-    (verified by evaluating it twice before perturbing anything).
+    (verified by evaluating it twice before perturbing anything). A central
+    difference at step eps carries a round-off error of about
+    |f| * machine epsilon / eps, so that much of each coordinate's
+    discrepancy is not counted against the reverse rule.
     """
     names = list(names if names is not None else store.names())
     base1 = float(loss_builder().value)
     base2 = float(loss_builder().value)
     if base1 != base2:
         raise NondeterministicLoss("loss builder returned different baseline values")
+    floor = abs(base1) * np.finfo(np.float64).eps / eps
 
     store.zero_grad()
     backward(loss_builder())
@@ -870,6 +857,6 @@ def finite_difference_check(
         node.value.flat[idx] = original
         g_fd = (f_plus - f_minus) / (2.0 * eps)
         g_ad = float(grads[name].flat[idx])
-        rel = abs(g_fd - g_ad) / max(1e-8, abs(g_fd) + abs(g_ad))
+        rel = max(0.0, abs(g_fd - g_ad) - floor) / max(1e-8, abs(g_fd) + abs(g_ad))
         worst = max(worst, rel)
     return worst

@@ -179,8 +179,9 @@ def bernoulli_poisson_loglik(
     so the edge half is one CSR product over the adjacency support.
     """
     zv, gv = z.value, gamma.value
-    iu, ju, entry_pair = adjacency.pair_layout()
-    rates = np.einsum("ij,ij->i", np.take(zv * gv, iu, axis=0), np.take(zv, ju, axis=0))
+    layout = adjacency.pair_layout()
+    rates = np.einsum("ij,ij->i", np.take(zv * gv, layout.iu, axis=0),
+                      np.take(zv, layout.ju, axis=0))
     decay = np.exp(-rates)
     edge_term = np.log((1.0 + EDGE_EPS) - decay).sum()
 
@@ -196,7 +197,7 @@ def bernoulli_poisson_loglik(
     def vjp(g, needs):
         q = g * (decay / ((1.0 + EDGE_EPS) - decay) + 1.0)
         support = adjacency.to_scipy()
-        q_mat = sp.csr_matrix((np.take(q, entry_pair), support.indices,
+        q_mat = sp.csr_matrix((np.take(q, layout.entry_pair), support.indices,
                                support.indptr), shape=support.shape)
         qz = np.asarray(q_mat @ zv)
         g_z = g_gamma = None

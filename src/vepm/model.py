@@ -106,8 +106,7 @@ class EdgePartition:
 
     support: SparseMatrix
     weights: Node
-    _gcn_norm: Optional[tuple] = field(default=None, init=False, repr=False)
-    _gcn_operator: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
+    _gcn: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -116,28 +115,17 @@ class EdgePartition:
     def weight_values(self) -> np.ndarray:
         return self.weights.value
 
-    def gcn_normalization(self) -> tuple[Node, Node]:
-        """`_gcn_normalization` of the weights, computed once when they are
-        constant, as for the partition frozen across the theta steps."""
-        if self.weights.requires_grad:
-            return _gcn_normalization(self.weights, self.support)
-        if self._gcn_norm is None:
-            self._gcn_norm = _gcn_normalization(self.weights, self.support)
-        return self._gcn_norm
-
-    def gcn_operator(self) -> Optional[sp.csr_matrix]:
-        """The K-part block CSR of `gcn_normalization()` for `edge_spmm`,
-        built once when the weights are constant and reused by every bank
-        layer and theta step that aggregates over them. None when the
-        weights are differentiable: then each `edge_spmm` builds its own.
-        """
-        if self.weights.requires_grad:
-            return None
-        if self._gcn_operator is None:
-            ew, self_w = self.gcn_normalization()
-            self._gcn_operator = self.support.block_csr_with_diagonal(
+    def gcn_normalization(self) -> tuple[Node, Node, sp.csr_matrix]:
+        """`_gcn_normalization` of the weights and its K-part block CSR for
+        `edge_spmm`, computed once per partition and read by every bank
+        layer (and, for the partition frozen across the theta steps, by
+        every theta step) that aggregates over it."""
+        if self._gcn is None:
+            ew, self_w = _gcn_normalization(self.weights, self.support)
+            operator = self.support.block_csr_with_diagonal(
                 ew.value, self_w.value.T, shared=False)
-        return self._gcn_operator
+            self._gcn = (ew, self_w, operator)
+        return self._gcn
 
 
 @dataclass
@@ -322,10 +310,10 @@ def draw_random_partition_weights(adjacency: SparseMatrix, cfg: ModelConfig,
                                   seed: int) -> np.ndarray:
     """Frozen random partition: U(0,100) per undirected edge and block,
     softmax-normalized at temperature tau, mirrored to both directions."""
-    iu, _ju, entry_pair = adjacency.pair_layout()
+    layout = adjacency.pair_layout()
     raw = substream(seed, "random-partition").uniform(0.0, 100.0,
-                                                      (iu.size, cfg.n_metacommunities))
-    return dm.softmax_rows(raw, cfg.tau)[entry_pair]
+                                                      (layout.iu.size, cfg.n_metacommunities))
+    return dm.softmax_rows(raw, cfg.tau)[layout.entry_pair]
 
 
 def _learned_partition(adjacency: SparseMatrix, z: Node, gamma: Node, k: int,
@@ -345,15 +333,14 @@ def _learned_partition(adjacency: SparseMatrix, z: Node, gamma: Node, k: int,
     c = zv.shape[1]
     if c % k:
         raise ModelError(f"C={c} communities do not split into K={k} blocks")
-    iu, ju, entry_pair = adjacency.pair_layout()
+    iu, ju, entry_pair, upper, lower, _mirror = adjacency.pair_layout()
     zj = np.take(zv, ju, axis=0)
     prod = np.take(zv * gv, iu, axis=0) * zj
     w_pair = dm.softmax_rows(prod.reshape(iu.size, k, c // k).sum(axis=2), tau)
 
     def vjp(g, needs):
-        first, second = adjacency.pair_entries()
         q = dm.softmax_rows_grad(
-            w_pair, np.take(g, first, axis=0) + np.take(g, second, axis=0), tau)
+            w_pair, np.take(g, upper, axis=0) + np.take(g, lower, axis=0), tau)
         if c > k:
             q = np.repeat(q, c // k, axis=1)
         g_z = g_gamma = None
@@ -418,8 +405,8 @@ def _gcn_normalization(weights: Node, support: SparseMatrix) -> tuple[Node, Node
     each. The edge side's is g s_i s_j plus its degree term gd[i] with
         gs = sum over the stored entries (i, j) of (t_ij + t_ji) s_j,
         gd = -gs d^{-3/2} / 2,    t = g w,
-    where t_ji, the column side, is read through the support's reverse-
-    entry permutation; the self-loop side's is -(g / d^2)[i].
+    where t_ji, the column side, is read through the support's mirror
+    permutation; the self-loop side's is -(g / d^2)[i].
     """
     wv = weights.value
     rows, cols = support.rows, support.cols
@@ -430,7 +417,7 @@ def _gcn_normalization(weights: Node, support: SparseMatrix) -> tuple[Node, Node
 
     def edge_vjp(g, needs):
         t = g * wv
-        t += np.take(t, support.reverse_entries(), axis=0)
+        t += np.take(t, support.pair_layout().mirror, axis=0)
         t *= np.take(dinv_sqrt, cols, axis=0)
         g_deg = support.entry_row_sums(t) * (-0.5 * deg ** -1.5)
         return (g * scale + np.take(g_deg, rows, axis=0),)
@@ -503,8 +490,7 @@ def community_gnn_forward(x_star: list, partition: EdgePartition,
     k_meta = cfg.n_metacommunities
     support = partition.support
     if cfg.layer_kind == "gcn":
-        ew, self_w = partition.gcn_normalization()
-        operator = partition.gcn_operator()
+        ew, self_w, operator = partition.gcn_normalization()
     elif len(x_star) != 1:
         raise ModelError("the GIN bank takes its input as one dense block")
 
@@ -652,11 +638,11 @@ def node_ordering(mu: np.ndarray) -> np.ndarray:
 def export_partition(out_dir: str, partition: EdgePartition, mu: np.ndarray):
     """part_k.csv files (one undirected edge per row) plus the node order."""
     os.makedirs(out_dir, exist_ok=True)
-    iu, ju, _entry_pair = partition.support.pair_layout()
-    w = partition.weight_values()[partition.support.pair_entries()[0]]
+    layout = partition.support.pair_layout()
+    w = partition.weight_values()[layout.upper]
     for k in range(partition.k):
         with open(os.path.join(out_dir, f"part_{k}.csv"), "w", encoding="utf-8") as fh:
-            for i, j, v in zip(iu, ju, w[:, k]):
+            for i, j, v in zip(layout.iu, layout.ju, w[:, k]):
                 fh.write(f"{i},{j},{float(v)!r}\n")
     assign = np.argmax(mu, axis=1)
     with open(os.path.join(out_dir, "node_order.csv"), "w", encoding="utf-8") as fh:

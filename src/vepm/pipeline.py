@@ -11,7 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-from .diffmath import load_arrays
 from .evaluation import (
     EvalReport,
     community_confusion_matrices,
@@ -92,8 +91,10 @@ def _run_phase(cfg: RunConfig, phase: str, resume: Optional[str]) -> TrainResult
     states = [OptimizerState() for _ in opt_names]
     start = 0
     if resume:
-        entries, meta = load_arrays(resume)
-        store.load(resume)
+        entries, meta = store.load(resume)
+        if meta.get("phase") != phase:
+            raise ConfigError(f"{resume}: a checkpoint of phase {meta.get('phase')!r} "
+                              f"cannot resume phase {phase!r}")
         for state, name in zip(states, opt_names):
             restore_optimizer(state, name, entries, int(meta.get(f"{name}_t", 0)))
         start = int(meta.get("epoch", 0))
@@ -272,6 +273,8 @@ def run_ablate(cfg: RunConfig, axis: str, values: list[str],
                jobs: int = 1) -> list[dict]:
     if axis not in ABLATION_AXES:
         raise ConfigError(f"axis must be one of {ABLATION_AXES}")
+    if not values:
+        raise ConfigError("an ablation needs at least one value")
     data = load_dataset(cfg)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

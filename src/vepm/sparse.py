@@ -7,6 +7,7 @@ heavy products delegate to scipy.sparse internally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,6 +15,18 @@ import scipy.sparse as sp
 
 class SparseError(ValueError):
     pass
+
+
+class PairLayout(NamedTuple):
+    """The mirror structure of a symmetric support without diagonal
+    entries, in its row-major entry order."""
+
+    iu: np.ndarray          # each unordered pair (i, j) once, i < j,
+    ju: np.ndarray          # as in `undirected_pairs`
+    entry_pair: np.ndarray  # per stored entry, the position of its pair
+    upper: np.ndarray       # per pair, the position of its entry (i, j)
+    lower: np.ndarray       # per pair, the position of its mirror (j, i)
+    mirror: np.ndarray      # per stored entry (i, j), the position of (j, i)
 
 
 @dataclass
@@ -30,8 +43,6 @@ class SparseMatrix:
     _csr_t: object = field(default=None, init=False, repr=False)
     _block_layouts: dict = field(default_factory=dict, init=False, repr=False)
     _pair_layout: object = field(default=None, init=False, repr=False)
-    _pair_entries: object = field(default=None, init=False, repr=False)
-    _reverse_entries: object = field(default=None, init=False, repr=False)
     _incidence: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -123,52 +134,36 @@ class SparseMatrix:
         data = np.take(np.concatenate((vals, diag), axis=None), source)
         return sp.csr_matrix((data, indices, indptr), shape=shape)
 
-    def pair_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`undirected_pairs(self)` and, for each stored entry, the position
-        of its unordered pair among them: both directions of an edge share
-        one. Built on first use and reused; the support must be symmetric.
+    def pair_layout(self) -> PairLayout:
+        """The mirror structure of a symmetric support, built in one pass on
+        first use and reused. A support that is not symmetric, or stores a
+        diagonal entry, raises SparseError.
         """
         if self._pair_layout is None:
-            iu, ju = undirected_pairs(self)
+            # in row-major order the entries with i < j come in pair order
+            upper = np.flatnonzero(self.rows < self.cols)
+            below = np.flatnonzero(self.rows > self.cols)
+            iu, ju = self.rows[upper], self.cols[upper]
             n = self.n_rows
             pair_keys = iu * n + ju
-            key = np.minimum(self.rows, self.cols) * n + np.maximum(self.rows, self.cols)
+            key = self.cols[below] * n + self.rows[below]
             index = np.searchsorted(pair_keys, key)
             # without duplicates, each pair has both directions exactly when
-            # every entry finds its pair and there are two entries per pair
-            if (self.nnz != 2 * iu.size or np.any(index >= pair_keys.size)
-                    or np.any(pair_keys[index] != key)):
-                raise SparseError("pair layout of a support that is not symmetric")
-            self._pair_layout = (iu, ju, index)
+            # there is no diagonal entry, the entries below the diagonal are
+            # as many as those above, and each of them finds its pair
+            if (upper.size + below.size != self.nnz or below.size != upper.size
+                    or np.any(index >= upper.size) or np.any(pair_keys[index] != key)):
+                raise SparseError("adjacency must be symmetric")
+            lower = np.empty_like(upper)
+            lower[index] = below
+            entry_pair = np.empty(self.nnz, dtype=np.int64)
+            entry_pair[upper] = np.arange(upper.size)
+            entry_pair[below] = index
+            mirror = np.empty(self.nnz, dtype=np.int64)
+            mirror[upper] = lower
+            mirror[lower] = upper
+            self._pair_layout = PairLayout(iu, ju, entry_pair, upper, lower, mirror)
         return self._pair_layout
-
-    def pair_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """For each pair of `pair_layout()`, the positions of its two stored
-        entries: (i, j) with i < j, and its mirror (j, i). Built on first
-        use and reused; the support must be symmetric.
-        """
-        if self._pair_entries is None:
-            _iu, _ju, entry_pair = self.pair_layout()
-            # in row-major order the entries with i < j come in pair order
-            first = np.flatnonzero(self.rows < self.cols)
-            lower = np.flatnonzero(self.rows > self.cols)
-            second = np.empty_like(first)
-            second[entry_pair[lower]] = lower
-            self._pair_entries = (first, second)
-        return self._pair_entries
-
-    def reverse_entries(self) -> np.ndarray:
-        """For each stored entry (i, j), the position of its mirror (j, i):
-        the permutation that turns a column-side scatter into a row-side
-        one. Built on first use and reused; the support must be symmetric.
-        """
-        if self._reverse_entries is None:
-            first, second = self.pair_entries()
-            rev = np.empty(self.nnz, dtype=np.int64)
-            rev[first] = second
-            rev[second] = first
-            self._reverse_entries = rev
-        return self._reverse_entries
 
     def entry_row_sums(self, x: np.ndarray) -> np.ndarray:
         """out[i] = the sum of x[e] over the stored entries e of row i,
@@ -204,16 +199,6 @@ class SparseMatrix:
         out[self.rows, self.cols] = self.vals
         return out
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        if self.n_rows != self.n_cols:
-            return False
-        key = self.rows * self.n_cols + self.cols
-        key_t = self.cols * self.n_cols + self.rows
-        order = np.argsort(key_t, kind="stable")
-        if not np.array_equal(key, key_t[order]):
-            return False
-        return bool(np.all(np.abs(self.vals - self.vals[order]) <= tol))
-
     def has_zero_diagonal(self) -> bool:
         return not np.any(self.rows == self.cols)
 
@@ -224,10 +209,9 @@ class SparseMatrix:
         """Validate the invariants required of a raw adjacency matrix."""
         if self.n_rows != self.n_cols:
             raise SparseError("adjacency must be square")
-        if not self.is_symmetric():
-            raise SparseError("adjacency must be symmetric")
         if not self.has_zero_diagonal():
             raise SparseError("adjacency must have a zero diagonal")
+        self.pair_layout()
         if not self.is_binary():
             raise SparseError("adjacency values must all be 1")
 

@@ -234,7 +234,7 @@ def _primitive_cases(seed=0):
                          "entries"))
 
     def gcn_normalization_loss(s):
-        ew, self_w = EdgePartition(support=adj_iso, weights=s["w"]).gcn_normalization()
+        ew, self_w, _ = EdgePartition(support=adj_iso, weights=s["w"]).gcn_normalization()
         return mixed(ew, "norm_edges") + mixed(self_w, "norm_loops")
 
     case("gcn_normalization", lambda s: s.add("w", w_norm, "phi"), gcn_normalization_loss)

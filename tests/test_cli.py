@@ -268,6 +268,24 @@ class TestPipelineCommands:
         # theta optimizer took inner_steps updates per additional epoch
         assert int(meta2["adam_theta_t"]) == int(meta["adam_theta_t"]) + 10
 
+    @pytest.mark.parametrize("command,other", [("train", "pretrain.ckpt"),
+                                               ("pretrain", "model.ckpt")])
+    def test_resume_refuses_the_other_phase_checkpoint(self, synth_run, capsys,
+                                                      command, other):
+        """Resuming from the other phase's checkpoint would start at that
+        phase's epoch count with its parameters; it is refused, and no file
+        of the run changes."""
+        _tmp, _data, out, cfg = synth_run
+        assert main(["pretrain", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+        written = {n: read(os.path.join(out, n)) for n in sorted(os.listdir(out))}
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--resume", os.path.join(out, other)]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err
+        assert "'pretrain'" in err and "'finetune'" in err
+        assert {n: read(os.path.join(out, n)) for n in sorted(os.listdir(out))} == written
+
     def test_per_community_checkpoint_refused(self, synth_run, capsys):
         """A checkpoint that names the bank per community (the layout before
         the bank was stacked) is refused, not loaded with a random bank."""
@@ -504,6 +522,14 @@ class TestAblate:
             main(["ablate", "--config", cfg, "--axis", "nope", "--values", "1"])
         assert exc.value.code == 2
         assert "VEPM-ERROR kind=config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [",", ""])
+    def test_empty_value_list_exit_2(self, synth_run, capsys, values):
+        _tmp, _data, out, cfg = synth_run
+        assert main(["ablate", "--config", cfg, "--axis", "tau", "--values", values]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err and "at least one value" in err
+        assert not os.path.exists(os.path.join(out, "ablation_tau.csv"))
 
     def test_rows_follow_the_reduced_label_run(self, synth_run):
         """At keep_rate < 1 each row is the reduced-label run with the axis

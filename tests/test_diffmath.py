@@ -391,8 +391,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     other.add("enc.W", np.zeros((7, 3)), "phi")
     other.add("gamma_raw", np.zeros(4), "shared")
     other.add("scalar", np.asarray(0.0), "theta")
-    got = other.load(path)
+    got_entries, got = other.load(path)
     assert got["epoch"] == "12"
+    assert [name for name, _g, _a in got_entries] == [name for name, _g, _a in entries]
     assert np.array_equal(other["enc.W"].value, store["enc.W"].value)
 
 

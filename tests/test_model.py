@@ -273,7 +273,7 @@ class TestPartitioner:
             return ew, dm.power(deg, -1.0)
 
         got = values_and_grads(store, lambda: EdgePartition(
-            support=adj, weights=store["w"]).gcn_normalization(), mix)
+            support=adj, weights=store["w"]).gcn_normalization()[:2], mix)
         ref = values_and_grads(store, lambda: chain(store["w"], adj), mix)
         assert_close_relative(got, ref)
 
@@ -300,7 +300,10 @@ class TestPartitioner:
         total = sum(m.to_dense() for m in mats)
         np.testing.assert_allclose(total, graph.adjacency.to_dense(), atol=1e-9)
 
-    def test_gcn_normalization_memoized_only_for_constant_weights(self):
+    def test_gcn_normalization_memoized_for_any_weights(self):
+        """Each partition normalizes its weights and builds their K-part
+        operator once, differentiable weights or not; the operator is the
+        one `edge_spmm` would build from the normalized values."""
         graph, cfg, prep, store = small_setup()
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
         z = encode_communities(prep, store, cfg, u).z
@@ -308,10 +311,17 @@ class TestPartitioner:
         frozen = partition_edges(graph.adjacency, dm.constant(z.value),
                                  dm.constant(gamma_node(store).value), cfg)
         assert learned.weights.requires_grad and not frozen.weights.requires_grad
-        assert learned.gcn_normalization() is not learned.gcn_normalization()
-        assert frozen.gcn_normalization() is frozen.gcn_normalization()
-        for a, b in zip(learned.gcn_normalization(), frozen.gcn_normalization()):
+        for part in (learned, frozen):
+            assert part.gcn_normalization() is part.gcn_normalization()
+        (ew_l, self_l, op_l), (ew_f, self_f, op_f) = (
+            learned.gcn_normalization(), frozen.gcn_normalization())
+        assert ew_l.requires_grad and self_l.requires_grad
+        for a, b in ((ew_l, ew_f), (self_l, self_f)):
             np.testing.assert_array_equal(a.value, b.value)
+        built = graph.adjacency.block_csr_with_diagonal(ew_l.value, self_l.value.T,
+                                                        shared=False)
+        for op in (op_l, op_f):
+            assert (op != built).nnz == 0
 
 
 class TestBankAndComposer:
@@ -426,7 +436,7 @@ def per_community_bank(x, part, store, cfg, training, step, seed):
         return dm.slice_rows(p, k * rows, (k + 1) * rows)
 
     if cfg.layer_kind == "gcn":
-        ew, self_w = part.gcn_normalization()
+        ew, self_w, _operator = part.gcn_normalization()
     outs = []
     for k in range(k_meta):
         h = x

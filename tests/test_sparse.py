@@ -94,31 +94,47 @@ def test_induced_adjacency():
 
 def test_pair_layout_shares_one_pair_per_edge():
     adj = adjacency_from_edges(5, np.array([[0, 3], [1, 2], [2, 4], [0, 1]]))
-    iu, ju, entry_pair = adj.pair_layout()
+    layout = adj.pair_layout()
     ref_iu, ref_ju = undirected_pairs(adj)
-    np.testing.assert_array_equal(iu, ref_iu)
-    np.testing.assert_array_equal(ju, ref_ju)
-    np.testing.assert_array_equal(iu[entry_pair], np.minimum(adj.rows, adj.cols))
-    np.testing.assert_array_equal(ju[entry_pair], np.maximum(adj.rows, adj.cols))
-    assert adj.pair_layout() is adj.pair_layout()
-    for rows, cols in (([0], [1]), ([1], [0]), ([0, 0, 1], [1, 2, 0])):
-        with pytest.raises(SparseError):
+    np.testing.assert_array_equal(layout.iu, ref_iu)
+    np.testing.assert_array_equal(layout.ju, ref_ju)
+    np.testing.assert_array_equal(layout.iu[layout.entry_pair], np.minimum(adj.rows, adj.cols))
+    np.testing.assert_array_equal(layout.ju[layout.entry_pair], np.maximum(adj.rows, adj.cols))
+    assert adj.pair_layout() is layout
+    # one direction only, a missing mirror, a diagonal entry (with and
+    # without a mirrored edge beside it)
+    for rows, cols in (([0], [1]), ([1], [0]), ([0, 0, 1], [1, 2, 0]),
+                       ([1], [1]), ([0, 1, 1], [1, 0, 1])):
+        with pytest.raises(SparseError, match="symmetric"):
             SparseMatrix(3, 3, np.array(rows), np.array(cols), np.ones(len(rows))).pair_layout()
 
 
-def test_pair_entries_and_reverse_entries_locate_both_directions():
+def test_pair_layout_locates_both_directions_of_each_pair():
     adj = adjacency_from_edges(6, np.array([[0, 3], [1, 2], [2, 4], [0, 1], [3, 4]]))
-    iu, ju, entry_pair = adj.pair_layout()
-    first, second = adj.pair_entries()
-    np.testing.assert_array_equal(adj.rows[first], iu)
-    np.testing.assert_array_equal(adj.cols[first], ju)
-    np.testing.assert_array_equal(adj.rows[second], ju)
-    np.testing.assert_array_equal(adj.cols[second], iu)
-    rev = adj.reverse_entries()
+    layout = adj.pair_layout()
+    np.testing.assert_array_equal(adj.rows[layout.upper], layout.iu)
+    np.testing.assert_array_equal(adj.cols[layout.upper], layout.ju)
+    np.testing.assert_array_equal(adj.rows[layout.lower], layout.ju)
+    np.testing.assert_array_equal(adj.cols[layout.lower], layout.iu)
+    np.testing.assert_array_equal(layout.entry_pair[layout.upper], np.arange(layout.iu.size))
+    np.testing.assert_array_equal(layout.entry_pair[layout.lower], np.arange(layout.iu.size))
+    rev = layout.mirror
     np.testing.assert_array_equal(adj.rows[rev], adj.cols)
     np.testing.assert_array_equal(adj.cols[rev], adj.rows)
-    np.testing.assert_array_equal(entry_pair[rev], entry_pair)
-    assert adj.reverse_entries() is rev
+    np.testing.assert_array_equal(rev[rev], np.arange(adj.nnz))
+    empty = adjacency_from_edges(3, np.zeros((0, 2), np.int64)).pair_layout()
+    assert all(field.size == 0 for field in empty)
+
+
+@pytest.mark.parametrize("rows,cols,message", [
+    ([0, 1, 2], [1, 2, 1], "adjacency must be symmetric"),
+    ([0, 1, 1], [1, 0, 1], "adjacency must have a zero diagonal"),
+    ([0, 1], [1, 1], "adjacency must have a zero diagonal"),
+])
+def test_check_adjacency_names_the_broken_invariant(rows, cols, message):
+    adj = SparseMatrix(3, 3, np.array(rows), np.array(cols), np.ones(len(rows)))
+    with pytest.raises(SparseError, match=message):
+        adj.check_adjacency()
 
 
 def test_entry_row_sums_add_each_row_in_entry_order():

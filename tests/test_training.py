@@ -36,7 +36,7 @@ from vepm.training import (
     sample_subgraph,
     subsample_probabilities,
 )
-from vepm.verify import elbo_check_setup
+from vepm.verify import _full_elbo_check, elbo_check_setup, gin_elbo_check_setup
 
 
 def node_setup(seed=0, **cfg_kw):
@@ -100,6 +100,37 @@ class TestElbo:
             err = finite_difference_check(builder, store, eps=1e-5, samples=60,
                                           seed=1)
             assert err < 1e-4, (weights, err)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_elbo_gradchecks_pass_at_every_seed(self, seed):
+        for name, setup in (("full_elbo", elbo_check_setup),
+                            ("full_elbo_gin", gin_elbo_check_setup)):
+            result = _full_elbo_check(name, setup, seed)
+            assert result.passed, result.line()
+
+    def test_full_elbo_gradchecks_fail_on_a_dropped_kl_factor(self, monkeypatch):
+        """A planted reverse-rule bug: the KL's shape gradient loses a
+        factor 1/k. Both full-objective checks must catch it."""
+        import vepm.training as tr
+
+        original = tr.kl_weibull_gamma
+
+        def dropped_factor(shape_k, scale, alpha, beta):
+            node = original(shape_k, scale, alpha, beta)
+            rule = node.vjp
+
+            def vjp(g, needs):
+                g_k, g_lam = rule(g, needs)
+                return (None if g_k is None else g_k * shape_k.value), g_lam
+
+            node.vjp = vjp
+            return node
+
+        monkeypatch.setattr(tr, "kl_weibull_gamma", dropped_factor)
+        for name, setup in (("full_elbo", elbo_check_setup),
+                            ("full_elbo_gin", gin_elbo_check_setup)):
+            result = _full_elbo_check(name, setup, 0)
+            assert not result.passed, result.line()
 
     def test_elbo_terms_have_expected_signs(self):
         graph, cfg, prep, store = node_setup()
@@ -343,8 +374,8 @@ class TestFinetune:
     def test_frozen_partition_builds_one_bank_operator_per_epoch(self, monkeypatch):
         """The K-part block CSR of the frozen partition is built once, in the
         first theta step, and read by both bank layers of every theta step;
-        the phi step's differentiable partition builds one per layer, and
-        each evaluation sample one for its constant partition."""
+        the phi step's differentiable partition builds one for both layers,
+        and each evaluation sample one for its constant partition."""
         from vepm.sparse import SparseMatrix
 
         graph, cfg, prep, store = node_setup(bank_layers=2)
@@ -360,15 +391,14 @@ class TestFinetune:
                  TrainConfig(finetune_epochs=1, inner_steps=3, patience=100),
                  seed=0, eval_samples=2,
                  step_callback=lambda phase, **kw: at_callbacks.append((phase, len(calls))))
-        assert at_callbacks == [("theta", 1), ("theta", 1), ("theta", 1), ("phi", 3)]
-        assert len(calls) == 3 + 2
+        assert at_callbacks == [("theta", 1), ("theta", 1), ("theta", 1), ("phi", 2)]
+        assert len(calls) == 2 + 2
 
-    def test_phi_step_reads_no_cached_bank_operator(self, monkeypatch):
-        """Finetuning with the operator cache gives the same phi-step
-        gradients, bit for bit, as finetuning where every edge_spmm builds
-        its own operator; the differentiable partition caches none."""
+    def test_phi_step_operator_matches_per_layer_operators(self, monkeypatch):
+        """Finetuning where the differentiable partition's bank layers share
+        its one operator gives the same phi-step gradients, bit for bit, as
+        finetuning where every edge_spmm builds its own operator."""
         import vepm.training as tr
-        from vepm.model import EdgePartition
 
         def phi_grads():
             graph, cfg, prep, store = node_setup(bank_layers=2)
@@ -395,9 +425,11 @@ class TestFinetune:
             m.setattr(tr, "elbo", spy)
             with_cache = phi_grads()
         assert len(learned) == 2
-        assert all(p.weights.requires_grad and p._gcn_operator is None for p in learned)
+        assert all(p.weights.requires_grad and p._gcn is not None for p in learned)
+        own_operator = dm.edge_spmm
         with monkeypatch.context() as m:
-            m.setattr(EdgePartition, "gcn_operator", lambda self: None)
+            m.setattr(dm, "edge_spmm",
+                      lambda *args, operator=None, **kwargs: own_operator(*args, **kwargs))
             without_cache = phi_grads()
         assert len(with_cache) == len(without_cache) == 2
         for a, b in zip(with_cache, without_cache):
