@@ -654,9 +654,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Node:
         return self._nodes[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._nodes
-
     def detached(self, keep: Iterable[str] = ()) -> "ParameterStore":
         """The same parameter arrays, without a copy: the parameters named in
         `keep` stay this store's live nodes, and every other one becomes a
@@ -675,9 +672,6 @@ class ParameterStore:
                       for n, node in self._nodes.items()}
         out._groups = dict(self._groups)
         return out
-
-    def group_of(self, name: str) -> str:
-        return self._groups[name]
 
     def names(self, groups=None) -> list[str]:
         if groups is None:

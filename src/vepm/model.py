@@ -92,7 +92,6 @@ class AffiliationPosterior:
     weibull_shape: Node
     weibull_scale: Node
     z: Node
-    uniforms: np.ndarray
 
 
 @dataclass
@@ -271,13 +270,14 @@ def gamma_node(store: ParameterStore) -> Node:
 
 
 def encode_communities(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
-                       uniforms: np.ndarray, training: bool = False,
-                       step: int = 0, seed: int = 0) -> AffiliationPosterior:
+                       uniforms: np.ndarray, seed: int,
+                       step: Optional[int] = None) -> AffiliationPosterior:
     """Variational Weibull posterior over node-community affiliations.
 
     The encoder GNN emits 2C columns, split into shape and scale halves and
     mapped through softplus; the sample is the inverse-CDF transform of the
-    supplied uniforms, differentiable in both halves.
+    supplied uniforms, differentiable in both halves. Dropout is drawn at
+    training step `step`; a forward-only pass (`step` None) draws none.
     """
     h = None
     for li in range(cfg.encoder_layers):
@@ -285,7 +285,7 @@ def encode_communities(prep: PreparedGraph, store: ParameterStore, cfg: ModelCon
         if li == 0:
             m = dm.sparse_dense_matmul(prep.x_csr, store[f"{name}.W"]) + store[f"{name}.b"]
         else:
-            m = _linear(h, store, name, cfg, training, step, seed, ("enc", li), first=False)
+            m = _linear(h, store, name, cfg, step, seed, ("enc", li), first=False)
         h = dm.sparse_dense_matmul(prep.a_norm, m)
         if li < cfg.encoder_layers - 1:
             h = dm.relu(h)
@@ -294,8 +294,7 @@ def encode_communities(prep: PreparedGraph, store: ParameterStore, cfg: ModelCon
         raise ModelError(f"encoder output width {h.value.shape[1]} != 2C = {2 * c}")
     shape_k, scale = clamp_weibull(dm.slice_columns(h, 0, c), dm.slice_columns(h, c, 2 * c))
     z = weibull_rsample(shape_k, scale, uniforms)
-    return AffiliationPosterior(weibull_shape=shape_k, weibull_scale=scale, z=z,
-                                uniforms=uniforms)
+    return AffiliationPosterior(weibull_shape=shape_k, weibull_scale=scale, z=z)
 
 
 def encoder_uniforms(n: int, c: int, seed: int, *path) -> np.ndarray:
@@ -356,7 +355,7 @@ def _learned_partition(adjacency: SparseMatrix, z: Node, gamma: Node, k: int,
 
 
 def partition_edges(adjacency: SparseMatrix, z: Optional[Node], gamma: Optional[Node],
-                    cfg: ModelConfig, seed: int = 0) -> EdgePartition:
+                    cfg: ModelConfig, seed: int) -> EdgePartition:
     """Split each edge of a binary adjacency into K weights summing to one.
 
     learned: per-edge softmax of the K metacommunity interaction rates at
@@ -378,19 +377,20 @@ def partition_edges(adjacency: SparseMatrix, z: Optional[Node], gamma: Optional[
 # layers
 
 
-def _dropout(h, cfg, training, step, seed, tags):
+def _dropout(h, cfg, step, seed, tags):
     """Dropout on the row blocks of `h`, block i masked with draws from
-    the ("dropout", *tags[i], step) substream."""
-    if not training:
+    the ("dropout", *tags[i], step) substream; the identity when `step` is
+    None, a forward-only pass."""
+    if step is None:
         return h
     rngs = [substream(seed, "dropout", *tag, step) for tag in tags]
     return dm.dropout(h, cfg.dropout, rngs)
 
 
-def _linear(h, store, name, cfg, training, step, seed, drop_tag, first):
+def _linear(h, store, name, cfg, step, seed, drop_tag, first):
     """h @ W + b, with dropout on every input but a module's first."""
     if not first:
-        h = _dropout(h, cfg, training, step, seed, [drop_tag])
+        h = _dropout(h, cfg, step, seed, [drop_tag])
     return dm.matmul(h, store[f"{name}.W"], store[f"{name}.b"])
 
 
@@ -476,9 +476,8 @@ def _blocks_matmul(blocks: list, w: Node) -> Node:
 
 
 def community_gnn_forward(x_star: list, partition: EdgePartition,
-                          store: ParameterStore, cfg: ModelConfig,
-                          training: bool = False, step: int = 0,
-                          seed: int = 0) -> Node:
+                          store: ParameterStore, cfg: ModelConfig, seed: int,
+                          step: Optional[int] = None) -> Node:
     """One L2-layer GNN per metacommunity over its partitioned graph, run
     as one stacked computation: between the layers the K communities'
     activations are the row blocks of one (K*N, bw) node, and each layer
@@ -498,8 +497,7 @@ def community_gnn_forward(x_star: list, partition: EdgePartition,
     for li in range(cfg.bank_layers):
         name = f"bank.{li}"
         if li > 0:
-            h = _dropout(h, cfg, training, step, seed,
-                         [("bank", k, li) for k in range(k_meta)])
+            h = _dropout(h, cfg, step, seed, [("bank", k, li) for k in range(k_meta)])
         if cfg.layer_kind == "gcn":
             if li == 0:
                 # the first transform shares its (wide) input across
@@ -523,9 +521,8 @@ def community_gnn_forward(x_star: list, partition: EdgePartition,
 
 
 def compose_representations(h: Node, prep: PreparedGraph,
-                            store: ParameterStore, cfg: ModelConfig,
-                            training: bool = False, step: int = 0,
-                            seed: int = 0) -> Node:
+                            store: ParameterStore, cfg: ModelConfig, seed: int,
+                            step: Optional[int] = None) -> Node:
     """Fuse the K community embeddings (the column blocks of `h`) into one
     representation.
 
@@ -537,13 +534,13 @@ def compose_representations(h: Node, prep: PreparedGraph,
     for li in range(cfg.composer_layers):
         name, tag, first = f"comp.{li}", ("comp", li), li == 0
         if cfg.composer_kind == "dense":
-            h = _linear(h, store, name, cfg, training, step, seed, tag, first)
+            h = _linear(h, store, name, cfg, step, seed, tag, first)
         elif cfg.layer_kind == "gcn":
             h = dm.sparse_dense_matmul(
-                prep.a_norm, _linear(h, store, name, cfg, training, step, seed, tag, first))
+                prep.a_norm, _linear(h, store, name, cfg, step, seed, tag, first))
         else:
             if not first:
-                h = _dropout(h, cfg, training, step, seed, [tag])
+                h = _dropout(h, cfg, step, seed, [tag])
             h = _gin_layer(h, adj, dm.constant(np.ones(adj.nnz)), store, name, dm.matmul)
         if li < cfg.composer_layers - 1:
             h = dm.relu(h)
@@ -561,14 +558,25 @@ def graph_pool(h_v: Node, graph_ids: np.ndarray, n_graphs: int) -> Node:
 # pipeline
 
 
+def bank_inputs(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
+                uniforms: np.ndarray, seed: int, step: Optional[int] = None):
+    """What the community-GNN bank reads for one affiliation sample: z
+    encoded from `uniforms`, gamma, the edge partition and the bank input
+    x*, computed on `store` as given (a detached store records no tape).
+    Returns (z, gamma, partition, x_star)."""
+    z = encode_communities(prep, store, cfg, uniforms, seed, step).z
+    gamma = gamma_node(store)
+    partition = partition_edges(prep.graph.adjacency, z, gamma, cfg, seed)
+    return z, gamma, partition, build_input_features(prep, z, cfg, seed)
+
+
 def forward_logits(prep: PreparedGraph, z: Node, partition: EdgePartition,
-                   store: ParameterStore, cfg: ModelConfig,
-                   training: bool = False, step: int = 0, seed: int = 0,
-                   x_star: Optional[list] = None) -> Node:
+                   store: ParameterStore, cfg: ModelConfig, seed: int,
+                   step: Optional[int] = None, x_star: Optional[list] = None) -> Node:
     if x_star is None:
         x_star = build_input_features(prep, z, cfg, seed)
-    h = community_gnn_forward(x_star, partition, store, cfg, training, step, seed)
-    h_v = compose_representations(h, prep, store, cfg, training, step, seed)
+    h = community_gnn_forward(x_star, partition, store, cfg, seed, step)
+    h_v = compose_representations(h, prep, store, cfg, seed, step)
     if prep.task == "node":
         return h_v
     pooled = graph_pool(h_v, prep.graph_ids, prep.n_graphs)
@@ -576,14 +584,15 @@ def forward_logits(prep: PreparedGraph, z: Node, partition: EdgePartition,
 
 
 def posterior_predictive(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
-                         s: int, seed: int, partition_seed: int = 0,
+                         s: int, seed: int, *, partition_seed: int,
                          uniforms_list=None) -> np.ndarray:
     """Monte Carlo average of the predicted class distributions.
 
     Draws `s` affiliation samples from the (sample-independent) posterior,
     runs the generative pipeline for each, and averages the probability
-    outputs (not the logits). Runs on the detached parameters, so no tape
-    is recorded.
+    outputs (not the logits). Runs forward-only on the detached parameters,
+    so no tape is recorded and no dropout is drawn. Every run path passes
+    the run's seed as both `seed` and `partition_seed`.
     """
     if s < 1:
         raise ModelError("need at least one posterior sample")
@@ -598,13 +607,12 @@ def posterior_predictive(prep: PreparedGraph, store: ParameterStore, cfg: ModelC
         else:
             u = encoder_uniforms(prep.n_nodes, c, seed, "predict", i)
         if post is None:
-            post = encode_communities(prep, store, cfg, u)
+            post = encode_communities(prep, store, cfg, u, seed)
             z = post.z
         else:
             z = weibull_rsample(post.weibull_shape, post.weibull_scale, u)
-        part = partition_edges(prep.graph.adjacency, z, gamma, cfg,
-                               seed=partition_seed)
-        logits = forward_logits(prep, z, part, store, cfg)
+        part = partition_edges(prep.graph.adjacency, z, gamma, cfg, partition_seed)
+        logits = forward_logits(prep, z, part, store, cfg, seed)
         p = dm.row_softmax_with_temperature(logits, 1.0).value
         acc = p if acc is None else acc + p
     return acc / s

@@ -22,8 +22,8 @@ from .evaluation import (
 )
 from .graphs import batch_graphs, load_graph_dataset, load_node_dataset
 from .model import (
+    bank_inputs,
     community_gnn_forward,
-    build_input_features,
     encode_communities,
     encoder_uniforms,
     export_embeddings,
@@ -31,7 +31,6 @@ from .model import (
     gamma_node,
     init_params,
     mu_statistic,
-    partition_edges,
     posterior_predictive,
     prepare_graph_batch,
     prepare_node_graph,
@@ -145,7 +144,7 @@ def _nmi(cfg: RunConfig, prep, store) -> float:
     store = store.detached()
     uniforms = encoder_uniforms(prep.n_nodes, cfg.model.total_communities,
                                 cfg.seed, "nmi")
-    post = encode_communities(prep, store, cfg.model, uniforms)
+    post = encode_communities(prep, store, cfg.model, uniforms, cfg.seed)
     gamma = gamma_node(store).value
     assign = hard_assign_communities(post.z.value, gamma,
                                      cfg.model.n_metacommunities)
@@ -154,24 +153,20 @@ def _nmi(cfg: RunConfig, prep, store) -> float:
 
 def _community_forward(cfg: RunConfig, prep, store, tag: str):
     """One forward-only pass up to the community-GNN bank, with encoder
-    noise from the ("encoder-noise", tag) substream. Returns the posterior,
-    gamma, the edge partition and the K community embeddings."""
+    noise from the ("encoder-noise", tag) substream. Returns z, gamma, the
+    edge partition and the K community embeddings."""
     store = store.detached()
     uniforms = encoder_uniforms(prep.n_nodes, cfg.model.total_communities,
                                 cfg.seed, tag)
-    post = encode_communities(prep, store, cfg.model, uniforms)
-    gamma = gamma_node(store)
-    partition = partition_edges(prep.graph.adjacency, post.z, gamma, cfg.model,
-                                seed=cfg.seed)
-    x_star = build_input_features(prep, post.z, cfg.model, cfg.seed)
-    h = community_gnn_forward(x_star, partition, store, cfg.model)
-    return post, gamma, partition, np.hsplit(h.value, cfg.model.n_metacommunities)
+    z, gamma, partition, x_star = bank_inputs(prep, store, cfg.model, uniforms, cfg.seed)
+    h = community_gnn_forward(x_star, partition, store, cfg.model, cfg.seed)
+    return z, gamma, partition, np.hsplit(h.value, cfg.model.n_metacommunities)
 
 
 def _community_probes(cfg: RunConfig, prep, store, out_dir: str) -> list:
     """Cross-validated linear probes on each community's embeddings,
     written as one normalized confusion matrix CSV per community."""
-    _post, _gamma, _partition, h_list = _community_forward(cfg, prep, store, "probe")
+    _z, _gamma, _partition, h_list = _community_forward(cfg, prep, store, "probe")
     matrices, kept = community_confusion_matrices(
         h_list, prep.graph.labels, folds=cfg.folds, seed=cfg.seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -234,10 +229,10 @@ def run_partition_export(cfg: RunConfig, checkpoint: str, out_dir: str):
     data = load_dataset(cfg)
     prep = _prepare(cfg, data)
     store = _load_checkpoint(cfg, prep, checkpoint)
-    post, gamma, partition, h_list = _community_forward(cfg, prep, store, "export")
-    mu = mu_statistic(post.z.value, gamma.value, cfg.model.n_metacommunities)
+    z, gamma, partition, h_list = _community_forward(cfg, prep, store, "export")
+    mu = mu_statistic(z.value, gamma.value, cfg.model.n_metacommunities)
     export_partition(out_dir, partition, mu)
-    export_embeddings(out_dir, h_list, post.z.value)
+    export_embeddings(out_dir, h_list, z.value)
     return partition
 
 

@@ -12,8 +12,8 @@ dotted keys for the model/train/sampler sections, e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, get_type_hints
 
 from .model import ModelConfig
 from .training import SamplerConfig, TrainConfig
@@ -88,12 +88,9 @@ def build_run_config(raw: dict[str, str], overrides: Optional[dict] = None) -> R
     """Assemble a RunConfig from raw strings plus typed overrides of its
     top-level keys (the CLI flags); None means not given."""
     raw = dict(raw)
-    top_fields = {f.name: f.type for f in fields(RunConfig)
-                  if f.name not in _SECTIONS}
-    section_fields = {
-        name: {f.name: f.type for f in fields(cls)}
-        for name, cls in _SECTIONS.items()
-    }
+    top_fields = {name: ftype for name, ftype in get_type_hints(RunConfig).items()
+                  if name not in _SECTIONS}
+    section_fields = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
     top_kwargs: dict = {}
     section_kwargs: dict[str, dict] = {name: {} for name in _SECTIONS}
@@ -104,12 +101,11 @@ def build_run_config(raw: dict[str, str], overrides: Optional[dict] = None) -> R
             section, sub = key.split(".", 1)
             if section not in _SECTIONS or sub not in section_fields[section]:
                 raise ConfigError(f"unknown config key {key!r}")
-            ftype = _TYPE_LOOKUP[section_fields[section][sub]]
-            section_kwargs[section][sub] = _coerce(value, ftype, key)
+            section_kwargs[section][sub] = _coerce(value, section_fields[section][sub], key)
         else:
             if key not in top_fields:
                 raise ConfigError(f"unknown config key {key!r}")
-            top_kwargs[key] = _coerce(value, _TYPE_LOOKUP[top_fields[key]], key)
+            top_kwargs[key] = _coerce(value, top_fields[key], key)
 
     top_kwargs.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     # node tasks default to degree-normalized layers, graph tasks to sum
@@ -137,18 +133,3 @@ def load_run_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return build_run_config(parse_config_text(text), overrides)
-
-
-# dataclass field annotations arrive as strings under `from __future__ import
-# annotations`, so map the names back to types here
-_TYPE_LOOKUP = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "bool": bool,
-    "tuple[float, float, float]": tuple,
-    str: str,
-    int: int,
-    float: float,
-    bool: bool,
-}

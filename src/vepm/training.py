@@ -23,7 +23,7 @@ from .graphs import Graph
 from .model import (
     ModelConfig,
     PreparedGraph,
-    build_input_features,
+    bank_inputs,
     encode_communities,
     encoder_uniforms,
     forward_logits,
@@ -187,18 +187,18 @@ def _egen_term(prep: PreparedGraph, z: Node, gamma: Node,
 
 
 def elbo(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
-         uniforms: np.ndarray, tcfg: TrainConfig, *, training: bool = False,
-         step: int = 0, seed: int = 0, sub: Optional[tuple] = None,
+         uniforms: np.ndarray, tcfg: TrainConfig, *, seed: int,
+         step: Optional[int] = None, sub: Optional[tuple] = None,
          include_task: bool = True):
-    """Single-sample evidence lower bound.
+    """Single-sample evidence lower bound, with dropout drawn at training
+    step `step` (none when `step` is None).
 
     Returns (terms, loss_node, aux): `terms` carries the three summands as
     floats, `loss_node` is the weighted negative bound for the backward
     pass, `aux` exposes the posterior and partition of this evaluation.
     """
     w_task, w_egen, w_kl = tcfg.elbo_weights
-    post = encode_communities(prep, store, cfg, uniforms, training=training,
-                              step=step, seed=seed)
+    post = encode_communities(prep, store, cfg, uniforms, seed, step)
     gamma = gamma_node(store)
 
     l_egen = _egen_term(prep, post.z, gamma, sub=sub)
@@ -208,10 +208,8 @@ def elbo(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
 
     partition = None
     if include_task:
-        partition = partition_edges(prep.graph.adjacency, post.z, gamma, cfg,
-                                    seed=seed)
-        logits = forward_logits(prep, post.z, partition, store, cfg,
-                                training=training, step=step, seed=seed)
+        partition = partition_edges(prep.graph.adjacency, post.z, gamma, cfg, seed)
+        logits = forward_logits(prep, post.z, partition, store, cfg, seed, step)
         l_task = _task_logprob(prep, logits)
     else:
         l_task = dm.constant(0.0)
@@ -229,11 +227,13 @@ def elbo(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
 # optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -243,7 +243,7 @@ def adam_step(store: ParameterStore, state: OptimizerState, lr: float,
               names: list[str]):
     """Bias-corrected moment update applied in place."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for name in names:
@@ -259,7 +259,7 @@ def adam_step(store: ParameterStore, state: OptimizerState, lr: float,
         v *= b2
         v += (1.0 - b2) * g * g
         node = store[name]
-        node.value = node.value - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        node.value = node.value - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def _descend(store: ParameterStore, loss: Node, state: OptimizerState, lr: float,
@@ -388,10 +388,12 @@ class TrainResult:
 # returns only floats and arrays, so no tape outlives its step.
 
 
-def _elbo_step(prep, store, cfg, tcfg, state, names, lr, uniforms, **elbo_kwargs):
-    """One Adam step on the negative ELBO. Returns its terms and the
-    partition weights (None without the task term)."""
-    terms, loss, aux = elbo(prep, store, cfg, uniforms, tcfg, training=True,
+def _elbo_step(prep, store, cfg, tcfg, state, names, lr, uniforms, *, step,
+               **elbo_kwargs):
+    """One Adam step on the negative ELBO at training step `step`.
+    Returns its terms and the partition weights (None without the task
+    term)."""
+    terms, loss, aux = elbo(prep, store, cfg, uniforms, tcfg, step=step,
                             **elbo_kwargs)
     _descend(store, loss, state, lr, names)
     partition = aux["partition"]
@@ -444,21 +446,9 @@ def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
 # phase two: supervised finetuning
 
 
-def _frozen_epoch_inputs(prep, store, cfg, uniforms, step, seed):
-    """The affiliation sample, edge partition and bank input x* held fixed
-    across an epoch's theta steps, computed on the detached parameters."""
-    frozen = store.detached()
-    z = encode_communities(prep, frozen, cfg, uniforms, training=True, step=step,
-                           seed=seed).z
-    partition = partition_edges(prep.graph.adjacency, z, gamma_node(frozen), cfg,
-                                seed=seed)
-    return z, partition, build_input_features(prep, z, cfg, seed)
-
-
 def _theta_step(prep, store, cfg, tcfg, state, names, z, partition, x_star, step,
                 seed):
-    logits = forward_logits(prep, z, partition, store, cfg, training=True,
-                            step=step, seed=seed, x_star=x_star)
+    logits = forward_logits(prep, z, partition, store, cfg, seed, step, x_star=x_star)
     l_task = _task_logprob(prep, logits)
     loss = dm.negate(dm.constant(tcfg.elbo_weights[0]) * l_task)
     _descend(store, loss, state, tcfg.lr_theta, names)
@@ -509,8 +499,10 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
         base = epoch * (m_steps + 2)
         uniforms = encoder_uniforms(prep.n_nodes, cfg.total_communities, seed,
                                     "finetune", epoch)
-        z, partition, x_star = _frozen_epoch_inputs(prep, store, cfg, uniforms, base,
-                                                    seed)
+        # the affiliation sample, edge partition and bank input x* held
+        # fixed across the theta steps, computed on the detached parameters
+        z, _gamma, partition, x_star = bank_inputs(prep, store.detached(), cfg,
+                                                   uniforms, seed, base)
         for m in range(m_steps):
             _theta_step(prep, store, cfg, tcfg, adam_theta, theta_names, z, partition,
                         x_star, base + 1 + m, seed)

@@ -230,8 +230,8 @@ def _primitive_cases(seed=0):
                  support, s["z"], s["gamma"], **kw))
     case("partition_learned", lambda s: (s.add("z", z_part, "phi"),
                                          s.add("gamma", gamma_part, "shared")),
-         lambda s: mixed(partition_edges(adj_iso, s["z"], s["gamma"], part_cfg).weights,
-                         "entries"))
+         lambda s: mixed(partition_edges(adj_iso, s["z"], s["gamma"], part_cfg,
+                                         seed).weights, "entries"))
 
     def gcn_normalization_loss(s):
         ew, self_w, _ = EdgePartition(support=adj_iso, weights=s["w"]).gcn_normalization()
@@ -276,7 +276,7 @@ def _full_elbo_check(name: str, setup, seed: int) -> CheckResult:
     prep, store, cfg, tcfg, uniforms = setup(seed)
 
     def builder():
-        _terms, loss, _aux = elbo(prep, store, cfg, uniforms, tcfg)
+        _terms, loss, _aux = elbo(prep, store, cfg, uniforms, tcfg, seed=seed)
         return loss
 
     err = finite_difference_check(builder, store, eps=1e-5, samples=200, seed=seed)
@@ -296,7 +296,7 @@ def _phi_step_restricted_check(seed: int) -> CheckResult:
         for tape_store in (store, store.detached(keep=names)):
             store.zero_grad()
             _terms, loss, _aux = elbo(prep, tape_store, cfg, uniforms, tcfg,
-                                      training=True, step=1, seed=seed)
+                                      seed=seed, step=1)
             dm.backward(loss)
             grads.append([store.grad(n).copy() for n in names])
         worst = max([worst] + [float(np.abs(a - b).max()) for a, b in zip(*grads)])
@@ -467,7 +467,7 @@ def edge_weight_entropies(tau_grid, seed: int = 0) -> np.ndarray:
     out = []
     for tau in tau_grid:
         cfg = ModelConfig(n_metacommunities=4, communities_per_block=1, tau=tau)
-        w = partition_edges(adj, z, gamma, cfg).weight_values()
+        w = partition_edges(adj, z, gamma, cfg, seed).weight_values()
         ent = -np.sum(np.where(w > 0, w * np.log(w), 0.0), axis=1)
         out.append(ent.mean())
     return np.asarray(out)
@@ -491,7 +491,7 @@ def partition_suite(seed: int = 0) -> list[CheckResult]:
     cfg = ModelConfig(n_metacommunities=4, communities_per_block=1, tau=1e-3)
     z = np.array([[0.3, 1.7, 0.9, 0.2], [1.0, 1.0, 1.0, 1.0]])
     w = partition_edges(adjacency_from_edges(2, np.array([[0, 1]])), dm.constant(z),
-                        dm.constant(np.ones(4)), cfg).weight_values()
+                        dm.constant(np.ones(4)), cfg, seed).weight_values()
     results.append(CheckResult("partition/one_hot_as_tau_vanishes",
                                w.max() > 0.999, float(w.max()), "> 0.999"))
 
@@ -501,7 +501,7 @@ def partition_suite(seed: int = 0) -> list[CheckResult]:
     cfg = ModelConfig(n_metacommunities=4, communities_per_block=1)
     z = substream(seed, "pz").gamma(1.0, 1.0, (12, 4))
     gamma = np.array([0.5, 1.0, 1.5, 2.0])
-    part = partition_edges(graph.adjacency, dm.constant(z), dm.constant(gamma), cfg)
+    part = partition_edges(graph.adjacency, dm.constant(z), dm.constant(gamma), cfg, seed)
     rows, cols = graph.adjacency.rows, graph.adjacency.cols
     rates = (z[rows] * gamma) * z[cols]
     x = rates / cfg.tau

@@ -190,7 +190,7 @@ def _recover_communities(seed: int, epochs: int = 200) -> float:
     tcfg = TrainConfig(pretrain_epochs=epochs, lr_unsup=0.3, patience=10**9)
     pretrain(prep, store, cfg, tcfg, seed=seed)
     u = encoder_uniforms(graph.n_nodes, cfg.total_communities, seed, "acc6")
-    post = encode_communities(prep, store, cfg, u)
+    post = encode_communities(prep, store, cfg, u, 0)
     assign = hard_assign_communities(post.z.value, gamma_node(store).value,
                                      cfg.n_metacommunities)
     return nmi(assign, planted.hard_labels)
@@ -226,7 +226,7 @@ def test_06_cora_nmi_direction():
 
         def current_nmi():
             u = encoder_uniforms(graph.n_nodes, cfg.total_communities, seed, "dirn")
-            post = encode_communities(prep, store, cfg, u)
+            post = encode_communities(prep, store, cfg, u, 0)
             assign = hard_assign_communities(post.z.value, gamma_node(store).value,
                                              cfg.n_metacommunities)
             return nmi(assign, graph.labels)

@@ -143,6 +143,22 @@ class TestPipelineCommands:
         assert load_run_config(cfg).train.seed == 3
         assert load_run_config(cfg, {"seed": 8}).train.seed == 8
 
+    def test_config_values_parse_to_their_field_types(self):
+        from vepm.runconfig import ConfigError, build_run_config
+
+        cfg = build_run_config({"seed": "4", "keep_rate": "0.5", "model.tau": "2",
+                                "model.mc_samples": "3", "model.layer_kind": "gin",
+                                "sampler.enabled": "yes",
+                                "train.elbo_weights": "1, 0.5, 0"})
+        assert (cfg.seed, cfg.keep_rate, cfg.model.tau) == (4, 0.5, 2.0)
+        assert type(cfg.model.tau) is float and type(cfg.model.mc_samples) is int
+        assert cfg.model.layer_kind == "gin" and cfg.sampler.enabled is True
+        assert cfg.train.elbo_weights == (1.0, 0.5, 0.0)
+        for key, value in (("model.tau", "hot"), ("seed", "1.5"),
+                           ("sampler.enabled", "maybe"), ("train.elbo_weights", "1,x,0")):
+            with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+                build_run_config({key: value})
+
     def test_metrics_byte_identical_on_rerun(self, synth_run):
         _tmp, _data, out, cfg = synth_run
         assert main(["pretrain", "--config", cfg]) == 0
@@ -249,6 +265,49 @@ class TestPipelineCommands:
         for mat in mats:
             np.testing.assert_allclose(np.sum(mat, axis=1), 1.0, atol=1e-9)
         assert os.path.isfile(os.path.join(out, "probes", "confusion_0.csv"))
+
+    def test_eval_scores_random_inputs_drawn_from_the_run_seed(self, synth_run):
+        """With random input features, the posterior predictive and `eval`
+        draw those features from the run's seed (3), as training does."""
+        from vepm import diffmath as dm
+        from vepm.distributions import weibull_rsample
+        from vepm.model import (encode_communities, encoder_uniforms, forward_logits,
+                                gamma_node, init_params, partition_edges,
+                                posterior_predictive, prepare_node_graph)
+        from vepm.training import accuracy
+
+        _tmp, data, out, cfg_path = synth_run
+        with open(cfg_path, "a") as fh:
+            fh.write("model.input_mode = random\n")
+        assert main(["train", "--config", cfg_path]) == 0
+        assert main(["eval", "--config", cfg_path]) == 0
+        run = load_run_config(cfg_path)
+        cfg, seed = run.model, run.seed
+        graph = load_node_dataset(data)
+        prep = prepare_node_graph(graph)
+        store = init_params(cfg, graph.n_features, graph.n_classes(), seed, "node")
+        store.load(os.path.join(out, "model.ckpt"))
+
+        frozen = store.detached()
+        gamma = gamma_node(frozen)
+        ref = 0.0
+        for i in range(cfg.mc_samples):
+            u = encoder_uniforms(graph.n_nodes, cfg.total_communities, seed, "predict", i)
+            if i == 0:
+                post = encode_communities(prep, frozen, cfg, u, seed)
+                z = post.z
+            else:
+                z = weibull_rsample(post.weibull_shape, post.weibull_scale, u)
+            part = partition_edges(graph.adjacency, z, gamma, cfg, seed)
+            logits = forward_logits(prep, z, part, frozen, cfg, seed)
+            ref = ref + dm.row_softmax_with_temperature(logits, 1.0).value
+        ref = ref / cfg.mc_samples
+
+        got = posterior_predictive(prep, store, cfg, cfg.mc_samples, seed,
+                                   partition_seed=seed)
+        np.testing.assert_array_equal(got, ref)
+        report = json.loads(read(os.path.join(out, "eval_report.json")))
+        assert report["accuracy_mean"] == accuracy(ref, graph.labels, graph.test_mask)
 
     def test_train_resume_continues_epochs(self, synth_run):
         tmp, _data, out, cfg = synth_run
@@ -410,6 +469,15 @@ class TestVerifyCommand:
 
     def test_kl_suite_passes(self):
         assert main(["verify", "--suite", "kl"]) == 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("suite", ["kl", "sampler", "partition"])
+    def test_oracle_suite_passes_at_every_seed(self, suite, seed):
+        from vepm.verify import run_suite
+
+        results = run_suite(suite, seed)
+        assert results
+        assert [r.line() for r in results if not r.passed] == []
 
     def test_all_suites_pass_within_budget(self, capsys):
         import time

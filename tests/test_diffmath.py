@@ -341,8 +341,9 @@ def test_backward_determinism_bit_identical():
 
 def test_dropout_identity_in_eval_and_scaling_in_train():
     x = dm.constant(np.ones((100, 50)))
-    # evaluation skips the op in the model; rate 0 is the identity here
-    assert _dropout(x, ModelConfig(dropout=0.4), False, 0, 0, [("t",)]) is x
+    # a forward-only pass (no step) skips the op in the model; rate 0 is the
+    # identity here
+    assert _dropout(x, ModelConfig(dropout=0.4), None, 0, [("t",)]) is x
     assert dm.dropout(x, 0.0, [substream(0, "d")]) is x
     out = dm.dropout(x, 0.4, [substream(0, "d")]).value
     kept = out[out > 0]
@@ -381,9 +382,10 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     store.save(path, meta={"epoch": "12"})
     entries, meta = load_arrays(path)
     assert meta == {"epoch": "12"}
-    for name, group, arr in entries:
+    assert [(name, group) for name, group, _ in entries] == [
+        (name, group) for name, group, _ in store.entries()]
+    for name, _group, arr in entries:
         node = store[name]
-        assert group == store.group_of(name)
         assert arr.shape == node.value.shape
         assert np.array_equal(arr, node.value)
 

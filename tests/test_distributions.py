@@ -337,7 +337,7 @@ class TestFusedTermsMatchOpChains:
         """The parameter gradients of one training step's loss."""
         tcfg = training.TrainConfig()
         _terms, loss, _aux = training.elbo(prep, store, cfg, uniforms, tcfg,
-                                           training=True, step=3, seed=5, **kw)
+                                           seed=5, step=3, **kw)
         store.zero_grad()
         dm.backward(loss)
         names = store.names(("phi", "shared"))

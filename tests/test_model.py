@@ -69,13 +69,12 @@ def assert_close_relative(got, ref, rel=1e-12):
         assert np.abs(a - b).max() <= rel * max(1.0, np.abs(b).max())
 
 
-def predict_probabilities(prep, store, cfg, uniforms, partition_seed=0):
-    """Single-sample class probabilities (evaluation mode, no dropout)."""
+def predict_probabilities(prep, store, cfg, uniforms, seed):
+    """Single-sample class probabilities (forward-only, no dropout)."""
     store = store.detached()
-    post = encode_communities(prep, store, cfg, uniforms)
-    part = partition_edges(prep.graph.adjacency, post.z, gamma_node(store), cfg,
-                           seed=partition_seed)
-    logits = forward_logits(prep, post.z, part, store, cfg)
+    post = encode_communities(prep, store, cfg, uniforms, seed)
+    part = partition_edges(prep.graph.adjacency, post.z, gamma_node(store), cfg, seed)
+    logits = forward_logits(prep, post.z, part, store, cfg, seed)
     return dm.row_softmax_with_temperature(logits, 1.0).value
 
 
@@ -103,7 +102,7 @@ class TestEncoder:
         for name in store.names("phi"):
             store.set_value(name, np.zeros_like(store[name].value))
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
-        post = encode_communities(prep, store, cfg, u)
+        post = encode_communities(prep, store, cfg, u, 0)
         np.testing.assert_allclose(post.weibull_shape.value, np.log(2.0), atol=1e-12)
         np.testing.assert_allclose(post.weibull_scale.value, np.log(2.0), atol=1e-12)
 
@@ -117,7 +116,7 @@ class TestEncoder:
         prep = prepare_node_graph(graph)
         store = init_params(cfg, 2, 2, 3, "node")
         u = encoder_uniforms(3, 2, 1, "iso")
-        post = encode_communities(prep, store, cfg, u)
+        post = encode_communities(prep, store, cfg, u, 0)
         np.testing.assert_allclose(post.weibull_shape.value[1],
                                    post.weibull_shape.value[2], atol=1e-12)
         np.testing.assert_allclose(post.weibull_scale.value[1],
@@ -126,8 +125,8 @@ class TestEncoder:
     def test_fixed_seed_reproducible_sample(self):
         graph, cfg, prep, store = small_setup()
         u = encoder_uniforms(40, cfg.total_communities, 7, "rep")
-        z1 = encode_communities(prep, store, cfg, u).z.value
-        z2 = encode_communities(prep, store, cfg, u).z.value
+        z1 = encode_communities(prep, store, cfg, u, 0).z.value
+        z2 = encode_communities(prep, store, cfg, u, 0).z.value
         assert np.array_equal(z1, z2)
 
 
@@ -135,8 +134,8 @@ class TestPartitioner:
     def test_single_part_equals_adjacency(self):
         graph, cfg, prep, store = small_setup(n_metacommunities=1)
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
-        post = encode_communities(prep, store, cfg, u)
-        part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg)
+        post = encode_communities(prep, store, cfg, u, 0)
+        part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg, 0)
         np.testing.assert_allclose(part.weight_values(),
                                    graph.adjacency.vals[:, None], atol=1e-12)
 
@@ -146,7 +145,7 @@ class TestPartitioner:
         cfg = ModelConfig(n_metacommunities=2, communities_per_block=1, tau=1.0)
         z = dm.constant(np.array([[1.0, 1.0], [1.0, 2.0]]))
         gamma = dm.constant(np.ones(2))
-        part = partition_edges(adj, z, gamma, cfg)
+        part = partition_edges(adj, z, gamma, cfg, 0)
         np.testing.assert_allclose(part.weight_values(),
                                    [[0.26894142, 0.73105858]] * 2, atol=1e-8)
 
@@ -155,14 +154,14 @@ class TestPartitioner:
         for tau in (0.1, 1.0, 100.0):
             cfg = ModelConfig(n_metacommunities=4, communities_per_block=1, tau=tau)
             z = dm.constant(np.ones((2, 4)))
-            part = partition_edges(adj, z, dm.constant(np.ones(4)), cfg)
+            part = partition_edges(adj, z, dm.constant(np.ones(4)), cfg, 0)
             np.testing.assert_allclose(part.weight_values(), 0.25, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["learned", "even", "random"])
     def test_sum_invariant_all_modes(self, mode):
         graph, cfg, prep, store = small_setup(partition_mode=mode)
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
-        post = encode_communities(prep, store, cfg, u)
+        post = encode_communities(prep, store, cfg, u, 0)
         part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg, seed=5)
         deviation = np.abs(part.weight_values().sum(axis=1) - part.support.vals).max()
         assert deviation < 1e-9
@@ -205,9 +204,9 @@ class TestPartitioner:
     def test_learned_weights_are_the_softmax_of_block_rates_bit_for_bit(self):
         graph, cfg, prep, store = small_setup(communities_per_block=3, tau=0.6)
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
-        z = encode_communities(prep, store, cfg, u).z
+        z = encode_communities(prep, store, cfg, u, 0).z
         gamma = gamma_node(store)
-        part = partition_edges(graph.adjacency, z, gamma, cfg)
+        part = partition_edges(graph.adjacency, z, gamma, cfg, 0)
         rows, cols = graph.adjacency.rows, graph.adjacency.cols
         prod = np.take(z.value * gamma.value, rows, axis=0) * np.take(z.value, cols, axis=0)
         rates = prod @ block_structure(cfg.total_communities, cfg.n_metacommunities)
@@ -219,7 +218,7 @@ class TestPartitioner:
         rng = substream(2, "directions")
         z = dm.constant(rng.uniform(0.2, 1.5, (40, cfg.total_communities)))
         gamma = dm.constant(rng.uniform(0.3, 1.2, cfg.total_communities))
-        part = partition_edges(graph.adjacency, z, gamma, cfg)
+        part = partition_edges(graph.adjacency, z, gamma, cfg, 0)
         w = part.weight_values()
         support = part.support
         entry = {(r, c): e for e, (r, c) in enumerate(zip(support.rows, support.cols))}
@@ -248,7 +247,7 @@ class TestPartitioner:
                                                    cfg_.tau)
 
         got = values_and_grads(
-            store, lambda: partition_edges(adj, store["z"], store["gamma"], cfg).weights, mix)
+            store, lambda: partition_edges(adj, store["z"], store["gamma"], cfg, 0).weights, mix)
         ref = values_and_grads(store, lambda: chain(adj, store["z"], store["gamma"], cfg), mix)
         assert_close_relative(got, ref)
 
@@ -285,14 +284,14 @@ class TestPartitioner:
         adj = adjacency_from_edges(2, np.array([[0, 1]]))
         cfg = ModelConfig(n_metacommunities=2, communities_per_block=1, tau=1e-3)
         z = dm.constant(np.array([[1.0, 1.0], [1.0, 2.0]]))
-        part = partition_edges(adj, z, dm.constant(np.ones(2)), cfg)
+        part = partition_edges(adj, z, dm.constant(np.ones(2)), cfg, 0)
         assert part.weight_values().max() > 0.999
 
     def test_to_sparse_matrices_share_support(self):
         graph, cfg, prep, store = small_setup()
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
-        post = encode_communities(prep, store, cfg, u)
-        part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg)
+        post = encode_communities(prep, store, cfg, u, 0)
+        part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg, 0)
         w = part.weight_values()
         mats = [SparseMatrix(40, 40, part.support.rows, part.support.cols, w[:, j])
                 for j in range(part.k)]
@@ -306,10 +305,10 @@ class TestPartitioner:
         one `edge_spmm` would build from the normalized values."""
         graph, cfg, prep, store = small_setup()
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
-        z = encode_communities(prep, store, cfg, u).z
-        learned = partition_edges(graph.adjacency, z, gamma_node(store), cfg)
+        z = encode_communities(prep, store, cfg, u, 0).z
+        learned = partition_edges(graph.adjacency, z, gamma_node(store), cfg, 0)
         frozen = partition_edges(graph.adjacency, dm.constant(z.value),
-                                 dm.constant(gamma_node(store).value), cfg)
+                                 dm.constant(gamma_node(store).value), cfg, 0)
         assert learned.weights.requires_grad and not frozen.weights.requires_grad
         for part in (learned, frozen):
             assert part.gcn_normalization() is part.gcn_normalization()
@@ -340,9 +339,9 @@ class TestBankAndComposer:
         part = partition_edges(graph.adjacency, None, None,
                                ModelConfig(n_metacommunities=2,
                                            communities_per_block=1,
-                                           partition_mode="even"))
+                                           partition_mode="even"), 0)
         x_star = [dm.constant(graph.features)]
-        h = np.hsplit(community_gnn_forward(x_star, part, store, cfg).value, 2)
+        h = np.hsplit(community_gnn_forward(x_star, part, store, cfg, 0).value, 2)
         np.testing.assert_allclose(h[0], h[1], atol=1e-12)
 
     def test_zero_weight_part_reduces_to_per_node_transform(self):
@@ -354,31 +353,31 @@ class TestBankAndComposer:
 
         part = EdgePartition(support=graph.adjacency,
                              weights=dm.constant(np.zeros((e, 1))))
-        h = community_gnn_forward([dm.constant(graph.features)], part, store, cfg)
+        h = community_gnn_forward([dm.constant(graph.features)], part, store, cfg, 0)
         expected = graph.features @ store["bank.0.W"].value + store["bank.0.b"].value
         np.testing.assert_allclose(h.value, expected, atol=1e-12)
 
     def test_sparse_feature_blocks_match_dense_input(self):
         graph, cfg, prep, store = small_setup()
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
-        z = dm.constant(encode_communities(prep, store, cfg, u).z.value)
-        part = partition_edges(graph.adjacency, z, gamma_node(store), cfg)
+        z = dm.constant(encode_communities(prep, store, cfg, u, 0).z.value)
+        part = partition_edges(graph.adjacency, z, gamma_node(store), cfg, 0)
         blocks = build_input_features(prep, z, cfg, 0)
         assert isinstance(blocks[0], SparseMatrix)
         dense = dm.concat_columns([dm.constant(graph.features), z])
         k = cfg.n_metacommunities
-        for a, b in zip(np.hsplit(community_gnn_forward(blocks, part, store, cfg).value, k),
-                        np.hsplit(community_gnn_forward([dense], part, store, cfg).value, k)):
+        for a, b in zip(np.hsplit(community_gnn_forward(blocks, part, store, cfg, 0).value, k),
+                        np.hsplit(community_gnn_forward([dense], part, store, cfg, 0).value, k)):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_dense_composer_ignores_adjacency(self):
         graph, cfg, prep, store = small_setup(composer_kind="dense")
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
-        post = encode_communities(prep, store, cfg, u)
+        post = encode_communities(prep, store, cfg, u, 0)
         z_const = dm.constant(post.z.value)
         part = partition_edges(graph.adjacency, z_const, dm.constant(
-            gamma_node(store).value), cfg)
-        logits1 = forward_logits(prep, z_const, part, store, cfg).value
+            gamma_node(store).value), cfg, 0)
+        logits1 = forward_logits(prep, z_const, part, store, cfg, 0).value
 
         # rewire the composer's graph: shuffle edges, keep the partition
         rng = substream(3, "shuffle")
@@ -387,35 +386,35 @@ class TestBankAndComposer:
                    labels=graph.labels, train_mask=graph.train_mask,
                    val_mask=graph.val_mask, test_mask=graph.test_mask)
         prep2 = prepare_node_graph(g2)
-        logits2 = forward_logits(prep2, z_const, part, store, cfg).value
+        logits2 = forward_logits(prep2, z_const, part, store, cfg, 0).value
         np.testing.assert_allclose(logits1, logits2, atol=1e-12)
 
     def test_single_community_identity_composer_is_degree_smoothing(self):
         graph, cfg, prep, store = small_setup(n_metacommunities=1, hidden_dim=4,
                                               bank_layers=1, composer_layers=1)
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
-        post = encode_communities(prep, store, cfg, u)
+        post = encode_communities(prep, store, cfg, u, 0)
         z_const = dm.constant(post.z.value)
         part = partition_edges(graph.adjacency, z_const,
-                               dm.constant(gamma_node(store).value), cfg)
+                               dm.constant(gamma_node(store).value), cfg, 0)
         x_star = build_input_features(prep, z_const, cfg, 0)
-        h1 = community_gnn_forward(x_star, part, store, cfg)
+        h1 = community_gnn_forward(x_star, part, store, cfg, 0)
         store.set_value("comp.0.W", np.eye(4, graph.n_classes()))
         store.set_value("comp.0.b", np.zeros(graph.n_classes()))
-        out = compose_representations(h1, prep, store, cfg).value
+        out = compose_representations(h1, prep, store, cfg, 0).value
         expected = prep.a_norm.matmul_dense(h1.value @ np.eye(4, graph.n_classes()))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_node_logits_width_is_class_count(self):
         graph, cfg, prep, store = small_setup()
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
-        post = encode_communities(prep, store, cfg, u)
-        part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg)
-        logits = forward_logits(prep, post.z, part, store, cfg)
+        post = encode_communities(prep, store, cfg, u, 0)
+        part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg, 0)
+        logits = forward_logits(prep, post.z, part, store, cfg, 0)
         assert logits.value.shape == (40, graph.n_classes())
 
 
-def per_community_bank(x, part, store, cfg, training, step, seed):
+def per_community_bank(x, part, store, cfg, seed, step):
     """The bank as K separate chains, one per community, built from the
     single-part primitives over slices of the stacked parameters: the
     reference for the stacked bank. Returns the K outputs."""
@@ -442,7 +441,7 @@ def per_community_bank(x, part, store, cfg, training, step, seed):
         h = x
         for li in range(cfg.bank_layers):
             name = f"bank.{li}"
-            if training and li > 0:
+            if step is not None and li > 0:
                 h = dm.dropout(h, cfg.dropout,
                                [substream(seed, "dropout", "bank", k, li, step)])
             if cfg.layer_kind == "gcn":
@@ -471,8 +470,8 @@ class TestStackedBank:
                                               bank_layers=3)
         k_meta, n = cfg.n_metacommunities, graph.n_nodes
         u = encoder_uniforms(n, cfg.total_communities, 0, "ref")
-        z = encode_communities(prep, store, cfg, u).z
-        part = partition_edges(graph.adjacency, z, gamma_node(store), cfg)
+        z = encode_communities(prep, store, cfg, u, 0).z
+        part = partition_edges(graph.adjacency, z, gamma_node(store), cfg, 0)
         x = dm.concat_columns([dm.constant(graph.features), z])
         mix = substream(4, "ref-mix").standard_normal((n, k_meta * cfg.bank_width))
         names = [name for name in store.names() if name.startswith("bank.")]
@@ -484,15 +483,15 @@ class TestStackedBank:
             return outputs.value, {name: store.grad(name).copy()
                                    for name in names + ["gamma_raw", "enc.0.W"]}
 
-        got, got_grads = loss_and_grads(
-            community_gnn_forward([x], part, store, cfg, training, step=3, seed=9))
+        step = 3 if training else None
+        got, got_grads = loss_and_grads(community_gnn_forward([x], part, store, cfg, 9, step))
         ref, ref_grads = loss_and_grads(dm.concat_columns(
-            per_community_bank(x, part, store, cfg, training, step=3, seed=9)))
+            per_community_bank(x, part, store, cfg, 9, step)))
         assert np.abs(got - ref).max() <= 1e-12
         for name, g in ref_grads.items():
             assert np.abs(got_grads[name] - g).max() <= 1e-12 * max(1.0, np.abs(g).max()), name
         if training:
-            eval_out = community_gnn_forward([x], part, store, cfg).value
+            eval_out = community_gnn_forward([x], part, store, cfg, 9).value
             assert np.abs(eval_out - got).max() > 1e-3
 
 
@@ -524,13 +523,14 @@ class TestPosteriorPredictive:
     def test_identical_uniforms_collapse_to_single_sample(self):
         graph, cfg, prep, store = small_setup()
         u = encoder_uniforms(40, cfg.total_communities, 3, "pp")
-        single = predict_probabilities(prep, store, cfg, u)
-        avg = posterior_predictive(prep, store, cfg, 3, 0, uniforms_list=[u, u, u])
+        single = predict_probabilities(prep, store, cfg, u, 0)
+        avg = posterior_predictive(prep, store, cfg, 3, 0, partition_seed=0,
+                                   uniforms_list=[u, u, u])
         np.testing.assert_allclose(avg, single, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         graph, cfg, prep, store = small_setup()
-        probs = posterior_predictive(prep, store, cfg, 4, seed=5)
+        probs = posterior_predictive(prep, store, cfg, 4, seed=5, partition_seed=5)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("layer_kind", ["gcn", "gin"])
@@ -540,7 +540,7 @@ class TestPosteriorPredictive:
 
         graph, cfg, prep, store = small_setup(layer_kind=layer_kind)
         us = [encoder_uniforms(40, cfg.total_communities, 3, "live", i) for i in range(3)]
-        post = encode_communities(prep, store, cfg, us[0])
+        post = encode_communities(prep, store, cfg, us[0], 0)
         assert post.z.requires_grad
         shape_k = dm.constant(post.weibull_shape.value)
         scale = dm.constant(post.weibull_scale.value)
@@ -548,7 +548,7 @@ class TestPosteriorPredictive:
         for i, u in enumerate(us):
             z = post.z if i == 0 else weibull_rsample(shape_k, scale, u)
             part = partition_edges(graph.adjacency, z, gamma_node(store), cfg, seed=2)
-            logits = forward_logits(prep, z, part, store, cfg)
+            logits = forward_logits(prep, z, part, store, cfg, 0)
             p = dm.row_softmax_with_temperature(logits, 1.0).value
             acc = p if acc is None else acc + p
         # the predictive pass itself records no tape
@@ -569,8 +569,10 @@ class TestPosteriorPredictive:
         graph, cfg, prep, store = small_setup()
         u1 = encoder_uniforms(40, cfg.total_communities, 3, "a")
         u2 = encoder_uniforms(40, cfg.total_communities, 3, "b")
-        p12 = posterior_predictive(prep, store, cfg, 2, 0, uniforms_list=[u1, u2])
-        p21 = posterior_predictive(prep, store, cfg, 2, 0, uniforms_list=[u2, u1])
+        p12 = posterior_predictive(prep, store, cfg, 2, 0, partition_seed=0,
+                                   uniforms_list=[u1, u2])
+        p21 = posterior_predictive(prep, store, cfg, 2, 0, partition_seed=0,
+                                   uniforms_list=[u2, u1])
         np.testing.assert_allclose(p12, p21, atol=1e-12)
 
 
@@ -585,7 +587,7 @@ class TestEquivariance:
         prep = prepare_node_graph(graph)
         store = init_params(cfg, 6, graph.n_classes(), 2, "node")
         u = encoder_uniforms(40, 4, 11, "pp")
-        base = predict_probabilities(prep, store, cfg, u)
+        base = predict_probabilities(prep, store, cfg, u, 0)
 
         perm = substream(8, "perm").permutation(40)
         inv = np.argsort(perm)
@@ -594,7 +596,7 @@ class TestEquivariance:
         pgraph = Graph(adjacency=padj, features=graph.features[perm],
                        labels=graph.labels[perm])
         pprep = prepare_node_graph(pgraph)
-        permuted = predict_probabilities(pprep, store, cfg, u[perm])
+        permuted = predict_probabilities(pprep, store, cfg, u[perm], 0)
         assert np.abs(permuted - base[perm]).max() < 1e-9
 
     def test_gin_bank_permutes_rows(self):
@@ -608,9 +610,9 @@ class TestEquivariance:
         part = partition_edges(union.adjacency, None, None,
                                ModelConfig(layer_kind="gin", n_metacommunities=2,
                                            communities_per_block=1,
-                                           partition_mode="even"))
+                                           partition_mode="even"), 0)
         x_star = [dm.constant(union.features)]
-        h = np.hsplit(community_gnn_forward(x_star, part, store, cfg).value, 2)
+        h = np.hsplit(community_gnn_forward(x_star, part, store, cfg, 0).value, 2)
         n = union.n_nodes
         perm = substream(2, "gperm").permutation(n)
         inv = np.argsort(perm)
@@ -619,9 +621,9 @@ class TestEquivariance:
         part_p = partition_edges(padj, None, None,
                                  ModelConfig(layer_kind="gin", n_metacommunities=2,
                                              communities_per_block=1,
-                                             partition_mode="even"))
+                                             partition_mode="even"), 0)
         h_p = np.hsplit(community_gnn_forward([dm.constant(union.features[perm])], part_p,
-                                              store, cfg).value, 2)
+                                              store, cfg, 0).value, 2)
         for a, b in zip(h, h_p):
             assert np.abs(b - a[perm]).max() < 1e-9
 

@@ -71,7 +71,7 @@ class TestElbo:
         store.set_value("enc.0.b",
                         np.full(2 * cfg.total_communities, np.log(np.expm1(1.0))))
         u = substream(0, "u").random((n, cfg.total_communities))
-        terms, _loss, _aux = elbo(prep, store, cfg, u, TrainConfig())
+        terms, _loss, _aux = elbo(prep, store, cfg, u, TrainConfig(), seed=0)
         assert abs(terms.l_kl) < 1e-9
 
     def test_perfect_predictions_give_zero_task_loss(self):
@@ -86,7 +86,7 @@ class TestElbo:
         graph.train_mask[:] = False
         u = substream(0, "u").random((60, cfg.total_communities))
         with pytest.raises(TrainingError, match="mask"):
-            elbo(prep, store, cfg, u, TrainConfig())
+            elbo(prep, store, cfg, u, TrainConfig(), seed=0)
 
     def test_single_term_gradients_pass_fd(self):
         prep, store, cfg, _tcfg, uniforms = elbo_check_setup(seed=11)
@@ -94,7 +94,7 @@ class TestElbo:
             tcfg = TrainConfig(elbo_weights=weights)
 
             def builder():
-                _t, loss, _a = elbo(prep, store, cfg, uniforms, tcfg)
+                _t, loss, _a = elbo(prep, store, cfg, uniforms, tcfg, seed=0)
                 return loss
 
             err = finite_difference_check(builder, store, eps=1e-5, samples=60,
@@ -135,7 +135,7 @@ class TestElbo:
     def test_elbo_terms_have_expected_signs(self):
         graph, cfg, prep, store = node_setup()
         u = substream(0, "u").random((60, cfg.total_communities))
-        terms, _loss, _aux = elbo(prep, store, cfg, u, TrainConfig())
+        terms, _loss, _aux = elbo(prep, store, cfg, u, TrainConfig(), seed=0)
         assert terms.l_task <= 0
         assert terms.l_kl <= 1e-12
         assert terms.total == terms.l_task + terms.l_egen + terms.l_kl
@@ -351,20 +351,21 @@ class TestFinetune:
 
         graph, cfg, prep, store = node_setup(dropout=0.5, encoder_layers=2)
         frozen, recomputed = [], []
-        orig_elbo, orig_pe = tr.elbo, tr.partition_edges
+        orig_elbo, orig_inputs = tr.elbo, tr.bank_inputs
 
         def spy_elbo(*a, **kw):
             terms, loss, aux = orig_elbo(*a, **kw)
             recomputed.append(aux["posterior"].z.value.copy())
             return terms, loss, aux
 
-        def spy_pe(adj, z, gamma, cfg_, seed=0):
-            if z is not None and not z.requires_grad:
-                frozen.append(z.value.copy())
-            return orig_pe(adj, z, gamma, cfg_, seed=seed)
+        def spy_inputs(*a, **kw):
+            z, gamma, partition, x_star = orig_inputs(*a, **kw)
+            assert not z.requires_grad
+            frozen.append(z.value.copy())
+            return z, gamma, partition, x_star
 
         monkeypatch.setattr(tr, "elbo", spy_elbo)
-        monkeypatch.setattr(tr, "partition_edges", spy_pe)
+        monkeypatch.setattr(tr, "bank_inputs", spy_inputs)
         finetune(prep, store, cfg, TrainConfig(finetune_epochs=3, patience=100),
                  seed=0)
         assert len(frozen) == len(recomputed) == 3
@@ -527,7 +528,7 @@ class TestPhiStepRestriction:
         uniforms = encoder_uniforms(prep.n_nodes, cfg.total_communities, 0,
                                     "finetune", 0)
         _terms, loss, _aux = elbo(prep, tape_store, cfg, uniforms, TrainConfig(),
-                                  training=True, step=0, seed=0)
+                                  seed=0, step=0)
         return loss
 
     @pytest.mark.parametrize("mode", MODES)
