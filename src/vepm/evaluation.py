@@ -114,7 +114,7 @@ def _train_fold(collection, train_idx, test_idx, val_idx, cfg, tcfg, seed):
 
 
 def cross_validate_graphs(collection: GraphCollection, cfg: ModelConfig,
-                          tcfg: TrainConfig, folds: int = 10, seed: int = 0,
+                          tcfg: TrainConfig, folds: int = 10, *, seed: int,
                           protocol: str = "xu") -> EvalReport:
     """k-fold graph classification.
 
@@ -222,7 +222,7 @@ def reduced_label_run(graph: Graph, keep_rate: float, seed: int, cfg: ModelConfi
 
 
 def community_confusion_matrices(h_list: list[np.ndarray], labels: np.ndarray,
-                                 folds: int = 10, seed: int = 0,
+                                 folds: int = 10, *, seed: int,
                                  ridge: float = 1e-2
                                  ) -> tuple[list[np.ndarray], np.ndarray]:
     """Cross-validated linear probes on each community's embeddings.

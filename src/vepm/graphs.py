@@ -178,38 +178,45 @@ def sample_epm_graph(
 # dataset IO
 
 
-def _data_lines(path: str) -> list[tuple[int, str]]:
-    """The non-blank lines of a text file, with their 1-based line numbers."""
+def _parse_rows(path: str, dtype, width: Optional[int], problem: str) -> np.ndarray:
+    """Parse the non-blank lines of a file as comma-separated rows of
+    `width` fields (the first row's field count when None) with one pass of
+    numpy's C reader. Blank and whitespace-only lines are skipped; '#' is
+    data, not a comment. A row with another field count raises DatasetError
+    naming its line; a non-numeric field raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    return [(ln, line) for ln, line in enumerate(lines, 1)
-            if line and not line.isspace()]
+    data = [line for line in lines if line and not line.isspace()]
+    if not data:
+        return np.zeros((0, width or 0), dtype=dtype)
+    width = width or data[0].count(",") + 1
+    try:
+        rows = np.loadtxt(data, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        _check_field_counts(path, lines, width, problem)
+        raise
+    if rows.shape[1] != width:
+        _check_field_counts(path, lines, width, problem)
+    return rows
 
 
-def _parse_rows(path: str, numbered: list, width: int, dtype, problem: str) -> np.ndarray:
-    """Parse comma-separated rows of `width` fields with numpy's C reader.
-    A row with another field count raises DatasetError naming its line; a
-    non-numeric field raises ValueError. '#' is data, not a comment."""
-    for ln, line in numbered:
-        if line.count(",") + 1 != width:
-            raise DatasetError(f"{path}:{ln}: {problem}")
-    if not numbered:
-        return np.zeros((0, width), dtype=dtype)
-    return np.loadtxt([line for _, line in numbered], dtype=dtype, delimiter=",",
-                      comments=None, ndmin=2)
+def _check_field_counts(path: str, lines: list[str], width: int, problem: str):
+    """Raise DatasetError at the first non-blank line (1-based) that does
+    not hold `width` comma-separated fields."""
+    for ln, line in enumerate(lines, 1):
+        if line and not line.isspace() and line.count(",") + 1 != width:
+            raise DatasetError(f"{path}:{ln}: {problem}") from None
 
 
 def _read_int_rows(path: str, width: int) -> np.ndarray:
-    return _parse_rows(path, _data_lines(path), width, np.int64,
-                       f"expected {width} fields")
+    return _parse_rows(path, np.int64, width, f"expected {width} fields")
 
 
 def _read_float_matrix(path: str) -> np.ndarray:
-    numbered = _data_lines(path)
-    if not numbered:
+    rows = _parse_rows(path, np.float64, None, "ragged feature row")
+    if not rows.size:
         raise DatasetError(f"{path}: empty feature file")
-    width = numbered[0][1].count(",") + 1
-    return _parse_rows(path, numbered, width, np.float64, "ragged feature row")
+    return rows
 
 
 def _require(path: str):
@@ -226,11 +233,12 @@ def _load_common(path: str):
     _require(labels_f)
     features = _read_float_matrix(feats_f)
     n = features.shape[0]
-    edges = _read_int_rows(edges_f, 2) if os.path.getsize(edges_f) else np.zeros((0, 2), np.int64)
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
+    edges = _read_int_rows(edges_f, 2)
+    outside = edges[(edges < 0) | (edges >= n)]
+    if outside.size:
         raise DatasetError(
             f"edge index out of range: features give N={n}, "
-            f"edges reference node {edges.max()}"
+            f"edges reference node {outside[0]}"
         )
     labels = _read_int_rows(labels_f, 1)[:, 0]
     return features, edges, labels
@@ -270,32 +278,44 @@ def load_graph_dataset(path: str) -> GraphCollection:
 def split_graphs(features: np.ndarray, edges: np.ndarray, indicator: np.ndarray,
                  labels: np.ndarray) -> GraphCollection:
     """Cut one node-indexed edge list into the graphs that `indicator`
-    names: one graph id per node, consecutive from 0, one label per graph,
-    and no edge between two graphs."""
+    names: one graph id per node, consecutive from 0, one nonnegative label
+    per graph, and no edge between two graphs. The nodes may come in any
+    order; each graph keeps its own in id order.
+
+    One stable sort renumbers the nodes graph by graph, so each graph is a
+    diagonal block of one adjacency over all nodes, and its entries and
+    features are slices: no step scans all nodes once per graph.
+    """
     n = features.shape[0]
     if indicator.shape[0] != n:
         raise DatasetError("the graph indicator must have one entry per node")
-    ids = np.unique(indicator)
-    if not np.array_equal(ids, np.arange(ids.size)):
+    order = np.argsort(indicator, kind="stable")
+    ids = indicator[order]
+    if n and (ids[0] != 0 or np.any(np.diff(ids) > 1)):
         raise DatasetError("graph ids must be consecutive from 0")
-    n_graphs = ids.size
+    n_graphs = int(ids[-1]) + 1 if n else 0
     if labels.shape[0] != n_graphs:
         raise DatasetError(f"expected {n_graphs} graph labels, found {labels.shape[0]}")
+    if labels.size and labels.min() < 0:
+        raise DatasetError("graph labels must be nonnegative")
     if edges.size and np.any(indicator[edges[:, 0]] != indicator[edges[:, 1]]):
         raise DatasetError("edge crosses graph boundary")
 
+    renumber = np.empty(n, dtype=np.int64)
+    renumber[order] = np.arange(n)
+    union = adjacency_from_edges(n, renumber[edges])
+    starts = np.searchsorted(ids, np.arange(n_graphs + 1))
+    shift = starts[ids[union.rows]]
+    rows, cols = union.rows - shift, union.cols - shift
+    # as Python ints, so each SparseMatrix gets int dimensions
+    nodes, entries = starts.tolist(), np.searchsorted(union.rows, starts).tolist()
+    features = features[order]
     graphs = []
     for g in range(n_graphs):
-        node_ids = np.flatnonzero(indicator == g)
-        local = -np.ones(n, dtype=np.int64)
-        local[node_ids] = np.arange(node_ids.size)
-        if edges.size:
-            keep = indicator[edges[:, 0]] == g
-            sub_edges = local[edges[keep]]
-        else:
-            sub_edges = np.zeros((0, 2), np.int64)
-        adjacency = adjacency_from_edges(node_ids.size, sub_edges)
-        graphs.append(Graph(adjacency=adjacency, features=features[node_ids]))
+        lo, hi = nodes[g], nodes[g + 1]
+        a, b = entries[g], entries[g + 1]
+        adjacency = SparseMatrix(hi - lo, hi - lo, rows[a:b], cols[a:b], union.vals[a:b])
+        graphs.append(Graph(adjacency=adjacency, features=features[lo:hi]))
     return GraphCollection(graphs=graphs, graph_labels=labels)
 
 

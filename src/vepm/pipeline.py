@@ -88,7 +88,7 @@ def _run_phase(cfg: RunConfig, phase: str, resume: Optional[str]) -> TrainResult
     os.makedirs(cfg.out, exist_ok=True)
 
     states = [OptimizerState() for _ in opt_names]
-    start = 0
+    start, early_stop = 0, (-np.inf, 0)
     if resume:
         entries, meta = store.load(resume)
         if meta.get("phase") != phase:
@@ -97,6 +97,7 @@ def _run_phase(cfg: RunConfig, phase: str, resume: Optional[str]) -> TrainResult
         for state, name in zip(states, opt_names):
             restore_optimizer(state, name, entries, int(meta.get(f"{name}_t", 0)))
         start = int(meta.get("epoch", 0))
+        early_stop = (float(meta.get("best", "-inf")), int(meta.get("stall", 0)))
     elif phase == "finetune":
         pre_path = os.path.join(cfg.out, PRETRAIN_CKPT)
         if os.path.isfile(pre_path):
@@ -106,7 +107,8 @@ def _run_phase(cfg: RunConfig, phase: str, resume: Optional[str]) -> TrainResult
 
     if phase == "pretrain":
         result = pretrain(prep, store, cfg.model, cfg.train, sampler=cfg.sampler,
-                          seed=cfg.seed, optimizer=states[0], start_epoch=start)
+                          seed=cfg.seed, optimizer=states[0], start_epoch=start,
+                          early_stop=early_stop)
     else:
         result = finetune(prep, store, cfg.model, cfg.train, seed=cfg.seed,
                           optimizers=tuple(states), start_epoch=start)
@@ -115,6 +117,8 @@ def _run_phase(cfg: RunConfig, phase: str, resume: Optional[str]) -> TrainResult
     for state, name in zip(states, opt_names):
         meta[f"{name}_t"] = str(state.t)
         extra += optimizer_entries(state, name)
+    if phase == "pretrain":
+        meta["best"], meta["stall"] = repr(result.early_stop[0]), str(result.early_stop[1])
     meta["seed"] = str(cfg.seed)
     store.save(os.path.join(cfg.out, ckpt), meta=meta, extra=extra)
     write_metrics(os.path.join(cfg.out, f"{prefix}_metrics.csv"), result.records, start)

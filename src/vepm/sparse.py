@@ -64,9 +64,8 @@ class SparseMatrix:
             self.vals = self.vals[order]
             if np.any(np.diff(key[order]) == 0):
                 raise SparseError("duplicate (row, col) entry")
-        self._indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        np.add.at(self._indptr, self.rows + 1, 1)
-        np.cumsum(self._indptr, out=self._indptr)
+        # sorted row-major: row i starts where the first row id >= i would go
+        self._indptr = np.searchsorted(self.rows, np.arange(self.n_rows + 1))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseMatrix":

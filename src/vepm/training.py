@@ -382,6 +382,9 @@ class TrainResult:
     best_epoch: Optional[int] = None
     best_val: Optional[float] = None
     stopped_early: bool = False
+    # pretraining's stall state after its last epoch: the best objective
+    # so far and the epochs since it last rose
+    early_stop: tuple[float, int] = (-np.inf, 0)
 
 
 # Each training step builds and differentiates its tape inside a helper that
@@ -404,16 +407,23 @@ def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
              tcfg: TrainConfig, sampler: Optional[SamplerConfig] = None,
              seed: int = 0, epoch_callback: Optional[Callable] = None,
              optimizer: Optional[OptimizerState] = None,
-             start_epoch: int = 0) -> TrainResult:
-    """Fit the inference side (and activations) on edge generation + KL."""
+             start_epoch: int = 0,
+             early_stop: tuple[float, int] = (-np.inf, 0)) -> TrainResult:
+    """Fit the inference side (and activations) on edge generation + KL.
+
+    Stops once the objective has not risen for `tcfg.patience` epochs; a
+    resumed run passes the `early_stop` state its last run returned."""
     sampler = sampler or SamplerConfig()
     names = store.names(("phi", "shared"))
     state = optimizer or OptimizerState()
     _, w_egen, w_kl = tcfg.elbo_weights
-    best, stall = -np.inf, 0
+    best, stall = early_stop
     result = TrainResult(records=[], timings=[])
 
     for epoch in range(start_epoch, tcfg.pretrain_epochs):
+        if stall >= tcfg.patience:
+            result.stopped_early = True
+            break
         t0 = time.perf_counter()
         uniforms = encoder_uniforms(prep.n_nodes, cfg.total_communities, seed,
                                     "pretrain", epoch)
@@ -433,12 +443,10 @@ def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
         if epoch_callback is not None:
             epoch_callback(epoch=epoch, terms=terms, store=store)
         if objective > best + 1e-4:
-            best, stall = objective, 0
+            best, stall = float(objective), 0
         else:
             stall += 1
-            if stall >= tcfg.patience:
-                result.stopped_early = True
-                break
+    result.early_stop = (best, stall)
     return result
 
 

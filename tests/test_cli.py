@@ -215,6 +215,32 @@ class TestPipelineCommands:
         assert [ln.split(b",")[0] for ln in resumed.splitlines()] == [
             b"epoch", b"0", b"1", b"2", b"3"]
 
+    @pytest.mark.parametrize("patience,epochs", [(1, 4), (2, 5), (3, 6)])
+    def test_pretrain_resume_keeps_the_early_stopping_state(self, synth_run, patience,
+                                                            epochs):
+        # lr_unsup = 0.3 peaks the objective at epoch 2, so a resume from
+        # epoch 3 starts with a stall that a fresh count would forget
+        tmp, _data, out, _cfg = synth_run
+        base = read(os.path.join(str(tmp), "run.cfg")).decode() + (
+            f"train.lr_unsup = 0.3\ntrain.patience = {patience}\n")
+        configs = {}
+        for n in (3, 20):
+            configs[n] = str(tmp / f"stop_{n}.cfg")
+            with open(configs[n], "w") as fh:
+                fh.write(base + f"train.pretrain_epochs = {n}\n")
+        straight = str(tmp / "straight")
+        assert main(["pretrain", "--config", configs[20], "--out", straight]) == 0
+        assert main(["pretrain", "--config", configs[3]]) == 0
+        ckpt = os.path.join(out, "pretrain.ckpt")
+        assert main(["pretrain", "--config", configs[20], "--resume", ckpt]) == 0
+        for name in ("pretrain_metrics.csv", "pretrain.ckpt"):
+            assert read(os.path.join(out, name)) == read(os.path.join(straight, name)), name
+        _entries, meta = load_arrays(ckpt)
+        assert (meta["epoch"], meta["stall"]) == (str(epochs), str(patience))
+        # a resume of a run that has stopped trains no further
+        assert main(["pretrain", "--config", configs[20], "--resume", ckpt]) == 0
+        assert read(ckpt) == read(os.path.join(straight, "pretrain.ckpt"))
+
     def test_train_resume_keeps_earlier_metric_rows(self, synth_run):
         tmp, _data, out, cfg = synth_run
         assert main(["pretrain", "--config", cfg]) == 0
@@ -430,6 +456,15 @@ class TestGraphTaskCommands:
         err = capsys.readouterr().err
         assert "VEPM-ERROR kind=config" in err
         assert f"{flag[0]} not read by the graph cross-validation" in err
+
+    def test_negative_graph_label_exit_2(self, graph_run, capsys):
+        _out, cfg = graph_run
+        labels = os.path.join(load_run_config(cfg).dataset, "labels.csv")
+        with open(labels, "w", encoding="utf-8") as fh:
+            fh.write("-1\n" + "1\n" * 8)
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err and "graph labels must be nonnegative" in err
 
     def test_graph_pipeline_and_protocols(self, graph_run):
         out, cfg = graph_run

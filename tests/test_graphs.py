@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from vepm.graphs import (
     sample_epm_graph,
     save_graph_dataset,
     save_node_dataset,
+    split_graphs,
 )
 from vepm.sparse import adjacency_from_edges
 from conftest import synthetic_collection
@@ -187,6 +190,32 @@ class TestDatasetIO:
             load_node_dataset(path)
         assert not isinstance(info.value, DatasetError)
 
+    @pytest.mark.parametrize("edges,bad_id", [("0,1\n-1,2\n", -1), ("0,1\n1,3\n", 3)])
+    def test_edge_range_error_names_the_bad_node(self, tmp_path, edges, bad_id):
+        path = self._write(tmp_path, edges=edges)
+        with pytest.raises(DatasetError, match=f"N=3, edges reference node {bad_id}$"):
+            load_node_dataset(path)
+
+    def test_graph_collection_with_blank_lines_loads(self, tmp_path):
+        path = tmp_path / "gc"
+        path.mkdir()
+        (path / "edges.csv").write_text("\n0,1\n  \n2,3\n\t\n")
+        (path / "features.csv").write_text("1.0\n\n2.0\n \n3.0\n4.0\n\n")
+        (path / "graph_indicator.csv").write_text("0\n \n0\n1\n\n1\n")
+        (path / "labels.csv").write_text("\t\n1\n\n0\n  \n")
+        coll = load_graph_dataset(str(path))
+        np.testing.assert_array_equal(coll.graph_labels, [1, 0])
+        for g, graph in enumerate(coll.graphs):
+            assert graph.n_edges == 1
+            np.testing.assert_array_equal(graph.features[:, 0], [2 * g + 1, 2 * g + 2])
+
+    def test_negative_graph_label_rejected(self, tmp_path):
+        path = str(tmp_path / "gc")
+        save_graph_dataset(path, synthetic_collection(n_graphs=2, seed=0))
+        (tmp_path / "gc" / "labels.csv").write_text("-1\n1\n")
+        with pytest.raises(DatasetError, match="graph labels must be nonnegative"):
+            load_graph_dataset(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match="missing"):
             load_node_dataset(str(tmp_path / "nope"))
@@ -211,6 +240,76 @@ class TestDatasetIO:
         coll = load_graph_dataset(path)
         assert len(coll) == 188
         assert coll.n_classes() == 2
+
+
+def _split_per_graph(features, edges, indicator):
+    """The reference split: one scan of every node and edge per graph."""
+    graphs = []
+    for g in range(indicator.max() + 1):
+        node_ids = np.flatnonzero(indicator == g)
+        local = -np.ones(indicator.size, dtype=np.int64)
+        local[node_ids] = np.arange(node_ids.size)
+        sub_edges = local[edges[indicator[edges[:, 0]] == g]]
+        graphs.append((adjacency_from_edges(node_ids.size, sub_edges), features[node_ids]))
+    return graphs
+
+
+class TestSplitGraphs:
+    def test_equals_the_per_graph_scan(self):
+        rng = np.random.default_rng(4)
+        # graph ids interleaved across the node order; graph 5 is one isolated node
+        indicator = rng.integers(0, 5, 60)
+        indicator[:6] = [4, 2, 0, 3, 1, 0]
+        indicator[30] = 5
+        edges = []
+        for g in range(5):
+            nodes = np.flatnonzero(indicator == g)
+            edges.append(rng.choice(nodes, size=(3 * nodes.size, 2)))
+        edges = np.concatenate(edges)
+        # self-loops, duplicates and reversed duplicates
+        edges = np.concatenate([edges, edges[:5, ::-1], edges[5:9], [[7, 7], [30, 30]]])
+        edges = edges[rng.permutation(edges.shape[0])]
+        features = rng.random((60, 3))
+        coll = split_graphs(features, edges, indicator, np.arange(6) % 2)
+        expected = _split_per_graph(features, edges, indicator)
+        assert len(coll) == len(expected) == 6
+        assert any(graph.n_edges == 0 for graph in coll.graphs)
+        for graph, (adjacency, feats) in zip(coll.graphs, expected):
+            assert graph.adjacency.shape == adjacency.shape
+            for name in ("rows", "cols", "vals"):
+                np.testing.assert_array_equal(getattr(graph.adjacency, name),
+                                              getattr(adjacency, name))
+            np.testing.assert_array_equal(graph.features, feats)
+
+    @pytest.mark.parametrize("indicator,labels,message", [
+        ([0, 0, 1], [0], "expected 2 graph labels, found 1"),
+        ([0, 2, 2], [0, 1], "graph ids must be consecutive from 0"),
+        ([1, 1, 2], [0, 1], "graph ids must be consecutive from 0"),
+        ([0, 1, 1], [0, -2], "graph labels must be nonnegative"),
+        ([0, 1], [0, 1], "one entry per node"),
+    ])
+    def test_bad_indicator_or_labels_rejected(self, indicator, labels, message):
+        with pytest.raises(DatasetError, match=message):
+            split_graphs(np.ones((3, 1)), np.zeros((0, 2), np.int64),
+                         np.array(indicator), np.array(labels))
+
+    def test_linear_in_graph_count(self):
+        # 4000 paths of 15-35 nodes (100k nodes, 96k edges): one scan of
+        # every node and edge per graph takes several times the bound
+        rng = np.random.default_rng(0)
+        sizes = rng.integers(15, 36, 4000)
+        indicator = np.repeat(np.arange(sizes.size), sizes)
+        chain = np.flatnonzero(indicator[1:] == indicator[:-1])
+        edges = np.stack([chain, chain + 1], axis=1)
+        features = np.ones((indicator.size, 2))
+        labels = np.zeros(sizes.size, dtype=np.int64)
+        timings = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            coll = split_graphs(features, edges, indicator, labels)
+            timings.append(time.perf_counter() - t0)
+        assert len(coll) == 4000 and coll.graphs[-1].n_edges == sizes[-1] - 1
+        assert np.median(timings) < 1.0
 
 
 class TestKFold:
