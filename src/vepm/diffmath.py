@@ -221,8 +221,7 @@ def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node,
     w is (nnz, K). m is either the K parts stacked as row blocks,
     (K*N, d), or one (N, d) operand shared by every part. diag is (N, K),
     one self-loop weight per node and part, or (K,), one per part. The
-    result is (K*N, d). One part may also be given as w of shape (nnz,)
-    with a scalar or (N,) diag: that is the K = 1 case.
+    result is (K*N, d).
 
     The K parts and their self-loops form one CSR matrix a, so the
     product is one multiply; the support must store no diagonal entry.
@@ -237,17 +236,15 @@ def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node,
     """
     wv, mv, dv = w.value, m.value, diag.value
     n = adj.n_rows
-    if wv.ndim not in (1, 2) or wv.shape[0] != adj.nnz:
-        raise DiffMathError(f"edge_spmm expects {adj.nnz} edge weights, got {wv.shape}")
-    k = 1 if wv.ndim == 1 else wv.shape[1]
+    if wv.ndim != 2 or wv.shape[0] != adj.nnz:
+        raise DiffMathError(f"edge_spmm expects {adj.nnz} x K edge weights, got {wv.shape}")
+    k = wv.shape[1]
     if mv.ndim != 2 or adj.n_cols != n or mv.shape[0] not in (n, k * n):
         raise DiffMathError("edge_spmm shape mismatch")
     # the diagonal as K rows: one value per node, or one per part
-    if wv.ndim == 1 and dv.shape in ((), (n,)):
-        d_rows = dv.reshape(1, -1)
-    elif wv.ndim == 2 and dv.shape == (n, k):
+    if dv.shape == (n, k):
         d_rows = dv.T
-    elif wv.ndim == 2 and dv.shape == (k,):
+    elif dv.shape == (k,):
         d_rows = dv.reshape(k, 1)
     else:
         raise DiffMathError(f"edge_spmm diag of shape {dv.shape} for {k} parts "
@@ -255,7 +252,7 @@ def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node,
     shared = mv.shape[0] != k * n
     if operator is None:
         try:
-            a = adj.block_csr_with_diagonal(wv.reshape(adj.nnz, k), d_rows, shared)
+            a = adj.block_csr_with_diagonal(wv, d_rows, shared)
         except SparseError as err:
             raise DiffMathError(str(err)) from None
     elif operator.shape == (k * n, n if shared else k * n):
@@ -276,7 +273,7 @@ def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node,
             for b in range(k):
                 np.einsum("ij,ij->i", np.take(part(g, b), adj.rows, axis=0),
                           np.take(part(mv, b), adj.cols, axis=0), out=gw[b])
-            gw = gw.T.reshape(wv.shape)
+            gw = np.ascontiguousarray(gw.T)
         gm = np.asarray(a.T @ g) if needs[1] else None
         if needs[2]:
             gd = np.empty(d_rows.shape)
@@ -815,7 +812,6 @@ def finite_difference_check(
     eps: float = 1e-5,
     samples: int = 100,
     seed: int = 0,
-    names=None,
 ) -> float:
     """Max relative error between reverse-mode and central differences.
 
@@ -825,7 +821,7 @@ def finite_difference_check(
     |f| * machine epsilon / eps, so that much of each coordinate's
     discrepancy is not counted against the reverse rule.
     """
-    names = list(names if names is not None else store.names())
+    names = store.names()
     base1 = float(loss_builder().value)
     base2 = float(loss_builder().value)
     if base1 != base2:

@@ -220,10 +220,12 @@ def reduced_label_run(graph: Graph, keep_rate: float, seed: int, cfg: ModelConfi
 # ---------------------------------------------------------------------------
 # per-community linear probes
 
+# the ridge penalty of each probe's least-squares fit
+PROBE_RIDGE = 1e-2
+
 
 def community_confusion_matrices(h_list: list[np.ndarray], labels: np.ndarray,
-                                 folds: int = 10, *, seed: int,
-                                 ridge: float = 1e-2
+                                 folds: int = 10, *, seed: int
                                  ) -> tuple[list[np.ndarray], np.ndarray]:
     """Cross-validated linear probes on each community's embeddings.
 
@@ -256,7 +258,7 @@ def community_confusion_matrices(h_list: list[np.ndarray], labels: np.ndarray,
             xtr, ytr = x[train_idx], y[train_idx]
             onehot = np.zeros((ytr.size, m))
             onehot[np.arange(ytr.size), ytr] = 1.0
-            gram = xtr.T @ xtr + ridge * np.eye(x.shape[1])
+            gram = xtr.T @ xtr + PROBE_RIDGE * np.eye(x.shape[1])
             w = np.linalg.solve(gram, xtr.T @ onehot)
             pred = np.argmax(x[test_idx] @ w, axis=1)
             np.add.at(confusion, (y[test_idx], pred), 1.0)

@@ -3,7 +3,7 @@
 Dataset directory layout (UTF-8 text, no headers, everything 0-indexed):
 
     edges.csv            one "i,j" pair per line
-    features.csv         N rows of F comma-separated reals
+    features.csv         N rows of F comma-separated finite reals
     labels.csv           one integer per node (node tasks) or per graph
     masks.csv            optional; three 0/1 columns: train,val,test
     graph_indicator.csv  graph tasks only; one graph id per node
@@ -208,6 +208,15 @@ def _check_field_counts(path: str, lines: list[str], width: int, problem: str):
             raise DatasetError(f"{path}:{ln}: {problem}") from None
 
 
+def _refuse_row(path: str, row: int, problem: str):
+    """Raise DatasetError naming the line (1-based) of data row `row`: the
+    row-th non-blank line, as `_parse_rows` counts them."""
+    with open(path, encoding="utf-8") as fh:
+        data = [ln for ln, line in enumerate(fh.read().split("\n"), 1)
+                if line and not line.isspace()]
+    raise DatasetError(f"{path}:{data[row]}: {problem}")
+
+
 def _read_int_rows(path: str, width: int) -> np.ndarray:
     return _parse_rows(path, np.int64, width, f"expected {width} fields")
 
@@ -216,6 +225,9 @@ def _read_float_matrix(path: str) -> np.ndarray:
     rows = _parse_rows(path, np.float64, None, "ragged feature row")
     if not rows.size:
         raise DatasetError(f"{path}: empty feature file")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        _refuse_row(path, int(np.argmin(finite)), "non-finite feature value")
     return rows
 
 
@@ -259,6 +271,9 @@ def load_node_dataset(path: str) -> Graph:
         masks = _read_int_rows(masks_f, 3)
         if masks.shape[0] != n:
             raise DatasetError("masks.csv must have one row per node")
+        binary = ((masks == 0) | (masks == 1)).all(axis=1)
+        if not binary.all():
+            _refuse_row(masks_f, int(np.argmin(binary)), "mask values must be 0 or 1")
         kw = dict(
             train_mask=masks[:, 0] == 1,
             val_mask=masks[:, 1] == 1,

@@ -111,9 +111,6 @@ class EdgePartition:
     def k(self) -> int:
         return self.weights.value.shape[1]
 
-    def weight_values(self) -> np.ndarray:
-        return self.weights.value
-
     def gcn_normalization(self) -> tuple[Node, Node, sp.csr_matrix]:
         """`_gcn_normalization` of the weights and its K-part block CSR for
         `edge_spmm`, computed once per partition and read by every bank
@@ -159,9 +156,8 @@ class PreparedGraph:
         return 0 if self.graph_ids is None else int(self.graph_ids.max()) + 1
 
 
-def prepare_node_graph(graph: Graph, n_classes: Optional[int] = None) -> PreparedGraph:
-    return PreparedGraph(graph=graph, task="node",
-                         n_classes=n_classes or graph.n_classes())
+def prepare_node_graph(graph: Graph) -> PreparedGraph:
+    return PreparedGraph(graph=graph, task="node", n_classes=graph.n_classes())
 
 
 def prepare_graph_batch(union: Graph, graph_ids, graph_labels, n_classes) -> PreparedGraph:
@@ -430,9 +426,11 @@ def _gcn_normalization(weights: Node, support: SparseMatrix) -> tuple[Node, Node
 
 
 def _gin_layer(h, support, w_edge, store, name, product):
-    """Sum aggregation with learnable self-weight and a 2-layer transform;
-    `product` is `dm.matmul`, or `dm.block_matmul` for the stacked bank."""
-    agg = dm.edge_spmm(support, w_edge, h, diag=dm.constant(1.0) + store[f"{name}.eps"])
+    """Sum aggregation over the K parts of `w_edge`, with learnable self-weights,
+    and a 2-layer transform; `product` is `dm.matmul`, or `dm.block_matmul`
+    for the stacked bank."""
+    k = w_edge.value.shape[1]
+    agg = dm.edge_spmm(support, w_edge, h, diag=dm.constant(np.ones(k)) + store[f"{name}.eps"])
     m = dm.relu(product(agg, store[f"{name}.W1"], store[f"{name}.b1"]))
     return product(m, store[f"{name}.W2"], store[f"{name}.b2"])
 
@@ -541,7 +539,7 @@ def compose_representations(h: Node, prep: PreparedGraph,
         else:
             if not first:
                 h = _dropout(h, cfg, step, seed, [tag])
-            h = _gin_layer(h, adj, dm.constant(np.ones(adj.nnz)), store, name, dm.matmul)
+            h = _gin_layer(h, adj, dm.constant(np.ones((adj.nnz, 1))), store, name, dm.matmul)
         if li < cfg.composer_layers - 1:
             h = dm.relu(h)
     return h
@@ -647,7 +645,7 @@ def export_partition(out_dir: str, partition: EdgePartition, mu: np.ndarray):
     """part_k.csv files (one undirected edge per row) plus the node order."""
     os.makedirs(out_dir, exist_ok=True)
     layout = partition.support.pair_layout()
-    w = partition.weight_values()[layout.upper]
+    w = partition.weights.value[layout.upper]
     for k in range(partition.k):
         with open(os.path.join(out_dir, f"part_{k}.csv"), "w", encoding="utf-8") as fh:
             for i, j, v in zip(layout.iu, layout.ju, w[:, k]):

@@ -185,6 +185,8 @@ class SparseMatrix:
         return self._csr
 
     def transpose_scipy(self) -> sp.csr_matrix:
+        """The transpose as CSR, built once: `to_scipy().T` builds a new
+        scipy object on every call, which dominates a small product."""
         if self._csr_t is None:
             self._csr_t = self.to_scipy().T.tocsr()
         return self._csr_t

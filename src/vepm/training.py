@@ -400,7 +400,7 @@ def _elbo_step(prep, store, cfg, tcfg, state, names, lr, uniforms, *, step,
                             **elbo_kwargs)
     _descend(store, loss, state, lr, names)
     partition = aux["partition"]
-    return terms, None if partition is None else partition.weight_values()
+    return terms, None if partition is None else partition.weights.value
 
 
 def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
@@ -516,7 +516,7 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
                         x_star, base + 1 + m, seed)
             if step_callback is not None:
                 step_callback(epoch=epoch, phase="theta", inner=m,
-                              partition=partition.weight_values(), store=store)
+                              partition=partition.weights.value, store=store)
 
         # the phi step updates phi_names only, so every theta weight enters
         # its tape as a constant and gets no reverse product; the kept

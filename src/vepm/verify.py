@@ -77,9 +77,9 @@ def _primitive_cases(seed=0):
     idx = np.array([0, 2, 2, 4, 1])
     # node 4 is isolated: its output row is zero and its input row gets no gradient
     adj_iso = adjacency_from_edges(n, np.array([[0, 1], [1, 2], [2, 3], [0, 3], [1, 3]]))
-    w_edge = rng.uniform(0.5, 2.0, adj_iso.nnz)
+    w_edge = rng.uniform(0.5, 2.0, (adj_iso.nnz, 1))
     bias = rng.standard_normal(3)
-    self_loops = rng.uniform(0.5, 2.0, n)
+    self_loops = rng.uniform(0.5, 2.0, (n, 1))
     # K-part inputs, drawn after the rest so no other case's inputs move
     k = 3
     w_parts = rng.uniform(0.5, 2.0, (adj_iso.nnz, k))
@@ -144,12 +144,12 @@ def _primitive_cases(seed=0):
     case("sparse_dense_matmul", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.sparse_dense_matmul(a_norm, s["x"])))
     case("edge_spmm", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi")),
-         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], dm.constant(0.0))))
+         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], dm.constant(np.zeros(1)))))
     case("edge_spmm_diag", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi"),
                                       s.add("d", self_loops, "phi")),
          lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"])))
     case("edge_spmm_diag_scalar", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi"),
-                                             s.add("d", np.array(1.3), "phi")),
+                                             s.add("d", np.array([1.3]), "phi")),
          lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"])))
     case("edge_spmm_parts", lambda s: (s.add("w", w_parts, "phi"),
                                        s.add("x", stacked, "phi"),
@@ -429,7 +429,7 @@ def sampler_suite(seed: int = 0) -> list[CheckResult]:
 # partition suite
 
 
-def partition_deviation_run(mode: str, seed: int = 0, epochs: int = 10) -> float:
+def partition_deviation_run(mode: str, seed: int = 0) -> float:
     """Max |sum_k A^(k) - A| across every training step of a short run."""
     graph, _ = sample_epm_graph(60, 4, 1.0, 1.0, np.full(4, 0.12), seed=seed,
                                 within_boost=8.0)
@@ -444,7 +444,7 @@ def partition_deviation_run(mode: str, seed: int = 0, epochs: int = 10) -> float
                       hidden_dim=16, partition_mode=mode)
     prep = prepare_node_graph(graph)
     store = init_params(cfg, graph.n_features, graph.n_classes(), seed, task="node")
-    tcfg = TrainConfig(pretrain_epochs=5, finetune_epochs=epochs, patience=10**9)
+    tcfg = TrainConfig(pretrain_epochs=5, finetune_epochs=10, patience=10**9)
     pretrain(prep, store, cfg, tcfg, seed=seed)
     worst = 0.0
 
@@ -467,7 +467,7 @@ def edge_weight_entropies(tau_grid, seed: int = 0) -> np.ndarray:
     out = []
     for tau in tau_grid:
         cfg = ModelConfig(n_metacommunities=4, communities_per_block=1, tau=tau)
-        w = partition_edges(adj, z, gamma, cfg, seed).weight_values()
+        w = partition_edges(adj, z, gamma, cfg, seed).weights.value
         ent = -np.sum(np.where(w > 0, w * np.log(w), 0.0), axis=1)
         out.append(ent.mean())
     return np.asarray(out)
@@ -491,7 +491,7 @@ def partition_suite(seed: int = 0) -> list[CheckResult]:
     cfg = ModelConfig(n_metacommunities=4, communities_per_block=1, tau=1e-3)
     z = np.array([[0.3, 1.7, 0.9, 0.2], [1.0, 1.0, 1.0, 1.0]])
     w = partition_edges(adjacency_from_edges(2, np.array([[0, 1]])), dm.constant(z),
-                        dm.constant(np.ones(4)), cfg, seed).weight_values()
+                        dm.constant(np.ones(4)), cfg, seed).weights.value
     results.append(CheckResult("partition/one_hot_as_tau_vanishes",
                                w.max() > 0.999, float(w.max()), "> 0.999"))
 
@@ -508,7 +508,7 @@ def partition_suite(seed: int = 0) -> list[CheckResult]:
     x = x - x.max(axis=1, keepdims=True)
     e = np.exp(x)
     ref = e / e.sum(axis=1, keepdims=True)
-    gap = float(np.abs(part.weight_values() - ref).max()) if rows.size else 0.0
+    gap = float(np.abs(part.weights.value - ref).max()) if rows.size else 0.0
     results.append(CheckResult("partition/matches_direct_softmax", gap < 1e-12,
                                gap, "< 1e-12"))
     return results

@@ -110,6 +110,24 @@ class TestPipelineCommands:
         assert main(["pretrain", "--config", cfg]) == 2
         assert "VEPM-ERROR kind=config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,cell,message", [
+        ("features.csv", "nan", "non-finite feature value"),
+        ("masks.csv", "2", "mask values must be 0 or 1")])
+    def test_malformed_value_exit_2_names_file_and_line(self, synth_run, capsys,
+                                                        name, cell, message):
+        _tmp, data, _out, cfg = synth_run
+        path = os.path.join(data, name)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        # the first field of line 4
+        lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+        assert main(["pretrain", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err
+        assert f"{name}:4: {message}" in err
+
     def test_pretrain_train_eval_artifacts(self, synth_run):
         _tmp, _data, out, cfg = synth_run
         assert main(["pretrain", "--config", cfg]) == 0

@@ -119,10 +119,10 @@ def test_concat_then_slice_is_identity():
 def test_edge_spmm_matches_dense_weighted_product():
     rng = substream(2, "edge-spmm")
     adj = SparseMatrix(4, 4, np.array([0, 1, 1, 3]), np.array([1, 0, 3, 1]), np.ones(4))
-    w, m = rng.uniform(0.5, 2.0, 4), rng.normal(0, 1, (4, 3))
+    w, m = rng.uniform(0.5, 2.0, (4, 1)), rng.normal(0, 1, (4, 3))
     a_w = np.zeros((4, 4))
-    a_w[adj.rows, adj.cols] = w
-    out = dm.edge_spmm(adj, dm.constant(w), dm.constant(m), dm.constant(0.0))
+    a_w[adj.rows, adj.cols] = w[:, 0]
+    out = dm.edge_spmm(adj, dm.constant(w), dm.constant(m), dm.constant(np.zeros(1)))
     np.testing.assert_allclose(out.value, a_w @ m, atol=1e-12)
 
 
@@ -130,12 +130,12 @@ def test_edge_spmm_without_edges_returns_zeros():
     empty = np.zeros(0, np.int64)
     adj = SparseMatrix(3, 3, empty, empty, np.zeros(0))
     store = ParameterStore()
-    w = store.add("w", np.zeros(0), "phi")
+    w = store.add("w", np.zeros((0, 1)), "phi")
     m = store.add("m", np.ones((3, 2)), "phi")
-    out = dm.edge_spmm(adj, w, m, dm.constant(0.0))
+    out = dm.edge_spmm(adj, w, m, dm.constant(np.zeros(1)))
     np.testing.assert_array_equal(out.value, np.zeros((3, 2)))
     backward(dm.reduce_sum(out))
-    assert store.grad("w").shape == (0,)
+    assert store.grad("w").shape == (0, 1)
     np.testing.assert_array_equal(store.grad("m"), np.zeros((3, 2)))
 
 
@@ -143,7 +143,8 @@ def test_edge_spmm_constant_weights_skip_their_gradient():
     adj = SparseMatrix(2, 2, np.array([0, 1]), np.array([1, 0]), np.ones(2))
     store = ParameterStore()
     m = store.add("m", np.array([[1.0, 2.0], [3.0, 4.0]]), "phi")
-    out = dm.edge_spmm(adj, dm.constant(np.array([2.0, 5.0])), m, dm.constant(0.0))
+    out = dm.edge_spmm(adj, dm.constant(np.array([[2.0], [5.0]])), m,
+                       dm.constant(np.zeros(1)))
     assert out.needs == (False, True, False)
     backward(dm.reduce_sum(out))
     # d/dm sum(A_w m) = A_w^T 1
@@ -162,9 +163,11 @@ def test_matmul_bias_equals_matmul_plus_bias_bit_for_bit():
 
 
 def _dense_with_diagonal(adj, w, d):
+    """A_w + diag(d) for one part: w holds one weight per stored entry, d
+    one per node or one for all nodes."""
     a_w = np.zeros(adj.shape)
-    a_w[adj.rows, adj.cols] = w
-    return a_w + np.diag(np.broadcast_to(d, adj.n_rows))
+    a_w[adj.rows, adj.cols] = np.ravel(w)
+    return a_w + np.diag(np.broadcast_to(np.ravel(d), adj.n_rows))
 
 
 def test_edge_spmm_with_diagonal_matches_dense_product():
@@ -176,8 +179,8 @@ def test_edge_spmm_with_diagonal_matches_dense_product():
     no_edges = SparseMatrix(5, 5, empty, empty, np.zeros(0))
     m = rng.normal(0, 1, (5, 3))
     for support in (adj, no_edges):
-        w = rng.uniform(0.5, 2.0, support.nnz)
-        for d in (rng.uniform(0.5, 2.0, 5), np.array(1.7)):
+        w = rng.uniform(0.5, 2.0, (support.nnz, 1))
+        for d in (rng.uniform(0.5, 2.0, (5, 1)), np.array([1.7])):
             out = dm.edge_spmm(support, dm.constant(w), dm.constant(m), dm.constant(d))
             np.testing.assert_allclose(out.value, _dense_with_diagonal(support, w, d) @ m,
                                        rtol=0, atol=1e-12)
@@ -187,27 +190,38 @@ def test_edge_spmm_diagonal_gradients_match_dense_rules():
     rng = substream(7, "edge-spmm-diag-grad")
     adj = SparseMatrix(4, 4, np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]), np.ones(4))
     g = rng.normal(0, 1, (4, 2))
-    for d0 in (rng.uniform(0.5, 2.0, 4), np.array(0.8)):
+    for d0 in (rng.uniform(0.5, 2.0, (4, 1)), np.array([0.8])):
         store = ParameterStore()
-        w = store.add("w", rng.uniform(0.5, 2.0, 4), "phi")
+        w = store.add("w", rng.uniform(0.5, 2.0, (4, 1)), "phi")
         m = store.add("m", rng.normal(0, 1, (4, 2)), "phi")
         d = store.add("d", d0, "phi")
         out = dm.edge_spmm(adj, w, m, d)
         backward(dm.reduce_sum(dm.elementwise_mul(out, dm.constant(g))))
         dense = _dense_with_diagonal(adj, w.value, d0)
         np.testing.assert_allclose(store.grad("m"), dense.T @ g, rtol=0, atol=1e-12)
-        row_dots = (g * m.value).sum(axis=1)
-        np.testing.assert_allclose(store.grad("d"), row_dots if d0.ndim else row_dots.sum(),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(store.grad("w"), (g[adj.rows] * m.value[adj.cols]).sum(1),
-                                   rtol=0, atol=1e-12)
+        row_dots = (g * m.value).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(store.grad("d"), row_dots if d0.size > 1 else row_dots.sum(0),
+                                   rtol=0, atol=1e-12, strict=True)
+        np.testing.assert_allclose(store.grad("w"),
+                                   (g[adj.rows] * m.value[adj.cols]).sum(1, keepdims=True),
+                                   rtol=0, atol=1e-12, strict=True)
 
 
 def test_edge_spmm_diagonal_rejects_a_stored_diagonal_entry():
     adj = SparseMatrix(2, 2, np.array([0, 1]), np.array([0, 1]), np.ones(2))
     m = dm.constant(np.ones((2, 2)))
-    with pytest.raises(DiffMathError):
-        dm.edge_spmm(adj, dm.constant(np.ones(2)), m, dm.constant(np.ones(2)))
+    with pytest.raises(DiffMathError, match="without diagonal entries"):
+        dm.edge_spmm(adj, dm.constant(np.ones((2, 1))), m, dm.constant(np.ones((2, 1))))
+
+
+def test_edge_spmm_refuses_one_dimensional_weights_and_diagonals():
+    adj = SparseMatrix(3, 3, np.array([0, 1]), np.array([1, 0]), np.ones(2))
+    m = dm.constant(np.ones((3, 2)))
+    with pytest.raises(DiffMathError, match="edge weights"):
+        dm.edge_spmm(adj, dm.constant(np.ones(2)), m, dm.constant(np.ones(1)))
+    for d in (np.array(1.0), np.ones(3)):
+        with pytest.raises(DiffMathError, match="diag"):
+            dm.edge_spmm(adj, dm.constant(np.ones((2, 1))), m, dm.constant(d))
 
 
 def test_relu_matches_where_bit_for_bit_on_signed_zeros():

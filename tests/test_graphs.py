@@ -169,6 +169,20 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match=r"labels\.csv:2: expected 1 fields"):
             load_node_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, cell):
+        path = self._write(tmp_path, features=f"1.0,2.0\n\n3.0,{cell}\n5.0,6.0\n")
+        with pytest.raises(DatasetError, match=r"features\.csv:3: non-finite feature value"):
+            load_node_dataset(path)
+
+    @pytest.mark.parametrize("masks,line", [("1,0,0\n2,0,0\n0,0,1\n", 2),
+                                            ("1,0,0\n\n0,1,0\n-1,0,1\n", 4)])
+    def test_mask_value_other_than_0_or_1_names_its_line(self, tmp_path, masks, line):
+        path = self._write(tmp_path)
+        (tmp_path / "ds" / "masks.csv").write_text(masks)
+        with pytest.raises(DatasetError, match=rf"masks\.csv:{line}: mask values must be 0 or 1"):
+            load_node_dataset(path)
+
     @pytest.mark.parametrize("features", ["", "\n  \n\t\n"])
     def test_empty_feature_file_rejected(self, tmp_path, features):
         path = self._write(tmp_path, features=features)

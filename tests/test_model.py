@@ -136,7 +136,7 @@ class TestPartitioner:
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
         post = encode_communities(prep, store, cfg, u, 0)
         part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg, 0)
-        np.testing.assert_allclose(part.weight_values(),
+        np.testing.assert_allclose(part.weights.value,
                                    graph.adjacency.vals[:, None], atol=1e-12)
 
     def test_block_rates_softmax_example(self):
@@ -146,7 +146,7 @@ class TestPartitioner:
         z = dm.constant(np.array([[1.0, 1.0], [1.0, 2.0]]))
         gamma = dm.constant(np.ones(2))
         part = partition_edges(adj, z, gamma, cfg, 0)
-        np.testing.assert_allclose(part.weight_values(),
+        np.testing.assert_allclose(part.weights.value,
                                    [[0.26894142, 0.73105858]] * 2, atol=1e-8)
 
     def test_equal_rates_give_uniform_weights(self):
@@ -155,7 +155,7 @@ class TestPartitioner:
             cfg = ModelConfig(n_metacommunities=4, communities_per_block=1, tau=tau)
             z = dm.constant(np.ones((2, 4)))
             part = partition_edges(adj, z, dm.constant(np.ones(4)), cfg, 0)
-            np.testing.assert_allclose(part.weight_values(), 0.25, atol=1e-12)
+            np.testing.assert_allclose(part.weights.value, 0.25, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["learned", "even", "random"])
     def test_sum_invariant_all_modes(self, mode):
@@ -163,22 +163,22 @@ class TestPartitioner:
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
         post = encode_communities(prep, store, cfg, u, 0)
         part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg, seed=5)
-        deviation = np.abs(part.weight_values().sum(axis=1) - part.support.vals).max()
+        deviation = np.abs(part.weights.value.sum(axis=1) - part.support.vals).max()
         assert deviation < 1e-9
 
     def test_random_mode_frozen_and_symmetric(self):
         graph, cfg, prep, store = small_setup(partition_mode="random")
         part1 = partition_edges(graph.adjacency, None, None, cfg, seed=5)
         part2 = partition_edges(graph.adjacency, None, None, cfg, seed=5)
-        assert np.array_equal(part1.weight_values(), part2.weight_values())
+        assert np.array_equal(part1.weights.value, part2.weights.value)
         # mirrored entries carry the same weights
-        w = part1.weight_values()
+        w = part1.weights.value
         support = part1.support
         key = {(r, c): w[e] for e, (r, c) in enumerate(zip(support.rows, support.cols))}
         for (r, c), v in key.items():
             np.testing.assert_array_equal(v, key[(c, r)])
         assert not np.array_equal(
-            w, partition_edges(graph.adjacency, None, None, cfg, seed=6).weight_values())
+            w, partition_edges(graph.adjacency, None, None, cfg, seed=6).weights.value)
 
     @pytest.mark.parametrize("graph_kind", ["isolated_node", "batched_union"])
     def test_random_weights_match_the_pair_key_reference(self, graph_kind):
@@ -198,7 +198,7 @@ class TestPartitioner:
         uniq = np.unique(pair_key)
         raw = substream(5, "random-partition").uniform(0.0, 100.0, (uniq.size, 3))
         ref = dm.row_softmax_with_temperature(dm.constant(raw), 0.7).value
-        got = partition_edges(adj, None, None, cfg, seed=5).weight_values()
+        got = partition_edges(adj, None, None, cfg, seed=5).weights.value
         np.testing.assert_array_equal(got, ref[np.searchsorted(uniq, pair_key)])
 
     def test_learned_weights_are_the_softmax_of_block_rates_bit_for_bit(self):
@@ -211,7 +211,7 @@ class TestPartitioner:
         prod = np.take(z.value * gamma.value, rows, axis=0) * np.take(z.value, cols, axis=0)
         rates = prod @ block_structure(cfg.total_communities, cfg.n_metacommunities)
         ref = dm.row_softmax_with_temperature(dm.constant(rates), cfg.tau).value
-        np.testing.assert_array_equal(part.weight_values(), ref)
+        np.testing.assert_array_equal(part.weights.value, ref)
 
     def test_both_directions_of_an_edge_get_bit_identical_weights(self):
         graph, cfg, prep, store = small_setup(communities_per_block=3, tau=0.6)
@@ -219,7 +219,7 @@ class TestPartitioner:
         z = dm.constant(rng.uniform(0.2, 1.5, (40, cfg.total_communities)))
         gamma = dm.constant(rng.uniform(0.3, 1.2, cfg.total_communities))
         part = partition_edges(graph.adjacency, z, gamma, cfg, 0)
-        w = part.weight_values()
+        w = part.weights.value
         support = part.support
         entry = {(r, c): e for e, (r, c) in enumerate(zip(support.rows, support.cols))}
         mirror = np.array([entry[(c, r)] for r, c in zip(support.rows, support.cols)])
@@ -285,14 +285,14 @@ class TestPartitioner:
         cfg = ModelConfig(n_metacommunities=2, communities_per_block=1, tau=1e-3)
         z = dm.constant(np.array([[1.0, 1.0], [1.0, 2.0]]))
         part = partition_edges(adj, z, dm.constant(np.ones(2)), cfg, 0)
-        assert part.weight_values().max() > 0.999
+        assert part.weights.value.max() > 0.999
 
     def test_to_sparse_matrices_share_support(self):
         graph, cfg, prep, store = small_setup()
         u = encoder_uniforms(40, cfg.total_communities, 0, "t")
         post = encode_communities(prep, store, cfg, u, 0)
         part = partition_edges(graph.adjacency, post.z, gamma_node(store), cfg, 0)
-        w = part.weight_values()
+        w = part.weights.value
         mats = [SparseMatrix(40, 40, part.support.rows, part.support.cols, w[:, j])
                 for j in range(part.k)]
         assert len(mats) == 4
@@ -416,9 +416,9 @@ class TestBankAndComposer:
 
 def per_community_bank(x, part, store, cfg, seed, step):
     """The bank as K separate chains, one per community, built from the
-    single-part primitives over slices of the stacked parameters: the
+    one-part primitives over slices of the stacked parameters: the
     reference for the stacked bank. Returns the K outputs."""
-    k_meta, bw, n = cfg.n_metacommunities, cfg.bank_width, x.value.shape[0]
+    k_meta, bw = cfg.n_metacommunities, cfg.bank_width
     support = part.support
 
     def block(name, k):
@@ -428,7 +428,7 @@ def per_community_bank(x, part, store, cfg, seed, step):
             width = p.value.shape[0] // k_meta
             row = dm.slice_columns(dm.reshape(p, (1, p.value.shape[0])),
                                    k * width, (k + 1) * width)
-            return dm.reshape(row, ()) if width == 1 else row
+            return dm.reshape(row, (1,)) if width == 1 else row
         if name == "bank.0.W" and cfg.layer_kind == "gcn":
             return dm.slice_columns(p, k * bw, (k + 1) * bw)
         rows = p.value.shape[0] // k_meta
@@ -446,11 +446,12 @@ def per_community_bank(x, part, store, cfg, seed, step):
                                [substream(seed, "dropout", "bank", k, li, step)])
             if cfg.layer_kind == "gcn":
                 m = dm.matmul(h, block(f"{name}.W", k), block(f"{name}.b", k))
-                h = dm.edge_spmm(support, dm.reshape(dm.slice_columns(ew, k, k + 1), (-1,)),
-                                 m, dm.reshape(dm.slice_columns(self_w, k, k + 1), (n,)))
+                h = dm.edge_spmm(support, dm.slice_columns(ew, k, k + 1),
+                                 m, dm.slice_columns(self_w, k, k + 1))
             else:
-                w_k = dm.reshape(dm.slice_columns(part.weights, k, k + 1), (-1,))
-                agg = dm.edge_spmm(support, w_k, h, dm.constant(1.0) + block(f"{name}.eps", k))
+                w_k = dm.slice_columns(part.weights, k, k + 1)
+                agg = dm.edge_spmm(support, w_k, h,
+                                   dm.constant(np.ones(1)) + block(f"{name}.eps", k))
                 m = dm.relu(dm.matmul(agg, block(f"{name}.W1", k), block(f"{name}.b1", k)))
                 h = dm.matmul(m, block(f"{name}.W2", k), block(f"{name}.b2", k))
             if li < cfg.bank_layers - 1:

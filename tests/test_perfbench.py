@@ -1,7 +1,10 @@
 """Runs the benchmark's own self-tests, which wrap package functions and
-tape ops by name, so a renamed hook fails here, and checks those names and
-the keywords the benchmark passes directly."""
+tape ops by name, so a renamed hook fails here, and checks those names, the
+keywords the benchmark passes directly and every package attribute its
+source reads."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import inspect
@@ -49,4 +52,49 @@ def test_package_keeps_every_name_and_keyword_the_benchmark_binds():
                          (training.TrainConfig, ("patience", "seed"))):
         params = inspect.signature(fn).parameters
         missing += [f"{fn.__name__}({kw}=)" for kw in keywords if kw not in params]
+    assert not missing, missing
+
+
+def _package_reads(path):
+    """The package names one perfbench file reads, as (module, name, found):
+    each name imported from a `vepm` module, and each `<module>.<attr>` on
+    an imported `vepm` module."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = {}  # local name -> the vepm module it is bound to
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "vepm":
+                    bound = alias.asname or alias.name.split(".")[0]
+                    modules[bound] = importlib.import_module(
+                        alias.name if alias.asname else "vepm")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vepm":
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                try:  # a submodule is an attribute only once imported
+                    value = importlib.import_module(f"{node.module}.{alias.name}")
+                    modules[alias.asname or alias.name] = value
+                except ModuleNotFoundError:
+                    value = getattr(owner, alias.name, None)
+                reads.append((node.module, alias.name, value is not None))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            owner = modules[node.value.id]
+            reads.append((owner.__name__, node.attr, hasattr(owner, node.attr)))
+    return reads
+
+
+def test_package_keeps_every_attribute_the_benchmark_source_reads():
+    reads = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+        reads += [(os.path.basename(path), owner, name, found)
+                  for owner, name, found in _package_reads(path)]
+    names = {f"{owner}.{name}" for _file, owner, name, _found in reads}
+    # the scan sees the bindings it is meant to guard
+    assert {"vepm.model.prepare_graph_batch", "vepm.graphs.kfold_split",
+            "vepm.diffmath.precision", "vepm.graphs.sample_epm_graph"} <= names
+    missing = [f"{file}: {owner}.{name}" for file, owner, name, found in reads if not found]
     assert not missing, missing
