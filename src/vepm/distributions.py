@@ -77,14 +77,6 @@ def weibull_rsample(shape_k: Node, scale: Node, uniforms: np.ndarray) -> Node:
     return dm.make_node("weibull_rsample", lam * e, (shape_k, scale), vjp)
 
 
-def weibull_cdf(x: np.ndarray, k: float, lam: float) -> np.ndarray:
-    return 1.0 - np.exp(-((np.asarray(x) / lam) ** k))
-
-
-def weibull_mean(k: float, lam: float) -> float:
-    return float(lam * np.exp(sp_gammaln(1.0 + 1.0 / k)))
-
-
 def kl_weibull_gamma(shape_k: Node, scale: Node, alpha: float, beta: float) -> Node:
     """Elementwise KL(Weibull(k, lambda) || Gamma(alpha, beta)).
 
@@ -146,18 +138,6 @@ def block_structure(c: int, k: int) -> np.ndarray:
     return out
 
 
-def pairwise_rate(z: np.ndarray, gamma: np.ndarray, i: int, j: int, k: int) -> np.ndarray:
-    """Per-metacommunity interaction rates between nodes i and j.
-
-    The total rate sum_c gamma_c z_ic z_jc splits into K block sums over
-    contiguous groups of communities.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    blocks = block_structure(z.shape[1], k)
-    return (z[i] * gamma * z[j]) @ blocks
-
-
 def bernoulli_poisson_loglik(
     adjacency: SparseMatrix,
     z: Node,
@@ -210,22 +190,3 @@ def bernoulli_poisson_loglik(
         return g_z, g_gamma
 
     return dm.make_node("edge_loglik", val, (z, gamma), vjp)
-
-
-def bernoulli_poisson_loglik_bruteforce(
-    adjacency: SparseMatrix, z: np.ndarray, gamma: np.ndarray
-) -> float:
-    """O(N^2) reference evaluation over every unordered pair."""
-    z = np.asarray(z, dtype=np.float64)
-    rates = (z * gamma) @ z.T
-    dense = adjacency.to_dense()
-    total = 0.0
-    n = z.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = rates[i, j]
-            if dense[i, j]:
-                total += np.log(1.0 - np.exp(-r) + EDGE_EPS)
-            else:
-                total -= r
-    return float(total)

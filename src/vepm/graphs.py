@@ -15,6 +15,7 @@ self-loops dropped. Counts are inferred from the files.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -182,8 +183,8 @@ def _parse_rows(path: str, dtype, width: Optional[int], problem: str) -> np.ndar
     """Parse the non-blank lines of a file as comma-separated rows of
     `width` fields (the first row's field count when None) with one pass of
     numpy's C reader. Blank and whitespace-only lines are skipped; '#' is
-    data, not a comment. A row with another field count raises DatasetError
-    naming its line; a non-numeric field raises ValueError."""
+    data, not a comment. A row with another field count, or a field that
+    does not parse as `dtype`, raises DatasetError naming its line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     data = [line for line in lines if line and not line.isspace()]
@@ -192,9 +193,14 @@ def _parse_rows(path: str, dtype, width: Optional[int], problem: str) -> np.ndar
     width = width or data[0].count(",") + 1
     try:
         rows = np.loadtxt(data, dtype=dtype, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+    except ValueError as exc:
         _check_field_counts(path, lines, width, problem)
-        raise
+        # numpy names the data row (0-based) and the field (1-based)
+        where = re.search(r"\s*at row (\d+), column (\d+)\.?$", str(exc))
+        if where is None:
+            raise
+        raise DatasetError(f"{path}:{_line_of_row(lines, int(where[1]))}: "
+                           f"{str(exc)[:where.start()]} in field {where[2]}") from None
     if rows.shape[1] != width:
         _check_field_counts(path, lines, width, problem)
     return rows
@@ -208,13 +214,18 @@ def _check_field_counts(path: str, lines: list[str], width: int, problem: str):
             raise DatasetError(f"{path}:{ln}: {problem}") from None
 
 
+def _line_of_row(lines: list[str], row: int) -> int:
+    """The line (1-based) of data row `row`: the row-th non-blank line, as
+    `_parse_rows` counts them."""
+    data = [ln for ln, line in enumerate(lines, 1) if line and not line.isspace()]
+    return data[row]
+
+
 def _refuse_row(path: str, row: int, problem: str):
-    """Raise DatasetError naming the line (1-based) of data row `row`: the
-    row-th non-blank line, as `_parse_rows` counts them."""
+    """Raise DatasetError naming the line of data row `row`."""
     with open(path, encoding="utf-8") as fh:
-        data = [ln for ln, line in enumerate(fh.read().split("\n"), 1)
-                if line and not line.isspace()]
-    raise DatasetError(f"{path}:{data[row]}: {problem}")
+        lines = fh.read().split("\n")
+    raise DatasetError(f"{path}:{_line_of_row(lines, row)}: {problem}")
 
 
 def _read_int_rows(path: str, width: int) -> np.ndarray:

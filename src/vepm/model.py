@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -581,6 +583,27 @@ def forward_logits(prep: PreparedGraph, z: Node, partition: EdgePartition,
     return dm.matmul(pooled, store["out.W"], store["out.b"])
 
 
+# A batch of at least this many nodes runs its Monte Carlo samples on a
+# thread pool, a smaller one runs them in turn. The large sparse and BLAS
+# products release the interpreter lock; the many small ops of a small
+# batch mostly hand it back and forth. Threaded over serial time of four
+# samples, cora-shaped configuration, 2 cores: 1.41 at 300 nodes, 1.06 at
+# 600, 0.91 at 1000, 0.73 at 1500 and 0.68 at 2708.
+PARALLEL_MIN_NODES = 1000
+
+
+def sample_workers(s: int, n_nodes: int) -> int:
+    """Threads that run `s` posterior samples of an `n_nodes` batch: one
+    below PARALLEL_MIN_NODES, else one per sample up to the usable CPUs."""
+    if n_nodes < PARALLEL_MIN_NODES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(s, cpus)
+
+
 def posterior_predictive(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
                          s: int, seed: int, *, partition_seed: int,
                          uniforms_list=None) -> np.ndarray:
@@ -591,28 +614,37 @@ def posterior_predictive(prep: PreparedGraph, store: ParameterStore, cfg: ModelC
     outputs (not the logits). Runs forward-only on the detached parameters,
     so no tape is recorded and no dropout is drawn. Every run path passes
     the run's seed as both `seed` and `partition_seed`.
+
+    The encoder pass, gamma and the uniforms are computed once, here; the
+    samples then run on `sample_workers` threads, and their probabilities
+    are summed in sample order, so the result does not depend on the
+    thread count. A sample shares only read-only state with the others:
+    the posterior, the detached store and the lazy caches of the
+    `SparseMatrix` supports, which two racing threads fill with equal
+    values. Its `EdgePartition` (with the `_gcn` cache) and generators are
+    its own, and no module-level state is written.
     """
     if s < 1:
         raise ModelError("need at least one posterior sample")
     store = store.detached()
-    c = cfg.total_communities
-    post = None
+    if uniforms_list is None:
+        uniforms_list = [encoder_uniforms(prep.n_nodes, cfg.total_communities, seed,
+                                          "predict", i) for i in range(s)]
+    post = encode_communities(prep, store, cfg, uniforms_list[0], seed)
     gamma = gamma_node(store)
-    acc = None
-    for i in range(s):
-        if uniforms_list is not None:
-            u = uniforms_list[i]
-        else:
-            u = encoder_uniforms(prep.n_nodes, c, seed, "predict", i)
-        if post is None:
-            post = encode_communities(prep, store, cfg, u, seed)
-            z = post.z
-        else:
-            z = weibull_rsample(post.weibull_shape, post.weibull_scale, u)
+
+    def sample_probabilities(i: int) -> np.ndarray:
+        z = post.z if i == 0 else weibull_rsample(post.weibull_shape,
+                                                  post.weibull_scale, uniforms_list[i])
         part = partition_edges(prep.graph.adjacency, z, gamma, cfg, partition_seed)
         logits = forward_logits(prep, z, part, store, cfg, seed)
-        p = dm.row_softmax_with_temperature(logits, 1.0).value
-        acc = p if acc is None else acc + p
+        return dm.row_softmax_with_temperature(logits, 1.0).value
+
+    workers = sample_workers(s, prep.n_nodes)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        acc = None
+        for p in (map if pool is None else pool.map)(sample_probabilities, range(s)):
+            acc = p if acc is None else acc + p
     return acc / s
 
 

@@ -22,7 +22,7 @@ class PairLayout(NamedTuple):
     entries, in its row-major entry order."""
 
     iu: np.ndarray          # each unordered pair (i, j) once, i < j,
-    ju: np.ndarray          # as in `undirected_pairs`
+    ju: np.ndarray          # in row-major order
     entry_pair: np.ndarray  # per stored entry, the position of its pair
     upper: np.ndarray       # per pair, the position of its entry (i, j)
     lower: np.ndarray       # per pair, the position of its mirror (j, i)
@@ -31,7 +31,13 @@ class PairLayout(NamedTuple):
 
 @dataclass
 class SparseMatrix:
-    """Immutable COO matrix with no duplicate entries, sorted row-major."""
+    """Immutable COO matrix with no duplicate entries, sorted row-major.
+
+    The derived layouts (scipy CSR and its transpose, block layouts, pair
+    layout, row incidence) are built on first use and kept. Each is a pure
+    function of the entries, stored with one assignment, so threads that
+    race to build one store equal values.
+    """
 
     n_rows: int
     n_cols: int
@@ -261,12 +267,6 @@ def normalize_adjacency(adjacency: SparseMatrix) -> SparseMatrix:
     cols = np.concatenate([adjacency.cols, diag])
     vals = np.concatenate([edge_vals, 1.0 / deg])
     return SparseMatrix(n, n, rows, cols, vals)
-
-
-def undirected_pairs(adjacency: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Each undirected edge once, as (i, j) arrays with i < j."""
-    mask = adjacency.rows < adjacency.cols
-    return adjacency.rows[mask], adjacency.cols[mask]
 
 
 def induced_adjacency(adjacency: SparseMatrix, nodes: np.ndarray) -> SparseMatrix:

@@ -13,13 +13,11 @@ import numpy as np
 from scipy.stats import kstest
 
 from conftest import planted_graph, require_dataset
+from reference import bernoulli_poisson_loglik_bruteforce, weibull_cdf, weibull_mean
 from vepm import diffmath as dm
 from vepm.distributions import (
     bernoulli_poisson_loglik,
-    bernoulli_poisson_loglik_bruteforce,
     kl_weibull_gamma_value,
-    weibull_cdf,
-    weibull_mean,
     weibull_rsample,
 )
 from vepm.evaluation import accuracy, cross_validate_graphs, hard_assign_communities, nmi

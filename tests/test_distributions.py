@@ -5,6 +5,13 @@ from scipy.special import gammaln as sp_gammaln
 from scipy.stats import kstest
 
 from conftest import masked_node_graph, synthetic_collection
+from reference import (
+    bernoulli_poisson_loglik_bruteforce,
+    pairwise_rate,
+    undirected_pairs,
+    weibull_cdf,
+    weibull_mean,
+)
 from vepm import diffmath as dm
 from vepm import model, training
 from vepm.diffmath import ParameterStore, finite_difference_check
@@ -18,19 +25,15 @@ from vepm.distributions import (
     UNIFORM_EPS,
     DistributionError,
     bernoulli_poisson_loglik,
-    bernoulli_poisson_loglik_bruteforce,
     block_structure,
     clamp_weibull,
     kl_weibull_gamma,
     kl_weibull_gamma_value,
-    pairwise_rate,
-    weibull_cdf,
-    weibull_mean,
     weibull_rsample,
 )
 from vepm.graphs import batch_graphs, sample_epm_graph
 from vepm.rng import substream
-from vepm.sparse import adjacency_from_edges, undirected_pairs
+from vepm.sparse import adjacency_from_edges
 from vepm.verify import kl_quadrature
 
 

@@ -192,17 +192,37 @@ class TestDatasetIO:
     @pytest.mark.parametrize("field", ["x", "", "0x10", "#1"])
     def test_non_numeric_feature_is_a_value_error(self, tmp_path, field):
         # '#' is data like any other character, not the start of a comment
-        path = self._write(tmp_path, features=f"1.0,2.0\n{field},4.0\n5.0,6.0\n")
-        with pytest.raises(ValueError) as info:
+        path = self._write(tmp_path, features=f"1.0,2.0\n\n{field},4.0\n5.0,6.0\n")
+        with pytest.raises(ValueError, match=r"features\.csv:3: .* in field 1$") as info:
             load_node_dataset(path)
-        assert not isinstance(info.value, DatasetError)
+        assert isinstance(info.value, DatasetError)
 
     @pytest.mark.parametrize("edges", ["0,1\n1,x\n", "0,1\n1.5,2\n", "# 0,1\n1,2\n"])
     def test_non_integer_edge_is_a_value_error(self, tmp_path, edges):
+        line, field = {"0,1\n1,x\n": (2, 2), "0,1\n1.5,2\n": (2, 1),
+                       "# 0,1\n1,2\n": (1, 1)}[edges]
         path = self._write(tmp_path, edges=edges)
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError, match=rf"edges\.csv:{line}: .* in field {field}$") as info:
             load_node_dataset(path)
-        assert not isinstance(info.value, DatasetError)
+        assert isinstance(info.value, DatasetError)
+
+    @pytest.mark.parametrize("name,text,line", [("labels.csv", "0\n\n1\nb\n", 4),
+                                                ("masks.csv", "1,0,0\n0,1,0\n0,0,y\n", 3)])
+    def test_non_integer_label_or_mask_names_its_line(self, tmp_path, name, text, line):
+        path = self._write(tmp_path)
+        (tmp_path / "ds" / name).write_text(text)
+        with pytest.raises(DatasetError, match=rf"{name.replace('.', '[.]')}:{line}: "):
+            load_node_dataset(path)
+
+    def test_non_integer_graph_id_names_its_line(self, tmp_path):
+        path = str(tmp_path / "gc")
+        save_graph_dataset(path, synthetic_collection(n_graphs=2, seed=0))
+        indicator = tmp_path / "gc" / "graph_indicator.csv"
+        lines = indicator.read_text().split("\n")
+        lines[6] = "0.0"
+        indicator.write_text("\n".join(lines))
+        with pytest.raises(DatasetError, match=r"graph_indicator\.csv:7: .* in field 1$"):
+            load_graph_dataset(path)
 
     @pytest.mark.parametrize("edges,bad_id", [("0,1\n-1,2\n", -1), ("0,1\n1,3\n", 3)])
     def test_edge_range_error_names_the_bad_node(self, tmp_path, edges, bad_id):

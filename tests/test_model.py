@@ -1,6 +1,11 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import vepm.model as model_mod
 from conftest import masked_node_graph, planted_graph, synthetic_collection
 from vepm import diffmath as dm
 from vepm.distributions import block_structure, weibull_rsample
@@ -575,6 +580,116 @@ class TestPosteriorPredictive:
         p21 = posterior_predictive(prep, store, cfg, 2, 0, partition_seed=0,
                                    uniforms_list=[u2, u1])
         np.testing.assert_allclose(p12, p21, atol=1e-12)
+
+
+def predict_on(monkeypatch, workers, prep, store, cfg, s, gate=0, **kwargs):
+    """posterior_predictive on a host with `workers` usable CPUs, its
+    samples threaded from `gate` nodes on, and the ids of the threads
+    that ran them."""
+    monkeypatch.setattr(model_mod, "PARALLEL_MIN_NODES", gate)
+    monkeypatch.setattr(model_mod.os, "sched_getaffinity",
+                        lambda pid: set(range(workers)), raising=False)
+    threads = []
+
+    def spy(*args, **kw):
+        threads.append(threading.get_ident())
+        return forward_logits(*args, **kw)
+
+    monkeypatch.setattr(model_mod, "forward_logits", spy)
+    kwargs.setdefault("partition_seed", 3)
+    probs = posterior_predictive(prep, store, cfg, s, 5, **kwargs)
+    return probs, threads
+
+
+class TestConcurrentPredictive:
+    @pytest.mark.parametrize("layer_kind", ["gcn", "gin"])
+    @pytest.mark.parametrize("partition_mode", ["learned", "even", "random"])
+    def test_two_threads_match_one_bit_for_bit(self, layer_kind, partition_mode,
+                                               monkeypatch):
+        graph, cfg, prep, store = small_setup(layer_kind=layer_kind,
+                                              partition_mode=partition_mode)
+        serial, ran_serial = predict_on(monkeypatch, 1, prep, store, cfg, 4)
+        threaded, ran_threaded = predict_on(monkeypatch, 2, prep, store, cfg, 4)
+        np.testing.assert_array_equal(threaded, serial)
+        main = threading.get_ident()
+        assert ran_serial == [main] * 4
+        assert len(ran_threaded) == 4 and main not in ran_threaded
+
+    def test_given_uniforms_match_bit_for_bit(self, monkeypatch):
+        graph, cfg, prep, store = small_setup()
+        us = [encoder_uniforms(40, cfg.total_communities, 3, "given", i) for i in range(3)]
+        serial, _ = predict_on(monkeypatch, 1, prep, store, cfg, 3, uniforms_list=us)
+        threaded, _ = predict_on(monkeypatch, 2, prep, store, cfg, 3, uniforms_list=us)
+        np.testing.assert_array_equal(threaded, serial)
+
+    @pytest.mark.parametrize("layer_kind", ["gcn", "gin"])
+    def test_a_graph_above_the_gate_runs_threaded(self, layer_kind, monkeypatch):
+        n = model_mod.PARALLEL_MIN_NODES
+        graph = masked_node_graph(seed=0, n=n, gamma=2e-5)
+        cfg = ModelConfig(n_metacommunities=2, communities_per_block=2, hidden_dim=8,
+                          layer_kind=layer_kind)
+        store = init_params(cfg, graph.n_features, graph.n_classes(), 0, "node")
+        serial, _ = predict_on(monkeypatch, 2, prepare_node_graph(graph), store, cfg,
+                               4, gate=n + 1)
+        threaded, ran = predict_on(monkeypatch, 2, prepare_node_graph(graph), store,
+                                   cfg, 4, gate=n)
+        np.testing.assert_array_equal(threaded, serial)
+        assert threading.get_ident() not in ran
+
+    def test_more_threads_than_cores_on_fresh_caches(self, monkeypatch):
+        """Eight threads fill one support's lazy layouts at once, with the
+        interpreter switching threads as often as it can."""
+        graph, cfg, prep, store = small_setup(communities_per_block=2)
+        serial, _ = predict_on(monkeypatch, 1, prepare_node_graph(graph), store, cfg, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                threaded, ran = predict_on(monkeypatch, 8, prepare_node_graph(graph),
+                                           store, cfg, 8)
+                np.testing.assert_array_equal(threaded, serial)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(ran) == 8
+
+    def test_the_lowest_failing_sample_raises(self, monkeypatch):
+        graph, cfg, prep, store = small_setup()
+        us = [encoder_uniforms(40, cfg.total_communities, 3, "fail", i) for i in range(4)]
+        original = model_mod.weibull_rsample
+
+        def failing(shape_k, scale, u):
+            k = next(i for i, ui in enumerate(us) if ui is u)
+            if k == 1:
+                time.sleep(0.05)  # sample 3 fails first in time
+            if k in (1, 3):
+                raise dm.NonFiniteError(f"sample {k}")
+            return original(shape_k, scale, u)
+
+        monkeypatch.setattr(model_mod, "weibull_rsample", failing)
+        for workers in (1, 2):
+            with pytest.raises(dm.NonFiniteError, match=r"^sample 1$"):
+                predict_on(monkeypatch, workers, prep, store, cfg, 4, uniforms_list=us)
+
+    def test_a_non_finite_sample_raises_the_serial_error(self, monkeypatch):
+        graph, cfg, prep, store = small_setup()
+        us = [encoder_uniforms(40, cfg.total_communities, 3, "nan", i) for i in range(4)]
+        us[2] = us[2].copy()
+        us[2][7, 1] = np.nan
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(dm.NonFiniteError) as info:
+                predict_on(monkeypatch, workers, prep, store, cfg, 4, uniforms_list=us)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert "weibull_rsample" in errors[0][1]
+
+    def test_workers_are_capped_by_the_cpus_and_the_gate(self, monkeypatch):
+        gate = model_mod.PARALLEL_MIN_NODES
+        monkeypatch.setattr(model_mod.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert model_mod.sample_workers(10**6, gate) == 2
+        assert model_mod.sample_workers(10**6, gate - 1) == 1
+        assert model_mod.sample_workers(1, gate) == 1
 
 
 class TestEquivariance:

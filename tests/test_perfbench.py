@@ -12,6 +12,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
+from conftest import masked_node_graph
 from vepm import diffmath as dm
 from vepm import model, training
 
@@ -98,3 +101,27 @@ def test_package_keeps_every_attribute_the_benchmark_source_reads():
             "vepm.diffmath.precision", "vepm.graphs.sample_epm_graph"} <= names
     missing = [f"{file}: {owner}.{name}" for file, owner, name, found in reads if not found]
     assert not missing, missing
+
+
+def test_traced_run_keeps_one_predict_span_per_call_when_samples_run_threaded(
+        monkeypatch):
+    tracing = _tracing_module()
+    graph = masked_node_graph(seed=0, n=model.PARALLEL_MIN_NODES, gamma=2e-5)
+    cfg = model.ModelConfig(n_metacommunities=2, communities_per_block=2, hidden_dim=8)
+    prep = model.prepare_node_graph(graph)
+    store = model.init_params(cfg, graph.n_features, graph.n_classes(), 0, "node")
+    # two usable CPUs, so that the samples run on two threads on any host
+    monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert model.sample_workers(cfg.mc_samples, prep.n_nodes) == 2
+    untraced = model.posterior_predictive(prep, store, cfg, cfg.mc_samples, 0,
+                                          partition_seed=0)
+    tracer = tracing.Tracer()
+    with tracer:
+        for _ in range(3):
+            probs = model.posterior_predictive(prep, store, cfg, cfg.mc_samples, 0,
+                                               partition_seed=0)
+            np.testing.assert_array_equal(probs, untraced)
+    window = tracing.summarize_window(tracer)
+    assert window["calls"]["model.predict"] == 3
+    assert window["calls"]["model.partition"] == 3 * cfg.mc_samples
+    assert tracer._stack == []

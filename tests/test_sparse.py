@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import undirected_pairs
 from vepm.sparse import (
     SparseError,
     SparseMatrix,
@@ -8,7 +9,6 @@ from vepm.sparse import (
     degree_vector,
     induced_adjacency,
     normalize_adjacency,
-    undirected_pairs,
 )
 from vepm.rng import substream
 
