@@ -23,6 +23,12 @@ K independent parts of one layer (the community GNNs) are one op each:
 their activations are the row blocks of one (K*N, d) array, which
 `edge_spmm` aggregates over K edge-weight columns and `block_matmul`
 transforms with K stacked weights.
+
+A training pass records no ReLU of its own: `relu_dropout` is a layer
+boundary's ReLU together with the dropout on the next layer's input, one
+stored mask and one product in reverse, and `block_mlp` is a GIN layer's
+two-layer transform, rectified in place. The plain `relu` serves
+forward-only passes.
 """
 
 from __future__ import annotations
@@ -288,6 +294,42 @@ def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node,
     return make_node("edge_spmm", val, (w, m, diag), vjp)
 
 
+def _block_affine(hv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """The K products h_k @ w_k + b_k over the row blocks of hv, each one
+    2-D product written into the output; bv is (K, dout)."""
+    k = bv.shape[0]
+    n, din = hv.shape[0] // k, hv.shape[1]
+    out = np.empty((k * n, bv.shape[1]))
+    for i in range(k):
+        rows = slice(i * n, (i + 1) * n)
+        np.matmul(hv[rows], wv[i * din:(i + 1) * din], out=out[rows])
+        out[rows] += bv[i]
+    return out
+
+
+def _block_affine_vjp(g: np.ndarray, hv: np.ndarray, wv: np.ndarray, k: int,
+                      needs) -> tuple:
+    """The gradients of `_block_affine` for h, w and its (K, dout) bias,
+    one 2-D product per block each; None where needs[i] is False."""
+    n, din = hv.shape[0] // k, hv.shape[1]
+    rows = [slice(i * n, (i + 1) * n) for i in range(k)]
+    w_rows = [slice(i * din, (i + 1) * din) for i in range(k)]
+    gh = gw = gb = None
+    if needs[0]:
+        gh = np.empty_like(hv)
+        for i in range(k):
+            np.matmul(g[rows[i]], wv[w_rows[i]].T, out=gh[rows[i]])
+    if needs[1]:
+        gw = np.empty_like(wv)
+        for i in range(k):
+            np.matmul(hv[rows[i]].T, g[rows[i]], out=gw[w_rows[i]])
+    if needs[2]:
+        gb, ones = np.empty((k, g.shape[1])), np.ones(n)
+        for i in range(k):
+            np.matmul(ones, g[rows[i]], out=gb[i])
+    return gh, gw, gb
+
+
 def block_matmul(h: Node, w: Node, b: Node) -> Node:
     """K independent products h_k @ w_k + b_k over the row blocks of a
     stacked operand: h is (K*N, din), w stacks the K weights as row
@@ -300,40 +342,94 @@ def block_matmul(h: Node, w: Node, b: Node) -> Node:
     if hv.ndim != 2 or bv.ndim != 2:
         raise DiffMathError("block_matmul expects a matrix and one bias row per block")
     k, dout = bv.shape
-    din = hv.shape[1]
-    if wv.shape != (k * din, dout) or hv.shape[0] % k:
+    if wv.shape != (k * hv.shape[1], dout) or hv.shape[0] % k:
         raise DiffMathError(f"block_matmul shape mismatch {hv.shape} @ {wv.shape} "
                             f"in {k} blocks")
-    n = hv.shape[0] // k
-    rows = [slice(i * n, (i + 1) * n) for i in range(k)]
-    w_rows = [slice(i * din, (i + 1) * din) for i in range(k)]
-    val = np.empty((k * n, dout))
-    for i in range(k):
-        np.matmul(hv[rows[i]], wv[w_rows[i]], out=val[rows[i]])
-        val[rows[i]] += bv[i]
-
-    def vjp(g, needs):
-        gh = gw = gb = None
-        if needs[0]:
-            gh = np.empty_like(hv)
-            for i in range(k):
-                np.matmul(g[rows[i]], wv[w_rows[i]].T, out=gh[rows[i]])
-        if needs[1]:
-            gw = np.empty_like(wv)
-            for i in range(k):
-                np.matmul(hv[rows[i]].T, g[rows[i]], out=gw[w_rows[i]])
-        if needs[2]:
-            gb, ones = np.empty_like(bv), np.ones(n)
-            for i in range(k):
-                np.matmul(ones, g[rows[i]], out=gb[i])
-        return gh, gw, gb
-
-    return make_node("block_matmul", val, (h, w, b), vjp)
+    return make_node("block_matmul", _block_affine(hv, wv, bv), (h, w, b),
+                     lambda g, needs: _block_affine_vjp(g, hv, wv, k, needs))
 
 
 def relu(a: Node) -> Node:
     val = np.maximum(a.value, 0.0)
     return make_node("relu", val, (a,), lambda g, needs: (g * (val > 0),))
+
+
+# Dropout keeps a unit iff its 16-bit lane of the generator's raw output
+# is at least t = round(rate * DROPOUT_LANES), and scales it by
+# DROPOUT_LANES / (DROPOUT_LANES - t), so the mask's mean is exactly one.
+DROPOUT_LANES = 1 << 16
+
+
+def dropout_threshold(rate: float) -> int:
+    """The keep threshold t of a dropout rate; a rate whose t rounds to
+    DROPOUT_LANES (rate >= 1 - 2^-17) would keep no unit and is refused."""
+    t = round(rate * DROPOUT_LANES) if 0.0 <= rate < 1.0 else DROPOUT_LANES
+    if t == DROPOUT_LANES:
+        raise DiffMathError(f"dropout rate {rate!r} must be in [0, 1 - 2^-17)")
+    return t
+
+
+def dropout_lanes(rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` 16-bit lanes of rng's raw 64-bit draws, four per word, lowest
+    bits first; read little-endian, so they do not depend on byte order."""
+    words = rng.bit_generator.random_raw(-(-size // 4))
+    return words.astype("<u8", copy=False).view("<u2")[:size]
+
+
+def relu_dropout(a: Node, rate: float, rng: np.random.Generator) -> Node:
+    """dropout(relu(a)) as one op, its keep bits drawn from `rng`: the
+    lanes of `dropout_lanes` in a's row-major order.
+
+    The one stored mask is DROPOUT_LANES / (DROPOUT_LANES - t) where a unit
+    is positive and kept, 0 elsewhere; the reverse rule is g * mask. The
+    value is relu(a) times that mask, so its zeros carry the signs of the
+    two-op chain's.
+    """
+    t = dropout_threshold(rate)
+    av = a.value
+    keep = av > 0
+    if t:
+        keep &= dropout_lanes(rng, av.size).reshape(av.shape) >= t
+    mask = np.multiply(keep, DROPOUT_LANES / (DROPOUT_LANES - t))
+    val = np.maximum(av, 0.0)
+    val *= mask
+    return make_node("relu_dropout", val, (a,), lambda g, needs: (g * mask,))
+
+
+def block_mlp(h: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
+    """K independent two-layer transforms relu(h_k @ W1_k + b1_k) @ W2_k + b2_k
+    over the row blocks of a stacked operand, as one op: h is (K*N, din),
+    W1 and W2 stack the K weights as row blocks, and b1, b2 hold one bias
+    row per block, (K, d), or are one (d,) row for a single block.
+
+    The hidden product is rectified in place and kept for the reverse
+    rule, which masks the fresh g_k @ W2_k^T in place before the first
+    product's rule. Each block's products are those of `block_matmul`,
+    bit for bit.
+    """
+    hv, w1v, w2v = h.value, w1.value, w2.value
+    b1v, b2v = b1.value, b2.value
+    if hv.ndim != 2 or b1v.ndim not in (1, 2) or b2v.ndim != b1v.ndim:
+        raise DiffMathError("block_mlp expects a matrix and one bias row per block")
+    b1r, b2r = b1v.reshape(-1, b1v.shape[-1]), b2v.reshape(-1, b2v.shape[-1])
+    k, dmid = b1r.shape
+    if (w1v.shape != (k * hv.shape[1], dmid) or w2v.shape != (k * dmid, b2r.shape[1])
+            or b2r.shape[0] != k or hv.shape[0] % k):
+        raise DiffMathError(f"block_mlp shape mismatch {hv.shape} @ {w1v.shape} @ "
+                            f"{w2v.shape} in {k} blocks")
+    m = _block_affine(hv, w1v, b1r)
+    np.maximum(m, 0.0, out=m)
+
+    def vjp(g, needs):
+        gm, gw2, gb2 = _block_affine_vjp(g, m, w2v, k, (any(needs[:3]),) + needs[3:])
+        gh = gw1 = gb1 = None
+        if gm is not None:
+            np.multiply(gm, m > 0, out=gm)
+            gh, gw1, gb1 = _block_affine_vjp(gm, hv, w1v, k, needs[:3])
+        return (gh, gw1, None if gb1 is None else gb1.reshape(b1v.shape),
+                gw2, None if gb2 is None else gb2.reshape(b2v.shape))
+
+    return make_node("block_mlp", _block_affine(m, w2v, b2r), (h, w1, b1, w2, b2), vjp)
 
 
 def softplus(a: Node, lo: Optional[float] = None, hi: Optional[float] = None) -> Node:

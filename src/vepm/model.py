@@ -68,8 +68,10 @@ class ModelConfig:
                 raise ModelError(f"{name} must be >= 1")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ModelError("tau must be finite and positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ModelError("dropout must be in [0, 1)")
+        try:
+            dm.dropout_threshold(self.dropout)
+        except dm.DiffMathError as exc:
+            raise ModelError(str(exc)) from None
         if self.layer_kind not in LAYER_KINDS:
             raise ModelError(f"layer_kind must be one of {LAYER_KINDS}")
         if self.composer_kind not in COMPOSER_KINDS:
@@ -283,10 +285,10 @@ def encode_communities(prep: PreparedGraph, store: ParameterStore, cfg: ModelCon
         if li == 0:
             m = dm.sparse_dense_matmul(prep.x_csr, store[f"{name}.W"]) + store[f"{name}.b"]
         else:
-            m = _linear(h, store, name, cfg, step, seed, ("enc", li), first=False)
+            m = _linear(h, store, name)
         h = dm.sparse_dense_matmul(prep.a_norm, m)
         if li < cfg.encoder_layers - 1:
-            h = dm.relu(h)
+            h = _relu_dropout(h, cfg, step, seed, ("enc", li + 1))
     c = cfg.total_communities
     if h.value.shape[1] != 2 * c:
         raise ModelError(f"encoder output width {h.value.shape[1]} != 2C = {2 * c}")
@@ -375,20 +377,17 @@ def partition_edges(adjacency: SparseMatrix, z: Optional[Node], gamma: Optional[
 # layers
 
 
-def _dropout(h, cfg, step, seed, tags):
-    """Dropout on the row blocks of `h`, block i masked with draws from
-    the ("dropout", *tags[i], step) substream; the identity when `step` is
-    None, a forward-only pass."""
+def _relu_dropout(h, cfg, step, seed, layer):
+    """The ReLU at a layer boundary, fused with the dropout on the next
+    layer's input, whose mask (for all K row blocks of a stacked `h` at
+    once) is drawn from the ("dropout", *layer, step) substream. A
+    forward-only pass (`step` None) takes the ReLU alone and draws nothing."""
     if step is None:
-        return h
-    rngs = [substream(seed, "dropout", *tag, step) for tag in tags]
-    return dm.dropout(h, cfg.dropout, rngs)
+        return dm.relu(h)
+    return dm.relu_dropout(h, cfg.dropout, substream(seed, "dropout", *layer, step))
 
 
-def _linear(h, store, name, cfg, step, seed, drop_tag, first):
-    """h @ W + b, with dropout on every input but a module's first."""
-    if not first:
-        h = _dropout(h, cfg, step, seed, [drop_tag])
+def _linear(h, store, name):
     return dm.matmul(h, store[f"{name}.W"], store[f"{name}.b"])
 
 
@@ -427,14 +426,13 @@ def _gcn_normalization(weights: Node, support: SparseMatrix) -> tuple[Node, Node
             dm.make_node("gcn_self_loops", self_w, (weights,), self_vjp))
 
 
-def _gin_layer(h, support, w_edge, store, name, product):
+def _gin_layer(h, support, w_edge, store, name):
     """Sum aggregation over the K parts of `w_edge`, with learnable self-weights,
-    and a 2-layer transform; `product` is `dm.matmul`, or `dm.block_matmul`
-    for the stacked bank."""
+    and the 2-layer transform of each part, one `block_mlp`."""
     k = w_edge.value.shape[1]
     agg = dm.edge_spmm(support, w_edge, h, diag=dm.constant(np.ones(k)) + store[f"{name}.eps"])
-    m = dm.relu(product(agg, store[f"{name}.W1"], store[f"{name}.b1"]))
-    return product(m, store[f"{name}.W2"], store[f"{name}.b2"])
+    return dm.block_mlp(agg, store[f"{name}.W1"], store[f"{name}.b1"],
+                        store[f"{name}.W2"], store[f"{name}.b2"])
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +494,6 @@ def community_gnn_forward(x_star: list, partition: EdgePartition,
     h = None
     for li in range(cfg.bank_layers):
         name = f"bank.{li}"
-        if li > 0:
-            h = _dropout(h, cfg, step, seed, [("bank", k, li) for k in range(k_meta)])
         if cfg.layer_kind == "gcn":
             if li == 0:
                 # the first transform shares its (wide) input across
@@ -510,9 +506,9 @@ def community_gnn_forward(x_star: list, partition: EdgePartition,
         else:
             # the first layer aggregates the shared input once per part
             h = _gin_layer(x_star[0] if li == 0 else h, support, partition.weights,
-                           store, name, dm.block_matmul)
+                           store, name)
         if li < cfg.bank_layers - 1:
-            h = dm.relu(h)
+            h = _relu_dropout(h, cfg, step, seed, ("bank", li + 1))
     return dm.row_blocks_to_columns(h, k_meta)
 
 
@@ -532,18 +528,15 @@ def compose_representations(h: Node, prep: PreparedGraph,
     """
     adj = prep.graph.adjacency
     for li in range(cfg.composer_layers):
-        name, tag, first = f"comp.{li}", ("comp", li), li == 0
+        name = f"comp.{li}"
         if cfg.composer_kind == "dense":
-            h = _linear(h, store, name, cfg, step, seed, tag, first)
+            h = _linear(h, store, name)
         elif cfg.layer_kind == "gcn":
-            h = dm.sparse_dense_matmul(
-                prep.a_norm, _linear(h, store, name, cfg, step, seed, tag, first))
+            h = dm.sparse_dense_matmul(prep.a_norm, _linear(h, store, name))
         else:
-            if not first:
-                h = _dropout(h, cfg, step, seed, [tag])
-            h = _gin_layer(h, adj, dm.constant(np.ones((adj.nnz, 1))), store, name, dm.matmul)
+            h = _gin_layer(h, adj, dm.constant(np.ones((adj.nnz, 1))), store, name)
         if li < cfg.composer_layers - 1:
-            h = dm.relu(h)
+            h = _relu_dropout(h, cfg, step, seed, ("comp", li + 1))
     return h
 
 

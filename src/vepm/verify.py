@@ -121,6 +121,13 @@ def _primitive_cases(seed=0):
     mix["entries"] = rng.standard_normal((adj_iso.nnz, 2))
     mix["norm_edges"] = rng.standard_normal((adj_iso.nnz, k))
     mix["norm_loops"] = rng.standard_normal((n, k))
+    # fused-op inputs, drawn after the rest so no other case's inputs move:
+    # a stacked input for relu_dropout, and one K = 1 and one K-block
+    # two-layer transform for block_mlp
+    stacked_relu = _avoid_kinks(rng, (k * n, d))
+    mlp_single = [rng.standard_normal(shape) for shape in ((n, d), (d, 3), (3,), (3, 3), (3,))]
+    mlp_blocks = [rng.standard_normal(shape)
+                  for shape in ((k * n, d), (k * d, 3), (k, 3), (k * 3, 3), (k, 3))]
 
     def mixed(node, key=2):
         return dm.reduce_sum(dm.elementwise_mul(node, dm.constant(mix[key])))
@@ -214,6 +221,15 @@ def _primitive_cases(seed=0):
          lambda s: mixed(dm.log_softmax_rows(s["x"])))
     case("dropout", lambda s: s.add("x", a, "phi"),
          lambda s: mixed(dm.dropout(s["x"], 0.4, [substream(11, "dropmask")])))
+    case("relu_dropout", lambda s: s.add("x", stacked_relu, "phi"),
+         lambda s: mixed(dm.relu_dropout(s["x"], 0.4, substream(11, "relu-dropout")),
+                         "parts"))
+    for name, arrays, key in (("block_mlp", mlp_single, 3),
+                              ("block_mlp_blocks", mlp_blocks, "parts3")):
+        case(name, lambda s, arrays=arrays: [s.add(p, v, "phi") for p, v in
+                                             zip(("h", "w1", "b1", "w2", "b2"), arrays)],
+             lambda s, key=key: mixed(dm.block_mlp(s["h"], s["w1"], s["b1"], s["w2"],
+                                                   s["b2"]), key))
     case("softplus_bounded", lambda s: s.add("x", raw, "phi"),
          lambda s: mixed(dm.softplus(s["x"], lo, hi)))
     case("weibull_rsample", lambda s: (s.add("k", shape_k, "phi"), s.add("lam", scale, "phi")),

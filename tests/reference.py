@@ -51,3 +51,16 @@ def undirected_pairs(adjacency: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Each undirected edge once, as (i, j) arrays with i < j."""
     mask = adjacency.rows < adjacency.cols
     return adjacency.rows[mask], adjacency.cols[mask]
+
+
+def dropout_mask(rng: np.random.Generator, shape: tuple, rate: float) -> np.ndarray:
+    """The documented dropout mask: lane j of raw word w is bits
+    16j..16j+15 of w, the lanes are laid out in row-major order, a unit is
+    kept iff its lane is >= t = round(rate * 2^16), and a kept unit is
+    scaled by 2^16 / (2^16 - t)."""
+    size = int(np.prod(shape))
+    words = rng.bit_generator.random_raw(-(-size // 4))
+    shifts = np.arange(4, dtype=np.uint64) * np.uint64(16)
+    lanes = ((words[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)[:size]
+    t = round(rate * 65536)
+    return np.where(lanes.reshape(shape) >= t, 65536 / (65536 - t), 0.0)

@@ -12,7 +12,7 @@ from vepm.diffmath import (
     load_arrays,
     save_arrays,
 )
-from vepm.model import ModelConfig, _dropout
+from reference import dropout_mask
 from vepm.rng import substream
 from vepm.sparse import SparseMatrix
 from vepm.verify import _primitive_cases
@@ -267,6 +267,97 @@ def test_dropout_mask_matches_the_scaled_keep_draws():
     np.testing.assert_array_equal(out, a * (keep / (1.0 - 0.3)))
 
 
+def _assert_bits_equal(got, ref):
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_relu_dropout_matches_relu_then_mask_bit_for_bit(rate):
+    """Given the same draws, the fused op equals relu followed by the
+    documented mask, signed zeros included, in value and gradient."""
+    rng = substream(9, "relu-drop")
+    a = rng.normal(0, 1, (30, 7))
+    a.flat[:6] = [-0.0, 0.0, -1e-300, 1e-300, -2.0, 3.0]
+    g = rng.normal(0, 1, a.shape)
+    results = []
+    for fused in (True, False):
+        store = ParameterStore()
+        x = store.add("x", a, "phi")
+        if fused:
+            out = dm.relu_dropout(x, rate, substream(9, "mask"))
+        else:
+            mask = dropout_mask(substream(9, "mask"), a.shape, rate)
+            out = dm.elementwise_mul(dm.relu(x), dm.constant(mask))
+        backward(dm.reduce_sum(dm.elementwise_mul(out, dm.constant(g))))
+        results.append((out.value, store.grad("x")))
+    for got, ref in zip(*results):
+        _assert_bits_equal(got, ref)
+    assert (results[0][0] == 0).any() and (results[0][0] > 0).any()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_block_mlp_matches_the_op_chain_bit_for_bit(k):
+    """The fused transform against block_matmul, relu, block_matmul (K = 3,
+    one bias row per block) and against matmul, relu, matmul (K = 1, (d,)
+    biases), in values and in every gradient."""
+    rng = substream(3, "block-mlp", k)
+    n, din, dmid, dout = 7, 4, 5, 3
+    shapes = {"h": (k * n, din), "w1": (k * din, dmid), "w2": (k * dmid, dout),
+              "b1": (k, dmid) if k > 1 else (dmid,),
+              "b2": (k, dout) if k > 1 else (dout,)}
+    values = {name: rng.normal(0, 1, shape) for name, shape in shapes.items()}
+    g = rng.normal(0, 1, (k * n, dout))
+    product = dm.block_matmul if k > 1 else dm.matmul
+    results = []
+    for fused in (True, False):
+        store = ParameterStore()
+        p = {name: store.add(name, v, "phi") for name, v in values.items()}
+        if fused:
+            out = dm.block_mlp(p["h"], p["w1"], p["b1"], p["w2"], p["b2"])
+        else:
+            hidden = dm.relu(product(p["h"], p["w1"], p["b1"]))
+            out = product(hidden, p["w2"], p["b2"])
+        backward(dm.reduce_sum(dm.elementwise_mul(out, dm.constant(g))))
+        results.append([out.value] + [store.grad(name) for name in values])
+    for got, ref in zip(*results):
+        _assert_bits_equal(got, ref)
+
+
+def test_dropout_lanes_are_the_16_bit_words_lowest_first():
+    lanes = dm.dropout_lanes(substream(3, "lanes"), 10)
+    raw = substream(3, "lanes").bit_generator
+    words = [int(w) for w in raw.random_raw(3)]
+    assert lanes.dtype == np.dtype("<u2")
+    assert lanes.tolist() == [(w >> (16 * j)) & 0xFFFF for w in words for j in range(4)][:10]
+    # a draw takes whole words: the next draw starts at the fourth
+    rest = substream(3, "lanes")
+    dm.dropout_lanes(rest, 10)
+    assert rest.bit_generator.random_raw() == raw.random_raw()
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
+def test_relu_dropout_keeps_the_rate_within_a_binomial_bound(rate):
+    n = 100_000
+    out = dm.relu_dropout(dm.constant(np.ones((400, n // 400))), rate,
+                          substream(5, "kept", rate)).value
+    t = dm.dropout_threshold(rate)
+    p = (65536 - t) / 65536
+    kept = out > 0
+    assert abs(kept.mean() - p) <= 5 * np.sqrt(p * (1 - p) / n)
+    np.testing.assert_array_equal(out[kept], 65536 / (65536 - t))
+    np.testing.assert_array_equal(out[~kept], 0.0)
+
+
+def test_dropout_threshold_refuses_a_rate_that_keeps_nothing():
+    assert dm.dropout_threshold(0.0) == 0
+    assert dm.dropout_threshold(0.5) == 32768
+    assert dm.dropout_threshold(np.nextafter(1 - 2**-17, 0)) == 65535
+    for rate in (1 - 2**-17, 1.0, -0.1, float("nan")):
+        with pytest.raises(DiffMathError, match="dropout rate"):
+            dm.dropout_threshold(rate)
+
+
 def test_edge_spmm_parts_match_dense_blocks():
     rng = substream(8, "edge-spmm-parts")
     # node 4 has no edges
@@ -355,9 +446,7 @@ def test_backward_determinism_bit_identical():
 
 def test_dropout_identity_in_eval_and_scaling_in_train():
     x = dm.constant(np.ones((100, 50)))
-    # a forward-only pass (no step) skips the op in the model; rate 0 is the
-    # identity here
-    assert _dropout(x, ModelConfig(dropout=0.4), None, 0, [("t",)]) is x
+    # rate 0 is the identity
     assert dm.dropout(x, 0.0, [substream(0, "d")]) is x
     out = dm.dropout(x, 0.4, [substream(0, "d")]).value
     kept = out[out > 0]

@@ -7,6 +7,7 @@ import pytest
 
 import vepm.model as model_mod
 from conftest import masked_node_graph, planted_graph, synthetic_collection
+from reference import dropout_mask
 from vepm import diffmath as dm
 from vepm.distributions import block_structure, weibull_rsample
 from vepm.graphs import Graph, batch_graphs
@@ -99,6 +100,13 @@ class TestModelConfig:
             ModelConfig(layer_kind="attention")
         with pytest.raises(ModelError):
             ModelConfig(hidden_dim=0)
+
+    def test_refuses_a_dropout_that_keeps_no_unit(self):
+        # the keep threshold round(rate * 2^16) reaches 2^16 at 1 - 2^-17
+        assert ModelConfig(dropout=np.nextafter(1 - 2**-17, 0)).dropout < 1
+        for rate in (1 - 2**-17, 1.0, -0.5):
+            with pytest.raises(ModelError, match="dropout"):
+                ModelConfig(dropout=rate)
 
 
 class TestEncoder:
@@ -439,6 +447,14 @@ def per_community_bank(x, part, store, cfg, seed, step):
         rows = p.value.shape[0] // k_meta
         return dm.slice_rows(p, k * rows, (k + 1) * rows)
 
+    def dropout(h, k, li):
+        """Community k's rows of layer li's dropout mask, which is drawn for
+        all K communities at once."""
+        rows = h.value.shape[0]
+        mask = dropout_mask(substream(seed, "dropout", "bank", li, step),
+                            (k_meta * rows, h.value.shape[1]), cfg.dropout)
+        return dm.elementwise_mul(h, dm.constant(mask[k * rows:(k + 1) * rows]))
+
     if cfg.layer_kind == "gcn":
         ew, self_w, _operator = part.gcn_normalization()
     outs = []
@@ -447,8 +463,7 @@ def per_community_bank(x, part, store, cfg, seed, step):
         for li in range(cfg.bank_layers):
             name = f"bank.{li}"
             if step is not None and li > 0:
-                h = dm.dropout(h, cfg.dropout,
-                               [substream(seed, "dropout", "bank", k, li, step)])
+                h = dropout(h, k, li)
             if cfg.layer_kind == "gcn":
                 m = dm.matmul(h, block(f"{name}.W", k), block(f"{name}.b", k))
                 h = dm.edge_spmm(support, dm.slice_columns(ew, k, k + 1),
@@ -499,6 +514,33 @@ class TestStackedBank:
         if training:
             eval_out = community_gnn_forward([x], part, store, cfg, 9).value
             assert np.abs(eval_out - got).max() > 1e-3
+
+
+class TestDropoutDraws:
+    @pytest.mark.parametrize("layer_kind", ["gcn", "gin"])
+    def test_one_generator_per_layer_boundary_and_none_forward_only(
+            self, layer_kind, monkeypatch):
+        graph, cfg, prep, store = small_setup(layer_kind=layer_kind, dropout=0.5,
+                                              encoder_layers=3, bank_layers=3,
+                                              composer_layers=2)
+        paths = []
+
+        def recording(seed, *path):
+            paths.append(path)
+            return substream(seed, *path)
+
+        monkeypatch.setattr(model_mod, "substream", recording)
+        posterior_predictive(prep, store, cfg, 2, 0, partition_seed=0)
+        assert paths and not [p for p in paths if p[0] == "dropout"]
+
+        u = encoder_uniforms(40, cfg.total_communities, 0, "t")
+        z = encode_communities(prep, store, cfg, u, 0, step=5).z
+        part = partition_edges(graph.adjacency, z, gamma_node(store), cfg, 0)
+        forward_logits(prep, z, part, store, cfg, 0, step=5)
+        assert [p for p in paths if p[0] == "dropout"] == [
+            ("dropout", "enc", 1, 5), ("dropout", "enc", 2, 5),
+            ("dropout", "bank", 1, 5), ("dropout", "bank", 2, 5),
+            ("dropout", "comp", 1, 5)]
 
 
 class TestPooling:

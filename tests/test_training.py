@@ -1,11 +1,13 @@
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import masked_node_graph, planted_graph, synthetic_collection
 from vepm import diffmath as dm
+from vepm import training
 from vepm.diffmath import ParameterStore, finite_difference_check
 from vepm.distributions import bernoulli_poisson_loglik
 from vepm.graphs import batch_graphs, sample_epm_graph
@@ -500,6 +502,41 @@ def gin_setup(**cfg_kw):
                        for idx in (np.arange(6), np.arange(6, 8)))
     store = init_params(cfg, coll.n_features, 2, 0, "graph")
     return cfg, prep, test_prep, store
+
+
+class TestTapeNodes:
+    """Every ReLU of a training step is fused into its neighbouring op: a
+    layer boundary is one relu_dropout node and a GIN transform one
+    block_mlp node."""
+
+    @pytest.mark.parametrize("kind", ["gcn", "gin"])
+    def test_theta_and_phi_steps_hold_no_relu_node(self, kind, monkeypatch):
+        layers = dict(encoder_layers=2, bank_layers=3, composer_layers=2, dropout=0.5)
+        if kind == "gin":
+            coll = synthetic_collection(n_graphs=6, seed=1)
+            cfg = ModelConfig(n_metacommunities=2, communities_per_block=1,
+                              hidden_dim=8, layer_kind="gin", **layers)
+            prep = prepare_graph_batch(*batch_graphs(coll, np.arange(6)), 2)
+            store = init_params(cfg, coll.n_features, 2, 0, "graph")
+        else:
+            _graph, cfg, prep, store = node_setup(**layers)
+        tapes = []
+        descend = training._descend
+
+        def recording(store, loss, *args):
+            tapes.append(Counter(node.op for node in dm._topo_order(loss)))
+            return descend(store, loss, *args)
+
+        monkeypatch.setattr(training, "_descend", recording)
+        finetune(prep, store, cfg, TrainConfig(finetune_epochs=1, inner_steps=2),
+                 seed=0, eval_train=False)
+        *theta, phi = tapes
+        assert len(theta) == 2
+        transforms = cfg.bank_layers + cfg.composer_layers if kind == "gin" else 0
+        for tape, boundaries in [(t, 3) for t in theta] + [(phi, 4)]:
+            assert tape["relu"] == 0
+            assert tape["relu_dropout"] == boundaries
+            assert tape["block_mlp"] == transforms
 
 
 def restriction_setup(kind, mode):
