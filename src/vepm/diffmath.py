@@ -21,8 +21,8 @@ operand is summed in one reduction.
 
 K independent parts of one layer (the community GNNs) are one op each:
 their activations are the row blocks of one (K*N, d) array, which
-`edge_spmm` aggregates over K edge-weight columns and `block_matmul`
-transforms with K stacked weights.
+`edge_spmm` aggregates over K edge-weight columns and `matmul`
+transforms with K stacked weights, K = 1 being the plain product.
 
 A training pass records no ReLU of its own: `relu_dropout` is a layer
 boundary's ReLU together with the dropout on the next layer's input, one
@@ -172,32 +172,67 @@ def elementwise_mul(a: Node, b: Node) -> Node:
     return make_node("mul", val, (a, b), vjp)
 
 
-def matmul(a: Node, b: Node, bias: Optional[Node] = None) -> Node:
-    """a @ b, with an optional row `bias` (shape (d,) or (1, d)) added in
-    place. The bias gradient is a column sum of g, taken as one product."""
-    if a.value.ndim != 2 or b.value.ndim != 2:
+def _block_affine(hv: np.ndarray, wv: np.ndarray, bv: Optional[np.ndarray],
+                  k: int) -> np.ndarray:
+    """The K products h_k @ w_k + b_k over the row blocks of hv, one batched
+    matmul over (K, N, d) views; bv is (K, dout), or None for no bias."""
+    (rows, din), dout = hv.shape, wv.shape[1]
+    out = np.matmul(hv.reshape(k, rows // k, din), wv.reshape(k, din, dout))
+    if bv is not None:
+        out += bv[:, None, :]
+    return out.reshape(rows, dout)
+
+
+def _block_affine_vjp(g: np.ndarray, hv: np.ndarray, wv: np.ndarray, k: int,
+                      needs) -> tuple:
+    """The gradients of `_block_affine` for h, w and its (K, dout) bias,
+    each one batched matmul; None where needs[i] is False or absent."""
+    (rows, din), dout = hv.shape, wv.shape[1]
+    n = rows // k
+    g3 = g.reshape(k, n, dout)
+    gh = gw = gb = None
+    if needs[0]:
+        gh = np.matmul(g3, wv.reshape(k, din, dout).transpose(0, 2, 1)).reshape(hv.shape)
+    if needs[1]:
+        gw = np.matmul(hv.reshape(k, n, din).transpose(0, 2, 1), g3).reshape(wv.shape)
+    if len(needs) > 2 and needs[2]:
+        gb = np.matmul(np.ones(n), g3)
+    return gh, gw, gb
+
+
+def matmul(a: Node, w: Node, bias: Optional[Node] = None) -> Node:
+    """The K products a_k @ w_k + bias_k over the row blocks of a, as one
+    op: a is (K*N, din), w stacks the K weights as row blocks, (K*din,
+    dout), and K is read from the shapes. `bias` is optional: one row per
+    block, (K, dout), or for K = 1 also one (dout,) row. K = 1 is the
+    plain a @ w + bias.
+
+    The forward product and each product of the reverse rule are one
+    batched matmul over (K, N, d) views, and the bias gradient is the
+    column sum of each block of g, taken as one product.
+    """
+    av, wv = a.value, w.value
+    if av.ndim != 2 or wv.ndim != 2:
         raise DiffMathError("matmul expects two matrices")
-    if a.value.shape[1] != b.value.shape[0]:
-        raise DiffMathError(f"matmul shape mismatch {a.value.shape} @ {b.value.shape}")
-    av, bv = a.value, b.value
-    val = av @ bv
+    din, dout = av.shape[1], wv.shape[1]
+    k = wv.shape[0] // din if din else 1
+    if k == 0 or wv.shape[0] != k * din or av.shape[0] % k:
+        raise DiffMathError(f"matmul shape mismatch {av.shape} @ {wv.shape}")
     if bias is None:
-        parents = (a, b)
+        bv, parents = None, (a, w)
     else:
-        d = val.shape[1]
-        if bias.value.shape not in ((d,), (1, d)):
-            raise DiffMathError(f"matmul bias of shape {bias.value.shape} for {d} columns")
-        val += bias.value
-        parents = (a, b, bias)
+        if bias.value.shape != (k, dout) and not (k == 1 and bias.value.shape == (dout,)):
+            raise DiffMathError(f"matmul bias of shape {bias.value.shape} for {k} "
+                                f"blocks of {dout} columns")
+        bv, parents = bias.value.reshape(k, dout), (a, w, bias)
 
     def vjp(g, needs):
-        grads = (g @ bv.T if needs[0] else None,
-                 av.T @ g if needs[1] else None)
+        gh, gw, gb = _block_affine_vjp(g, av, wv, k, needs)
         if bias is None:
-            return grads
-        return grads + (_unbroadcast(g, bias.value.shape) if needs[2] else None,)
+            return gh, gw
+        return gh, gw, None if gb is None else gb.reshape(bias.value.shape)
 
-    return make_node("matmul", val, parents, vjp)
+    return make_node("matmul", _block_affine(av, wv, bv, k), parents, vjp)
 
 
 def sparse_dense_matmul(s: SparseMatrix, b: Node) -> Node:
@@ -294,61 +329,6 @@ def edge_spmm(adj: SparseMatrix, w: Node, m: Node, diag: Node,
     return make_node("edge_spmm", val, (w, m, diag), vjp)
 
 
-def _block_affine(hv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """The K products h_k @ w_k + b_k over the row blocks of hv, each one
-    2-D product written into the output; bv is (K, dout)."""
-    k = bv.shape[0]
-    n, din = hv.shape[0] // k, hv.shape[1]
-    out = np.empty((k * n, bv.shape[1]))
-    for i in range(k):
-        rows = slice(i * n, (i + 1) * n)
-        np.matmul(hv[rows], wv[i * din:(i + 1) * din], out=out[rows])
-        out[rows] += bv[i]
-    return out
-
-
-def _block_affine_vjp(g: np.ndarray, hv: np.ndarray, wv: np.ndarray, k: int,
-                      needs) -> tuple:
-    """The gradients of `_block_affine` for h, w and its (K, dout) bias,
-    one 2-D product per block each; None where needs[i] is False."""
-    n, din = hv.shape[0] // k, hv.shape[1]
-    rows = [slice(i * n, (i + 1) * n) for i in range(k)]
-    w_rows = [slice(i * din, (i + 1) * din) for i in range(k)]
-    gh = gw = gb = None
-    if needs[0]:
-        gh = np.empty_like(hv)
-        for i in range(k):
-            np.matmul(g[rows[i]], wv[w_rows[i]].T, out=gh[rows[i]])
-    if needs[1]:
-        gw = np.empty_like(wv)
-        for i in range(k):
-            np.matmul(hv[rows[i]].T, g[rows[i]], out=gw[w_rows[i]])
-    if needs[2]:
-        gb, ones = np.empty((k, g.shape[1])), np.ones(n)
-        for i in range(k):
-            np.matmul(ones, g[rows[i]], out=gb[i])
-    return gh, gw, gb
-
-
-def block_matmul(h: Node, w: Node, b: Node) -> Node:
-    """K independent products h_k @ w_k + b_k over the row blocks of a
-    stacked operand: h is (K*N, din), w stacks the K weights as row
-    blocks, (K*din, dout), and b holds one bias row per block, (K, dout).
-
-    Each block is one 2-D product written into the output, and so is
-    each block of the reverse rule.
-    """
-    hv, wv, bv = h.value, w.value, b.value
-    if hv.ndim != 2 or bv.ndim != 2:
-        raise DiffMathError("block_matmul expects a matrix and one bias row per block")
-    k, dout = bv.shape
-    if wv.shape != (k * hv.shape[1], dout) or hv.shape[0] % k:
-        raise DiffMathError(f"block_matmul shape mismatch {hv.shape} @ {wv.shape} "
-                            f"in {k} blocks")
-    return make_node("block_matmul", _block_affine(hv, wv, bv), (h, w, b),
-                     lambda g, needs: _block_affine_vjp(g, hv, wv, k, needs))
-
-
 def relu(a: Node) -> Node:
     val = np.maximum(a.value, 0.0)
     return make_node("relu", val, (a,), lambda g, needs: (g * (val > 0),))
@@ -404,8 +384,8 @@ def block_mlp(h: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
 
     The hidden product is rectified in place and kept for the reverse
     rule, which masks the fresh g_k @ W2_k^T in place before the first
-    product's rule. Each block's products are those of `block_matmul`,
-    bit for bit.
+    product's rule. Each block's products are those of `matmul`, bit for
+    bit.
     """
     hv, w1v, w2v = h.value, w1.value, w2.value
     b1v, b2v = b1.value, b2.value
@@ -417,7 +397,7 @@ def block_mlp(h: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
             or b2r.shape[0] != k or hv.shape[0] % k):
         raise DiffMathError(f"block_mlp shape mismatch {hv.shape} @ {w1v.shape} @ "
                             f"{w2v.shape} in {k} blocks")
-    m = _block_affine(hv, w1v, b1r)
+    m = _block_affine(hv, w1v, b1r, k)
     np.maximum(m, 0.0, out=m)
 
     def vjp(g, needs):
@@ -429,7 +409,7 @@ def block_mlp(h: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
         return (gh, gw1, None if gb1 is None else gb1.reshape(b1v.shape),
                 gw2, None if gb2 is None else gb2.reshape(b2v.shape))
 
-    return make_node("block_mlp", _block_affine(m, w2v, b2r), (h, w1, b1, w2, b2), vjp)
+    return make_node("block_mlp", _block_affine(m, w2v, b2r, k), (h, w1, b1, w2, b2), vjp)
 
 
 def softplus(a: Node, lo: Optional[float] = None, hi: Optional[float] = None) -> Node:
@@ -865,29 +845,45 @@ def save_arrays(path: str, entries, meta: Optional[dict] = None):
 
 
 def load_arrays(path: str):
+    """The entries and meta dict of a checkpoint written by `save_arrays`;
+    a file that is not one raises DiffMathError naming `path`."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    end = raw.index(b"data\n") + len(b"data\n")
-    lines = raw[: end - 1].decode("utf-8").splitlines()
-    if not lines or lines[0] != _MAGIC:
+    end = raw.find(b"\ndata\n") + 1
+    if not end:
+        raise DiffMathError(f"{path}: not a checkpoint file (no data line)")
+    try:
+        lines = raw[:end].decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise DiffMathError(f"{path}: not a checkpoint file (header is not text)") from None
+    if lines[0] != _MAGIC:
         raise DiffMathError(f"{path}: not a checkpoint file")
     meta: dict[str, str] = {}
     specs = []
-    for line in lines[1:-1]:
-        kind, rest = line.split(" ", 1)
-        if kind == "meta":
-            key, value = rest.split(" ", 1)
-            meta[key] = value
-        elif kind == "param":
-            name, group, dims = rest.split(" ")
-            shape = () if dims == "-" else tuple(int(d) for d in dims.split(","))
-            specs.append((name, group, shape))
-        else:
-            raise DiffMathError(f"{path}: bad header line {line!r}")
+    for line in lines[1:]:
+        try:
+            kind, rest = line.split(" ", 1)
+            if kind == "meta":
+                key, value = rest.split(" ", 1)
+                meta[key] = value
+            elif kind == "param":
+                name, group, dims = rest.split(" ")
+                shape = () if dims == "-" else tuple(int(d) for d in dims.split(","))
+                if min(shape, default=0) < 0:
+                    raise ValueError
+                specs.append((name, group, shape))
+            else:
+                raise ValueError
+        except ValueError:
+            raise DiffMathError(f"{path}: bad header line {line!r}") from None
+    size = 8 * sum(math.prod(shape) for _, _, shape in specs)
+    offset = end + len(b"data\n")
+    if len(raw) - offset != size:
+        raise DiffMathError(f"{path}: the header lists {size} bytes of data, the file "
+                            f"holds {len(raw) - offset}")
     entries = []
-    offset = end
     for name, group, shape in specs:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         entries.append((name, group, arr.copy()))
         offset += count * 8

@@ -501,7 +501,7 @@ def community_gnn_forward(x_star: list, partition: EdgePartition,
                 m = dm.column_blocks_to_rows(
                     _blocks_matmul(x_star, store[f"{name}.W"]) + store[f"{name}.b"], k_meta)
             else:
-                m = dm.block_matmul(h, store[f"{name}.W"], store[f"{name}.b"])
+                m = dm.matmul(h, store[f"{name}.W"], store[f"{name}.b"])
             h = dm.edge_spmm(support, ew, m, diag=self_w, operator=operator)
         else:
             # the first layer aggregates the shared input once per part

@@ -18,7 +18,13 @@ import numpy as np
 
 from . import diffmath as dm
 from .diffmath import Node, ParameterStore, backward
-from .distributions import bernoulli_poisson_loglik, kl_weibull_gamma
+from .distributions import (
+    EDGE_EPS,
+    SHAPE_MAX,
+    SHAPE_MIN,
+    bernoulli_poisson_loglik,
+    kl_weibull_gamma,
+)
 from .graphs import Graph
 from .model import (
     ModelConfig,
@@ -150,6 +156,12 @@ def _pair_count(n: int) -> float:
     return n * (n - 1) / 2.0
 
 
+def _sub_scale(prep: PreparedGraph, nodes: np.ndarray) -> float:
+    """The factor that scales a subgraph's edge term to the whole graph's
+    pair count."""
+    return _pair_count(prep.n_nodes) / max(_pair_count(nodes.size), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # objective
 
@@ -176,10 +188,9 @@ def _egen_term(prep: PreparedGraph, z: Node, gamma: Node,
                sub: Optional[tuple] = None) -> Node:
     if sub is not None:
         _draws, nodes, sub_adj = sub
-        scale = _pair_count(prep.n_nodes) / max(_pair_count(nodes.size), 1.0)
         z_sub = dm.gather_rows(z, nodes)
-        return dm.elementwise_mul(
-            bernoulli_poisson_loglik(sub_adj, z_sub, gamma), dm.constant(scale))
+        return dm.elementwise_mul(bernoulli_poisson_loglik(sub_adj, z_sub, gamma),
+                                  dm.constant(_sub_scale(prep, nodes)))
     gids = prep.graph_ids if prep.task == "graph" else None
     return bernoulli_poisson_loglik(prep.graph.adjacency, z, gamma,
                                     graph_ids=gids,
@@ -371,6 +382,63 @@ def _check_finite(value: float):
         raise TrainingDiverged(f"objective became non-finite ({value})")
 
 
+# Every non-edge term of log p(A | Z) is <= 0 and every edge term at most
+# log(1 + EDGE_EPS), so l_egen <= E log(1 + EDGE_EPS) over E edges; and
+# l_kl = -KL <= 0. A step's terms are allowed a round-off of EGEN_ROUNDOFF
+# per edge and KL_ROUNDOFF per KL element beyond that. The closed-form
+# non-edge sum of `bernoulli_poisson_loglik` cancels terms as large as S'GS/2
+# (S the column sums of Z, G = diag(gamma)); a value beyond its limit has lost
+# every digit to that cancellation, or the posterior has diverged.
+EGEN_ROUNDOFF = 1e-6
+KL_ROUNDOFF = 1e-9
+
+
+@dataclass
+class BoundLimits:
+    """The highest values the terms of one ELBO evaluation can take, and
+    the shares of its posterior's Weibull shapes at SHAPE_MIN and at
+    SHAPE_MAX."""
+    l_egen: float
+    l_kl: float
+    at_shape_min: float
+    at_shape_max: float
+
+
+def _bound_limits(prep: PreparedGraph, aux: dict, sub: Optional[tuple]) -> BoundLimits:
+    adjacency, scale = prep.graph.adjacency, 1.0
+    if sub is not None:
+        _draws, nodes, adjacency = sub
+        scale = _sub_scale(prep, nodes)
+    edges = adjacency.pair_layout().iu.size
+    shape = aux["posterior"].weibull_shape.value
+    return BoundLimits(l_egen=scale * edges * (math.log1p(EDGE_EPS) + EGEN_ROUNDOFF),
+                       l_kl=KL_ROUNDOFF * shape.size,
+                       at_shape_min=np.count_nonzero(shape <= SHAPE_MIN) / shape.size,
+                       at_shape_max=np.count_nonzero(shape >= SHAPE_MAX) / shape.size)
+
+
+def _check_bound(terms: ElboTerms, limits: BoundLimits, epoch: int, optimizers):
+    """Raise TrainingDiverged, naming the term, the epoch and the share of
+    Weibull shapes at each clamp, when a step's ELBO terms exceed their
+    limits or an Adam moment of `optimizers` is not finite."""
+    def diverged(what):
+        return TrainingDiverged(
+            f"epoch {epoch}: {what}; {limits.at_shape_min:.1%} of Weibull shapes at "
+            f"SHAPE_MIN = {SHAPE_MIN:g}, {limits.at_shape_max:.1%} at SHAPE_MAX = "
+            f"{SHAPE_MAX:g}")
+
+    for term, value, limit in (("l_egen", terms.l_egen, limits.l_egen),
+                               ("l_kl", terms.l_kl, limits.l_kl)):
+        if value > limit:
+            raise diverged(f"{term} = {value:.4g} exceeds its bound {limit:.4g}")
+    for state in optimizers:
+        for name, v in state.v.items():
+            # a non-finite g or g*g leaves v non-finite from then on, and m
+            # is finite while g*g is
+            if not np.isfinite(v).all():
+                raise diverged(f"the Adam moments of {name} are not finite")
+
+
 # ---------------------------------------------------------------------------
 # phase one: unsupervised pretraining
 
@@ -392,15 +460,16 @@ class TrainResult:
 
 
 def _elbo_step(prep, store, cfg, tcfg, state, names, lr, uniforms, *, step,
-               **elbo_kwargs):
+               sub=None, **elbo_kwargs):
     """One Adam step on the negative ELBO at training step `step`.
-    Returns its terms and the partition weights (None without the task
-    term)."""
-    terms, loss, aux = elbo(prep, store, cfg, uniforms, tcfg, step=step,
+    Returns its terms, the partition weights (None without the task term)
+    and the terms' `BoundLimits`."""
+    terms, loss, aux = elbo(prep, store, cfg, uniforms, tcfg, step=step, sub=sub,
                             **elbo_kwargs)
     _descend(store, loss, state, lr, names)
     partition = aux["partition"]
-    return terms, None if partition is None else partition.weights.value
+    return (terms, None if partition is None else partition.weights.value,
+            _bound_limits(prep, aux, sub))
 
 
 def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
@@ -430,11 +499,12 @@ def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
         sub = None
         if sampler.enabled and prep.task == "node":
             sub = sample_subgraph(prep.graph, sampler, substream(seed, "sampler", epoch))
-        terms, _ = _elbo_step(prep, store, cfg, tcfg, state, names, tcfg.lr_unsup,
-                              uniforms, step=epoch, seed=seed, sub=sub,
-                              include_task=False)
+        terms, _, limits = _elbo_step(prep, store, cfg, tcfg, state, names,
+                                      tcfg.lr_unsup, uniforms, step=epoch, seed=seed,
+                                      sub=sub, include_task=False)
         objective = w_egen * terms.l_egen + w_kl * terms.l_kl
         _check_finite(objective)
+        _check_bound(terms, limits, epoch, (state,))
         result.records.append({"epoch": epoch, "l_task": None,
                                "l_egen": terms.l_egen, "l_kl": terms.l_kl,
                                "train_acc": None, "val_acc": None,
@@ -521,10 +591,13 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
         # the phi step updates phi_names only, so every theta weight enters
         # its tape as a constant and gets no reverse product; the kept
         # nodes are the live ones that Adam updates
-        terms, phi_weights = _elbo_step(prep, store.detached(keep=phi_names), cfg,
-                                        tcfg, adam_phi, phi_names, tcfg.lr_phi,
-                                        uniforms, step=base, seed=seed)
+        terms, phi_weights, limits = _elbo_step(prep, store.detached(keep=phi_names),
+                                                cfg, tcfg, adam_phi, phi_names,
+                                                tcfg.lr_phi, uniforms, step=base,
+                                                seed=seed)
         _check_finite(terms.total)
+        # a non-finite moment stays so, so this covers the theta steps too
+        _check_bound(terms, limits, epoch, (adam_theta, adam_phi))
         if step_callback is not None:
             step_callback(epoch=epoch, phase="phi", inner=None,
                           partition=phi_weights, store=store)

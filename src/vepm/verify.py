@@ -170,9 +170,9 @@ def _primitive_cases(seed=0):
                                               s.add("x", stacked, "phi"),
                                               s.add("d", loops_shared, "phi")),
          lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"]), "parts"))
-    case("block_matmul", lambda s: (s.add("x", stacked, "phi"), s.add("w", w_blocks, "phi"),
-                                    s.add("b", bias_blocks, "phi")),
-         lambda s: mixed(dm.block_matmul(s["x"], s["w"], s["b"]), "parts3"))
+    case("matmul_blocks", lambda s: (s.add("x", stacked, "phi"), s.add("w", w_blocks, "phi"),
+                                     s.add("b", bias_blocks, "phi")),
+         lambda s: mixed(dm.matmul(s["x"], s["w"], s["b"]), "parts3"))
     case("column_blocks_to_rows", lambda s: s.add("x", wide, "phi"),
          lambda s: mixed(dm.column_blocks_to_rows(s["x"], k), "parts"))
     case("row_blocks_to_columns", lambda s: s.add("x", stacked, "phi"),

@@ -64,3 +64,24 @@ def dropout_mask(rng: np.random.Generator, shape: tuple, rate: float) -> np.ndar
     lanes = ((words[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)[:size]
     t = round(rate * 65536)
     return np.where(lanes.reshape(shape) >= t, 65536 / (65536 - t), 0.0)
+
+
+def block_affine(h: np.ndarray, w: np.ndarray, b, g: np.ndarray) -> tuple:
+    """The K products h_k @ w_k + b_k over the row blocks of h, one 2-D
+    product per block, and their gradients for the output gradient g:
+    (value, grad h, grad w, grad b). w stacks the K weights as row blocks;
+    b is one row per block, (K, dout), or None; the bias gradient is the
+    column sum of each block of g, taken as ones @ g_k."""
+    k = w.shape[0] // h.shape[1]
+    n, din = h.shape[0] // k, h.shape[1]
+    out, gh, gw = np.empty((h.shape[0], w.shape[1])), np.empty(h.shape), np.empty(w.shape)
+    gb = np.empty((k, w.shape[1]))
+    for i in range(k):
+        rows, w_rows = slice(i * n, (i + 1) * n), slice(i * din, (i + 1) * din)
+        out[rows] = h[rows] @ w[w_rows]
+        if b is not None:
+            out[rows] += b[i]
+        gh[rows] = g[rows] @ w[w_rows].T
+        gw[w_rows] = h[rows].T @ g[rows]
+        gb[i] = np.ones(n) @ g[rows]
+    return out, gh, gw, gb

@@ -416,6 +416,27 @@ class TestPipelineCommands:
             assert "VEPM-ERROR kind=config" in err
             assert "unknown bank.0.0.W" in err and "missing bank.0.W" in err
 
+    @pytest.mark.parametrize("fault", ["no_data_line", "truncated", "trailing_bytes",
+                                       "bad_dims", "binary_header"])
+    def test_malformed_checkpoint_names_its_file(self, synth_run, capsys, fault):
+        tmp, _data, out, cfg = synth_run
+        assert main(["pretrain", "--config", cfg]) == 0
+        raw = read(os.path.join(out, "pretrain.ckpt"))
+        raw = {"no_data_line": raw[:raw.index(b"\ndata\n") + 1],
+               "truncated": raw[:-8],
+               "trailing_bytes": raw + bytes(8),
+               "bad_dims": raw.replace(b" 16,16\n", b" 16,x\n", 1),
+               "binary_header": raw.replace(b"meta phase", b"meta \xffphase")}[fault]
+        assert raw != read(os.path.join(out, "pretrain.ckpt"))
+        path = str(tmp / "bad.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", path]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err
+        assert f"msg={path}: " in err
+
     def test_eval_keep_rate_runs_reduced(self, synth_run):
         _tmp, _data, out, cfg = synth_run
         assert main(["eval", "--config", cfg, "--keep-rate", "0.5"]) == 0
@@ -448,6 +469,51 @@ class TestPipelineCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "VEPM-ERROR kind=config" in err and "keep_rate must lie in (0, 1]" in err
+
+
+def ring_run(tmp_path, scale):
+    """A 40-node ring with 5 standard-normal features times `scale`, and a
+    run config that sets nothing but the dataset, task, output and seed."""
+    from vepm.graphs import Graph, save_node_dataset
+    from vepm.rng import substream
+    from vepm.sparse import adjacency_from_edges
+
+    n = 40
+    adj = adjacency_from_edges(n, np.array([[i, (i + 1) % n] for i in range(n)]))
+    split = np.arange(n) % 5
+    graph = Graph(adjacency=adj,
+                  features=scale * substream(0, "features").standard_normal((n, 5)),
+                  labels=(np.arange(n) // 10) % 2, train_mask=split < 2,
+                  val_mask=split == 2, test_mask=split > 2)
+    save_node_dataset(str(tmp_path / "ring"), graph)
+    out, cfg = str(tmp_path / "out"), str(tmp_path / "ring.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(f"dataset = {tmp_path / 'ring'}\ntask = node\nout = {out}\nseed = 0\n")
+    return out, cfg
+
+
+class TestImpossibleBound:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_impossible_edge_term_exits_3_and_names_it(self, tmp_path, capsys):
+        """At features times 10 the closed-form edge term of epoch 0 reads far
+        above log p(A | Z)'s bound E log(1 + EDGE_EPS); the run stops there."""
+        out, cfg = ring_run(tmp_path, 10.0)
+        assert main(["pretrain", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=divergence" in err
+        assert "epoch 0: l_egen = " in err and "exceeds its bound" in err
+        assert "of Weibull shapes at SHAPE_MIN" in err
+        assert not os.path.exists(os.path.join(out, "pretrain.ckpt"))
+
+    def test_unit_scale_features_pretrain_within_the_bound(self, tmp_path):
+        from vepm.distributions import EDGE_EPS
+
+        out, cfg = ring_run(tmp_path, 1.0)
+        assert main(["pretrain", "--config", cfg]) == 0
+        with open(os.path.join(out, "pretrain_metrics.csv")) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert len(rows) > 1
+        assert all(float(r[2]) <= 40 * np.log1p(EDGE_EPS) and float(r[3]) <= 0 for r in rows)
 
 
 class TestGraphTaskCommands:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from vepm.diffmath import (
     load_arrays,
     save_arrays,
 )
-from reference import dropout_mask
+from reference import block_affine, dropout_mask
 from vepm.rng import substream
 from vepm.sparse import SparseMatrix
 from vepm.verify import _primitive_cases
@@ -72,6 +75,37 @@ def test_every_primitive_passes_finite_differences():
         err = finite_difference_check(lambda s=store: build(s), store,
                                       eps=1e-5, samples=30, seed=2)
         assert err < 1e-6, f"{name}: {err}"
+
+
+def _make_node_ops():
+    """Every op name passed to `make_node` in the package's modules, read
+    from their syntax trees; a call whose name is not a literal is None."""
+    ops = set()
+    for path in Path(dm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) == "make_node":
+                op = node.args[0] if node.args else None
+                ops.add(op.value if isinstance(op, ast.Constant) else None)
+    return ops
+
+
+def test_every_tape_op_has_a_finite_difference_case():
+    """Each op that the package builds with `make_node` appears on the tape
+    of some `vepm verify` gradient case, so a new primitive cannot ship
+    without one."""
+    ops = _make_node_ops()
+    assert None not in ops and "matmul" in ops and "edge_spmm" in ops
+    reached = set()
+    for make_params, build in _primitive_cases(seed=1).values():
+        store = ParameterStore()
+        make_params(store)
+        stack = [build(store)]
+        while stack:
+            node = stack.pop()
+            reached.add(node.op)
+            stack.extend(node.parents)
+    assert sorted(ops - reached) == []
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
@@ -298,9 +332,9 @@ def test_relu_dropout_matches_relu_then_mask_bit_for_bit(rate):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_block_mlp_matches_the_op_chain_bit_for_bit(k):
-    """The fused transform against block_matmul, relu, block_matmul (K = 3,
-    one bias row per block) and against matmul, relu, matmul (K = 1, (d,)
-    biases), in values and in every gradient."""
+    """The fused transform against matmul, relu, matmul, with K = 3 blocks
+    and one bias row per block, and with K = 1 and (d,) biases, in values
+    and in every gradient."""
     rng = substream(3, "block-mlp", k)
     n, din, dmid, dout = 7, 4, 5, 3
     shapes = {"h": (k * n, din), "w1": (k * din, dmid), "w2": (k * dmid, dout),
@@ -308,7 +342,6 @@ def test_block_mlp_matches_the_op_chain_bit_for_bit(k):
               "b2": (k, dout) if k > 1 else (dout,)}
     values = {name: rng.normal(0, 1, shape) for name, shape in shapes.items()}
     g = rng.normal(0, 1, (k * n, dout))
-    product = dm.block_matmul if k > 1 else dm.matmul
     results = []
     for fused in (True, False):
         store = ParameterStore()
@@ -316,8 +349,8 @@ def test_block_mlp_matches_the_op_chain_bit_for_bit(k):
         if fused:
             out = dm.block_mlp(p["h"], p["w1"], p["b1"], p["w2"], p["b2"])
         else:
-            hidden = dm.relu(product(p["h"], p["w1"], p["b1"]))
-            out = product(hidden, p["w2"], p["b2"])
+            hidden = dm.relu(dm.matmul(p["h"], p["w1"], p["b1"]))
+            out = dm.matmul(hidden, p["w2"], p["b2"])
         backward(dm.reduce_sum(dm.elementwise_mul(out, dm.constant(g))))
         results.append([out.value] + [store.grad(name) for name in values])
     for got, ref in zip(*results):
@@ -379,27 +412,50 @@ def test_edge_spmm_parts_match_dense_blocks():
         dm.edge_spmm(adj, dm.constant(w), dm.constant(stacked), dm.constant(np.ones(5)))
 
 
-def test_block_matmul_matches_per_block_matmul_bit_for_bit():
-    rng = substream(3, "block-matmul")
-    k, n, din, dout = 3, 7, 4, 5
+@pytest.mark.parametrize("k, bias_shape", [(1, None), (1, "row"), (1, "one_row"),
+                                           (3, "blocks")])
+def test_matmul_matches_the_per_block_reference_bit_for_bit(k, bias_shape):
+    """K = 1 without a bias, with a (d,) and with a (1, d) bias, and K = 3
+    blocks with a (K, d) bias, in the value and in every gradient."""
+    rng = substream(3, "block-matmul", k)
+    n, din, dout = 7, 4, 5
     h = rng.normal(0, 1, (k * n, din))
     w = rng.normal(0, 1, (k * din, dout))
-    b = rng.normal(0, 1, (k, dout))
+    b = {None: None, "row": (dout,), "one_row": (1, dout), "blocks": (k, dout)}[bias_shape]
+    b = None if b is None else rng.normal(0, 1, b)
     g = rng.normal(0, 1, (k * n, dout))
     store = ParameterStore()
-    nodes = [store.add(name, v, "phi") for name, v in (("h", h), ("w", w), ("b", b))]
-    out = dm.block_matmul(*nodes)
+    nodes = [store.add(name, v, "phi") for name, v in (("h", h), ("w", w), ("b", b))
+             if v is not None]
+    out = dm.matmul(*nodes)
     backward(dm.reduce_sum(dm.elementwise_mul(out, dm.constant(g))))
-    for i in range(k):
-        ref = ParameterStore()
-        parts = [ref.add("h", h[i * n:(i + 1) * n], "phi"),
-                 ref.add("w", w[i * din:(i + 1) * din], "phi"), ref.add("b", b[i], "phi")]
-        ref_out = dm.matmul(*parts)
-        backward(dm.reduce_sum(dm.elementwise_mul(ref_out, dm.constant(g[i * n:(i + 1) * n]))))
-        np.testing.assert_array_equal(out.value[i * n:(i + 1) * n], ref_out.value)
-        np.testing.assert_array_equal(store.grad("h")[i * n:(i + 1) * n], ref.grad("h"))
-        np.testing.assert_array_equal(store.grad("w")[i * din:(i + 1) * din], ref.grad("w"))
-        np.testing.assert_array_equal(store.grad("b")[i], ref.grad("b"))
+    ref_out, ref_h, ref_w, ref_b = block_affine(
+        h, w, None if b is None else b.reshape(k, dout), g)
+    _assert_bits_equal(out.value, ref_out)
+    _assert_bits_equal(store.grad("h"), ref_h)
+    _assert_bits_equal(store.grad("w"), ref_w)
+    if b is not None:
+        _assert_bits_equal(store.grad("b"), ref_b.reshape(b.shape))
+
+
+def test_matmul_refuses_shapes_that_do_not_split_into_blocks():
+    def product(a_shape, w_shape, b_shape=None):
+        nodes = [dm.constant(np.ones(s)) for s in (a_shape, w_shape, b_shape) if s]
+        return dm.matmul(*nodes)
+
+    assert product((6, 2), (6, 3), (3, 3)).shape == (6, 3)
+    # weight rows that are not a multiple of a's columns
+    with pytest.raises(DiffMathError, match="shape mismatch"):
+        product((6, 4), (6, 3))
+    with pytest.raises(DiffMathError, match="shape mismatch"):
+        product((6, 4), (2, 3))
+    # rows of a that do not split into K = 3 blocks
+    with pytest.raises(DiffMathError, match="shape mismatch"):
+        product((7, 2), (6, 3))
+    # a bias with the wrong number of rows, and a (d,) bias for K > 1
+    for b_shape in ((2, 3), (1, 3), (3,)):
+        with pytest.raises(DiffMathError, match="bias"):
+            product((6, 2), (6, 3), b_shape)
 
 
 def test_block_layout_conversions_are_inverse():

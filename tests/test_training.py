@@ -454,6 +454,44 @@ class TestFinetune:
             finetune(prep, store, cfg, TrainConfig(finetune_epochs=2, patience=10),
                      seed=0)
 
+    def test_bound_check_names_the_term_the_epoch_and_the_clamps(self):
+        from dataclasses import replace
+
+        limits = training.BoundLimits(l_egen=4e-9, l_kl=4e-9, at_shape_min=0.25,
+                                      at_shape_max=0.5)
+        terms = training.ElboTerms(l_task=-1.0, l_egen=-5.0, l_kl=2e-9)
+        finite = OptimizerState(v={"w": np.ones(3)})
+        training._check_bound(terms, limits, 3, (finite,))
+        clamps = "25.0% of Weibull shapes at SHAPE_MIN = 0.01, 50.0% at SHAPE_MAX = 100"
+        for name, bad in (("l_egen", replace(terms, l_egen=1e-8)),
+                          ("l_kl", replace(terms, l_kl=1e-8))):
+            with pytest.raises(TrainingDiverged, match=f"epoch 3: {name} = 1e-08 "
+                                                       f"exceeds its bound 4e-09; {clamps}"):
+                training._check_bound(bad, limits, 3, (finite,))
+        for v in (np.inf, np.nan):
+            overflowed = OptimizerState(v={"w": np.array([1.0, v])})
+            with pytest.raises(TrainingDiverged,
+                               match=f"epoch 3: the Adam moments of w are not finite; {clamps}"):
+                training._check_bound(terms, limits, 3, (finite, overflowed))
+
+    def test_bound_limits_follow_the_edges_the_sample_and_the_shapes(self):
+        from types import SimpleNamespace
+
+        from vepm.distributions import EDGE_EPS
+
+        graph, _cfg, prep, _store = node_setup()
+        shape = np.array([[1e-2, 1.0], [1e2, 1e2]])
+        aux = {"posterior": SimpleNamespace(weibull_shape=dm.constant(shape))}
+        per_edge = np.log1p(EDGE_EPS) + training.EGEN_ROUNDOFF
+        full = training._bound_limits(prep, aux, None)
+        assert full == training.BoundLimits(graph.adjacency.nnz // 2 * per_edge,
+                                            4 * training.KL_ROUNDOFF, 0.25, 0.5)
+        sub = sample_subgraph(graph, SamplerConfig(enabled=True, n_sub=20),
+                              substream(0, "sub"))
+        scale = _pair_count(60) / _pair_count(sub[1].size)
+        assert training._bound_limits(prep, aux, sub).l_egen == pytest.approx(
+            scale * (sub[2].nnz // 2) * per_edge, rel=1e-15)
+
     def test_node_run_scores_each_mask_every_epoch(self):
         """Each epoch's accuracy columns score the posterior predictive of
         the parameters at the end of that epoch on the column's mask."""
