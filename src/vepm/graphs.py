@@ -1,21 +1,28 @@
 """Graph containers, dataset IO, k-fold splits, and a synthetic generator.
 
-Dataset directory layout (UTF-8 text, no headers, everything 0-indexed):
+Dataset directory layout (UTF-8 text, everything 0-indexed):
 
     edges.csv            one "i,j" pair per line
-    features.csv         N rows of F comma-separated finite reals
+    features.csv         a header "N,F" of two positive integers, then one
+                         "node,feature,value" line per stored entry, in any
+                         order; entries not listed are 0
     labels.csv           one integer per node (node tasks) or per graph
     masks.csv            optional; three 0/1 columns: train,val,test
     graph_indicator.csv  graph tasks only; one graph id per node
 
 Directed edge lists are symmetrized by union, duplicates deduplicated,
-self-loops dropped. Counts are inferred from the files.
+self-loops dropped. The node count N and feature count F come from the
+features.csv header: labels.csv (node tasks), masks.csv and
+graph_indicator.csv must hold N rows, and every node id must lie below N.
+Blank and whitespace-only lines are skipped. A malformed line raises
+DatasetError naming its file and 1-based line.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -178,68 +185,138 @@ def sample_epm_graph(
 # ---------------------------------------------------------------------------
 # dataset IO
 
+# one features.csv entry line: node id, feature id, value
+_ENTRY = np.dtype([("node", np.int64), ("feature", np.int64), ("value", np.float64)])
+_HEADER = re.compile(r"\s*(\d+)\s*,\s*(\d+)\s*", re.ASCII)
 
-def _parse_rows(path: str, dtype, width: Optional[int], problem: str) -> np.ndarray:
-    """Parse the non-blank lines of a file as comma-separated rows of
-    `width` fields (the first row's field count when None) with one pass of
-    numpy's C reader. Blank and whitespace-only lines are skipped; '#' is
-    data, not a comment. A row with another field count, or a field that
-    does not parse as `dtype`, raises DatasetError naming its line."""
+
+def _data_lines(path: str, skip: int = 0) -> list[tuple[int, str]]:
+    """The non-blank lines of `path` after its first `skip` lines, each with
+    its 1-based line number. Blank and whitespace-only lines are skipped."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    data = [line for line in lines if line and not line.isspace()]
-    if not data:
-        return np.zeros((0, width or 0), dtype=dtype)
-    width = width or data[0].count(",") + 1
-    try:
-        rows = np.loadtxt(data, dtype=dtype, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        _check_field_counts(path, lines, width, problem)
-        # numpy names the data row (0-based) and the field (1-based)
-        where = re.search(r"\s*at row (\d+), column (\d+)\.?$", str(exc))
-        if where is None:
-            raise
-        raise DatasetError(f"{path}:{_line_of_row(lines, int(where[1]))}: "
-                           f"{str(exc)[:where.start()]} in field {where[2]}") from None
-    if rows.shape[1] != width:
-        _check_field_counts(path, lines, width, problem)
-    return rows
+    return [(ln, line) for ln, line in enumerate(lines, 1)
+            if ln > skip and line and not line.isspace()]
 
 
-def _check_field_counts(path: str, lines: list[str], width: int, problem: str):
-    """Raise DatasetError at the first non-blank line (1-based) that does
-    not hold `width` comma-separated fields."""
-    for ln, line in enumerate(lines, 1):
-        if line and not line.isspace() and line.count(",") + 1 != width:
-            raise DatasetError(f"{path}:{ln}: {problem}") from None
+def _parse_rows(path: str, dtype: np.dtype, problem: str, skip: int = 0) -> np.ndarray:
+    """Parse the non-blank lines of `path` after its first `skip` lines as
+    rows of the structured `dtype`, one comma-separated field per dtype
+    field, with one pass of numpy's C reader over the file; '#' is data,
+    not a comment. A row with another field count raises DatasetError
+    naming its line with `problem`; a field that does not parse as its
+    type raises one naming its line and field.
+
+    numpy refuses a whitespace-only line, so a file that holds one, or a
+    fault, is parsed again from its non-blank lines alone: only then are
+    line numbers worked out."""
+    read = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    with warnings.catch_warnings():
+        # a file with no data rows is an empty array, not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(path, skiprows=skip, encoding="utf-8", **read)
+        except ValueError:
+            pass
+        data = _data_lines(path, skip)
+        try:
+            return np.loadtxt([line for _ln, line in data], **read)
+        except ValueError as exc:
+            width = len(dtype.names)
+            for ln, line in data:
+                if line.count(",") + 1 != width:
+                    raise DatasetError(f"{path}:{ln}: {problem}") from None
+            # numpy names the data row (0-based) and the field (1-based)
+            where = re.search(r"\s*at row (\d+), column (\d+)\.?$", str(exc))
+            if where is None:
+                raise
+            raise DatasetError(f"{path}:{data[int(where[1])][0]}: "
+                               f"{str(exc)[:where.start()]} in field {where[2]}") from None
 
 
-def _line_of_row(lines: list[str], row: int) -> int:
-    """The line (1-based) of data row `row`: the row-th non-blank line, as
-    `_parse_rows` counts them."""
-    data = [ln for ln, line in enumerate(lines, 1) if line and not line.isspace()]
-    return data[row]
+def _refuse_row(path: str, row: int, problem: str, skip: int = 0):
+    """Raise DatasetError naming the line of data row `row`, counting the
+    non-blank lines after the first `skip` lines."""
+    raise DatasetError(f"{path}:{_data_lines(path, skip)[row][0]}: {problem}")
 
 
-def _refuse_row(path: str, row: int, problem: str):
-    """Raise DatasetError naming the line of data row `row`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    raise DatasetError(f"{path}:{_line_of_row(lines, row)}: {problem}")
+def _refuse_count(path: str, found: int, expected: int, what: str):
+    """Raise DatasetError for a file of `found` rows where `expected` are
+    due, naming the line of its first surplus row or, for a short file, the
+    line after its last row."""
+    data = _data_lines(path)
+    ln = data[expected][0] if found > expected else (data[-1][0] + 1 if data else 1)
+    raise DatasetError(f"{path}:{ln}: expected {expected} {what}, found {found}")
+
+
+def _first_outside(ids: np.ndarray, bound: int):
+    """(row, field) of the first id outside 0..bound-1 in the rows of
+    `ids`, fields 1-based, or None."""
+    outside = (ids < 0) | (ids >= bound)
+    if not outside.any():
+        return None
+    row, col = divmod(int(np.argmax(outside)), outside[0].size)
+    return row, col + 1
 
 
 def _read_int_rows(path: str, width: int) -> np.ndarray:
-    return _parse_rows(path, np.int64, width, f"expected {width} fields")
+    rows = _parse_rows(path, np.dtype([("", np.int64)] * width),
+                       f"expected {width} fields")
+    return rows.view(np.int64).reshape(-1, width)
 
 
-def _read_float_matrix(path: str) -> np.ndarray:
-    rows = _parse_rows(path, np.float64, None, "ragged feature row")
-    if not rows.size:
-        raise DatasetError(f"{path}: empty feature file")
-    finite = np.isfinite(rows).all(axis=1)
+def _read_features(path: str) -> np.ndarray:
+    """The dense N x F matrix of a sparse features.csv: a header line "N,F"
+    of two positive integers, then one "node,feature,value" line per
+    stored entry, in any order; entries not listed are 0."""
+    with open(path, encoding="utf-8") as fh:
+        for head_ln, head in enumerate(fh, 1):
+            if not head.isspace():
+                break
+        else:
+            raise DatasetError(f"{path}: empty feature file")
+    shape = _HEADER.fullmatch(head)
+    n, f = (int(shape[1]), int(shape[2])) if shape else (0, 0)
+    if not n or not f:
+        raise DatasetError(
+            f"{path}:{head_ln}: expected the header 'N,F' of two positive integers, "
+            f"then one 'node,feature,value' line per stored entry (a dense "
+            f"features.csv, one row of values per node, is not read)")
+    rows = _parse_rows(path, _ENTRY, "expected 3 fields: node,feature,value",
+                       skip=head_ln)
+    node, feature, value = rows["node"], rows["feature"], rows["value"]
+    for ids, bound, what, field in ((node, n, "node id", 1),
+                                    (feature, f, "feature id", 2)):
+        hit = _first_outside(ids, bound)
+        if hit is not None:
+            _refuse_row(path, hit[0], f"{what} {ids[hit[0]]} outside 0..{bound - 1} "
+                        f"(header N={n}, F={f}) in field {field}", head_ln)
+    finite = np.isfinite(value)
     if not finite.all():
-        _refuse_row(path, int(np.argmin(finite)), "non-finite feature value")
-    return rows
+        _refuse_row(path, int(np.argmin(finite)), "non-finite feature value in field 3",
+                    head_ln)
+    flat = node * f + feature
+    # the writers list entries in row-major order; any other order is
+    # sorted to find a repeated entry
+    if np.any(flat[1:] <= flat[:-1]):
+        order = np.argsort(flat, kind="stable")
+        repeat = np.flatnonzero(flat[order[1:]] == flat[order[:-1]])
+        if repeat.size:
+            # the stable sort keeps each entry's lines in file order
+            k = int(np.argmin(order[1:][repeat]))
+            first, second = int(order[repeat[k]]), int(order[repeat[k] + 1])
+            data = _data_lines(path, head_ln)
+            raise DatasetError(
+                f"{path}:{data[second][0]}: repeats the entry of node {node[second]}, "
+                f"feature {feature[second]} from line {data[first][0]}")
+    # numpy advises huge pages for a fresh array of 4 MB or more; with the
+    # cora-shaped benchmark's 31 MB matrix so advised, every later training
+    # step ran about 20% slower (2-core host). Grown by `resize`, the array
+    # is reallocated, as np.loadtxt's arrays are, and not advised.
+    x = np.zeros(0)
+    x.resize((n, f), refcheck=False)
+    x.reshape(-1)[flat] = value
+    return x
 
 
 def _require(path: str):
@@ -254,37 +331,43 @@ def _load_common(path: str):
     _require(edges_f)
     _require(feats_f)
     _require(labels_f)
-    features = _read_float_matrix(feats_f)
+    features = _read_features(feats_f)
     n = features.shape[0]
     edges = _read_int_rows(edges_f, 2)
-    outside = edges[(edges < 0) | (edges >= n)]
-    if outside.size:
-        raise DatasetError(
-            f"edge index out of range: features give N={n}, "
-            f"edges reference node {outside[0]}"
-        )
+    hit = _first_outside(edges, n)
+    if hit is not None:
+        _refuse_row(edges_f, hit[0], f"edge index out of range in field {hit[1]}: "
+                    f"features give N={n}, edges reference node {edges[hit[0], hit[1] - 1]}")
     labels = _read_int_rows(labels_f, 1)[:, 0]
     return features, edges, labels
+
+
+def _check_labels(path: str, labels: np.ndarray, expected: int, what: str):
+    if labels.shape[0] != expected:
+        _refuse_count(path, labels.shape[0], expected, what)
+    if labels.size and labels.min() < 0:
+        _refuse_row(path, int(np.argmin(labels)), f"{what} must be nonnegative")
 
 
 def load_node_dataset(path: str) -> Graph:
     """Load a single node-classification graph from the documented layout."""
     features, edges, labels = _load_common(path)
     n = features.shape[0]
-    if labels.shape[0] != n:
-        raise DatasetError(f"expected {n} node labels, found {labels.shape[0]}")
-    if labels.min() < 0:
-        raise DatasetError("labels must be nonnegative")
+    _check_labels(os.path.join(path, "labels.csv"), labels, n, "node labels")
     adjacency = adjacency_from_edges(n, edges)
     masks_f = os.path.join(path, "masks.csv")
     kw = {}
     if os.path.isfile(masks_f):
         masks = _read_int_rows(masks_f, 3)
         if masks.shape[0] != n:
-            raise DatasetError("masks.csv must have one row per node")
+            _refuse_count(masks_f, masks.shape[0], n, "mask rows, one per node")
         binary = ((masks == 0) | (masks == 1)).all(axis=1)
         if not binary.all():
             _refuse_row(masks_f, int(np.argmin(binary)), "mask values must be 0 or 1")
+        single = masks.sum(axis=1) <= 1
+        if not single.all():
+            _refuse_row(masks_f, int(np.argmin(single)),
+                        "a node belongs to at most one of train, val and test")
         kw = dict(
             train_mask=masks[:, 0] == 1,
             val_mask=masks[:, 1] == 1,
@@ -296,9 +379,18 @@ def load_node_dataset(path: str) -> Graph:
 def load_graph_dataset(path: str) -> GraphCollection:
     """Load a multi-graph classification dataset from the documented layout."""
     features, edges, labels = _load_common(path)
+    n = features.shape[0]
     ind_f = os.path.join(path, "graph_indicator.csv")
     _require(ind_f)
-    return split_graphs(features, edges, _read_int_rows(ind_f, 1)[:, 0], labels)
+    indicator = _read_int_rows(ind_f, 1)[:, 0]
+    if indicator.shape[0] != n:
+        _refuse_count(ind_f, indicator.shape[0], n, "graph ids, one per node")
+    hit = _first_outside(indicator, n)
+    if hit is not None:
+        _refuse_row(ind_f, hit[0], f"graph id {indicator[hit[0]]} outside 0..{n - 1}")
+    n_graphs = int(indicator.max()) + 1 if n else 0
+    _check_labels(os.path.join(path, "labels.csv"), labels, n_graphs, "graph labels")
+    return split_graphs(features, edges, indicator, labels)
 
 
 def split_graphs(features: np.ndarray, edges: np.ndarray, indicator: np.ndarray,
@@ -345,52 +437,62 @@ def split_graphs(features: np.ndarray, edges: np.ndarray, indicator: np.ndarray,
     return GraphCollection(graphs=graphs, graph_labels=labels)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_rows(path: str, rows: np.ndarray):
+    """Write integer rows as comma-separated lines."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows.tolist())
+
+
+def _write_features(path: str, features: np.ndarray):
+    """Write `features` in the sparse form: the header "N,F", then one
+    "node,feature,value" line per entry that is nonzero or -0.0, in
+    row-major order, with `repr` values (an exact round trip)."""
+    n, f = features.shape
+    stored = np.flatnonzero((features != 0) | np.signbit(features))
+    nodes, feats = np.unravel_index(stored, (n, f))
+    values = features.ravel()[stored]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{n},{f}\n")
+        fh.writelines(f"{i},{j},{v!r}\n" for i, j, v in
+                      zip(nodes.tolist(), feats.tolist(), values.tolist()))
+
+
+def _upper_edges(adjacency: SparseMatrix, offset: int = 0) -> np.ndarray:
+    keep = adjacency.rows < adjacency.cols
+    return np.stack([adjacency.rows[keep], adjacency.cols[keep]], axis=1) + offset
 
 
 def save_node_dataset(path: str, graph: Graph):
-    """Write a node-task graph in the documented layout (exact round trip)."""
+    """Write a node-task graph in the documented layout, an exact round
+    trip: features.csv in the sparse form, each edge once as "i,j" with
+    i < j, and masks.csv only when the graph has a train mask. Time and
+    space are linear in nodes, edges and stored feature entries."""
     os.makedirs(path, exist_ok=True)
-    iu, ju = graph.adjacency.rows, graph.adjacency.cols
-    keep = iu < ju
-    with open(os.path.join(path, "edges.csv"), "w", encoding="utf-8") as fh:
-        for i, j in zip(iu[keep], ju[keep]):
-            fh.write(f"{i},{j}\n")
-    with open(os.path.join(path, "features.csv"), "w", encoding="utf-8") as fh:
-        for row in graph.features:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_rows(os.path.join(path, "edges.csv"), _upper_edges(graph.adjacency))
+    _write_features(os.path.join(path, "features.csv"), graph.features)
     labels = graph.labels if graph.labels is not None else np.zeros(graph.n_nodes, np.int64)
-    with open(os.path.join(path, "labels.csv"), "w", encoding="utf-8") as fh:
-        for v in labels:
-            fh.write(f"{v}\n")
+    _write_rows(os.path.join(path, "labels.csv"), labels[:, None])
     if graph.train_mask is not None:
-        with open(os.path.join(path, "masks.csv"), "w", encoding="utf-8") as fh:
-            for a, b, c in zip(graph.train_mask, graph.val_mask, graph.test_mask):
-                fh.write(f"{int(a)},{int(b)},{int(c)}\n")
+        masks = np.stack([graph.train_mask, graph.val_mask, graph.test_mask], axis=1)
+        _write_rows(os.path.join(path, "masks.csv"), masks.astype(np.int64))
 
 
 def save_graph_dataset(path: str, collection: GraphCollection):
+    """Write a graph collection in the documented layout, an exact round
+    trip: the graphs' nodes one graph after another, so graph g's nodes
+    follow graph g-1's, and features.csv in the sparse form over all of
+    them."""
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "edges.csv"), "w", encoding="utf-8") as fh_e, open(
-        os.path.join(path, "features.csv"), "w", encoding="utf-8"
-    ) as fh_f, open(
-        os.path.join(path, "graph_indicator.csv"), "w", encoding="utf-8"
-    ) as fh_g:
-        offset = 0
-        for gid, graph in enumerate(collection.graphs):
-            iu, ju = graph.adjacency.rows, graph.adjacency.cols
-            keep = iu < ju
-            for i, j in zip(iu[keep], ju[keep]):
-                fh_e.write(f"{i + offset},{j + offset}\n")
-            for row in graph.features:
-                fh_f.write(",".join(_fmt(v) for v in row) + "\n")
-            for _ in range(graph.n_nodes):
-                fh_g.write(f"{gid}\n")
-            offset += graph.n_nodes
-    with open(os.path.join(path, "labels.csv"), "w", encoding="utf-8") as fh:
-        for v in collection.graph_labels:
-            fh.write(f"{v}\n")
+    graphs = collection.graphs
+    sizes = [g.n_nodes for g in graphs]
+    offsets = np.cumsum([0] + sizes[:-1])
+    _write_rows(os.path.join(path, "edges.csv"), np.concatenate(
+        [_upper_edges(g.adjacency, o) for g, o in zip(graphs, offsets)]))
+    _write_features(os.path.join(path, "features.csv"),
+                    np.concatenate([g.features for g in graphs]))
+    _write_rows(os.path.join(path, "graph_indicator.csv"),
+                np.repeat(np.arange(len(graphs)), sizes)[:, None])
+    _write_rows(os.path.join(path, "labels.csv"), collection.graph_labels[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -524,11 +524,16 @@ def pretrain(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
 # phase two: supervised finetuning
 
 
+def _theta_loss(prep, store, cfg, tcfg, z, partition, x_star, step, seed) -> Node:
+    """The weighted negative task term that a theta step descends, on the
+    affiliation sample, partition and bank input frozen for the epoch."""
+    logits = forward_logits(prep, z, partition, store, cfg, seed, step, x_star=x_star)
+    return dm.negate(dm.constant(tcfg.elbo_weights[0]) * _task_logprob(prep, logits))
+
+
 def _theta_step(prep, store, cfg, tcfg, state, names, z, partition, x_star, step,
                 seed):
-    logits = forward_logits(prep, z, partition, store, cfg, seed, step, x_star=x_star)
-    l_task = _task_logprob(prep, logits)
-    loss = dm.negate(dm.constant(tcfg.elbo_weights[0]) * l_task)
+    loss = _theta_loss(prep, store, cfg, tcfg, z, partition, x_star, step, seed)
     _descend(store, loss, state, tcfg.lr_theta, names)
 
 

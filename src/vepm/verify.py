@@ -8,7 +8,7 @@ wired to the `verify` CLI command and reused by the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -271,15 +271,16 @@ def gradcheck_suite(seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def elbo_check_setup(seed: int = 7):
-    """30-node synthetic graph with dense features for gradient checks."""
+def elbo_check_setup(seed: int = 7, **overrides):
+    """30-node synthetic graph with dense features for gradient checks;
+    `overrides` replace ModelConfig fields."""
     feats = substream(seed, "feat").standard_normal((30, 8))
     graph, _ = sample_epm_graph(30, 4, 1.0, 1.0, np.full(4, 0.15), seed=seed,
                                 within_boost=6.0, features=feats)
     graph.train_mask = np.zeros(30, bool)
     graph.train_mask[:10] = True
-    cfg = ModelConfig(n_metacommunities=4, communities_per_block=1,
-                      hidden_dim=16, dropout=0.0)
+    cfg = replace(ModelConfig(n_metacommunities=4, communities_per_block=1,
+                              hidden_dim=16, dropout=0.0), **overrides)
     prep = prepare_node_graph(graph)
     store = init_params(cfg, graph.n_features, graph.n_classes(), seed=1,
                         task="node")
@@ -319,9 +320,10 @@ def _phi_step_restricted_check(seed: int) -> CheckResult:
     return CheckResult("gradcheck/phi_step_restricted", worst == 0.0, worst, "exactly 0")
 
 
-def gin_elbo_check_setup(seed: int = 7):
+def gin_elbo_check_setup(seed: int = 7, **overrides):
     """Union of four small graphs with dense features, GIN bank and
-    composer, for gradient checks of the graph task.
+    composer, for gradient checks of the graph task; `overrides` replace
+    ModelConfig fields.
 
     The parameters are set so that every coordinate's gradient stands well
     above the round-off of central differences:
@@ -343,8 +345,8 @@ def gin_elbo_check_setup(seed: int = 7):
         graphs.append(graph)
     union, gids, labels = batch_graphs(
         GraphCollection(graphs=graphs, graph_labels=np.array([0, 1, 1, 0])), np.arange(4))
-    cfg = ModelConfig(n_metacommunities=2, communities_per_block=1, hidden_dim=8,
-                      layer_kind="gin", dropout=0.0)
+    cfg = replace(ModelConfig(n_metacommunities=2, communities_per_block=1,
+                              hidden_dim=8, layer_kind="gin", dropout=0.0), **overrides)
     prep = prepare_graph_batch(union, gids, labels, 2)
     store = init_params(cfg, union.n_features, 2, seed=1, task="graph")
     for name in store.names():

@@ -119,8 +119,10 @@ class TestPipelineCommands:
         path = os.path.join(data, name)
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
-        # the first field of line 4
-        lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+        # one field of line 4: a feature entry's value, a mask's train flag
+        fields = lines[3].split(",")
+        fields[2 if name == "features.csv" else 0] = cell
+        lines[3] = ",".join(fields)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines))
         assert main(["pretrain", "--config", cfg]) == 2

@@ -1,0 +1,391 @@
+"""The dataset contract, file by file: a generated matrix of corrupted
+inputs, each refused with exit code 2, `VEPM-ERROR kind=config`, the file's
+path and its 1-based line; the inputs accepted by design, each with the
+README sentence that documents it; and exact round trips of the writers."""
+
+import os
+import re
+
+import numpy as np
+import pytest
+
+from vepm.cli import main
+from vepm.convert import convert_tu
+from vepm.graphs import (
+    Graph,
+    GraphCollection,
+    load_graph_dataset,
+    load_node_dataset,
+    save_graph_dataset,
+    save_node_dataset,
+)
+from vepm.sparse import adjacency_from_edges
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+# five nodes on a path, three features
+NODE = {
+    "edges.csv": "0,1\n1,2\n2,3\n3,4\n",
+    "features.csv": "5,3\n0,0,1.0\n1,2,0.5\n2,1,-2.0\n3,0,4.0\n",
+    "labels.csv": "0\n1\n0\n1\n0\n",
+    "masks.csv": "1,0,0\n0,1,0\n0,0,1\n1,0,0\n0,0,1\n",
+}
+# two three-node paths, two one-hot features
+GRAPH = {
+    "edges.csv": "0,1\n1,2\n3,4\n4,5\n",
+    "features.csv": "6,2\n0,0,1.0\n1,1,1.0\n2,0,1.0\n3,1,1.0\n4,0,1.0\n5,1,1.0\n",
+    "labels.csv": "0\n1\n",
+    "graph_indicator.csv": "0\n0\n0\n1\n1\n1\n",
+}
+BASES = {"node": NODE, "graph": GRAPH}
+
+
+def _write_dataset(root, kind, files):
+    data = os.path.join(root, "data")
+    os.makedirs(data, exist_ok=True)
+    for name, text in files.items():
+        if text is not None:
+            with open(os.path.join(data, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+    cfg = os.path.join(root, "run.cfg")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(f"""
+dataset = {data}
+task = {kind}
+out = {os.path.join(root, "out")}
+seed = 0
+model.n_metacommunities = 2
+model.communities_per_block = 1
+model.hidden_dim = 8
+model.dropout = 0.0
+model.mc_samples = 1
+train.pretrain_epochs = 2
+train.finetune_epochs = 2
+train.patience = 100
+""")
+    return data, cfg
+
+
+# ---------------------------------------------------------------------------
+# corruptions: each maps a file's text to its corrupted text
+
+
+def _set_field(line, field, value):
+    def corrupt(text):
+        lines = text.split("\n")
+        fields = lines[line - 1].split(",")
+        fields[field - 1] = value
+        lines[line - 1] = ",".join(fields)
+        return "\n".join(lines)
+    return corrupt
+
+
+def _append_field(line):
+    def corrupt(text):
+        lines = text.split("\n")
+        lines[line - 1] += ",0"
+        return "\n".join(lines)
+    return corrupt
+
+
+def _drop_field(line):
+    def corrupt(text):
+        lines = text.split("\n")
+        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0]
+        return "\n".join(lines)
+    return corrupt
+
+
+def _replace(new_text):
+    return lambda _text: new_text
+
+
+def _dense(text):
+    """The dense form of a sparse features.csv, as the writers once wrote
+    it: one row of `repr` values per node."""
+    head, *entries = [line for line in text.split("\n") if line]
+    n, f = map(int, head.split(","))
+    x = np.zeros((n, f))
+    for entry in entries:
+        i, j, v = entry.split(",")
+        x[int(i), int(j)] = float(v)
+    return "".join(",".join(repr(v) for v in row) + "\n" for row in x.tolist())
+
+
+def _rows(text):
+    return len([line for line in text.split("\n") if line])
+
+
+def _refusals():
+    """(kind, file, class, corrupt, refusing file, line or None): every
+    corruption class of every file of both layouts. Field corruptions hit
+    the second line of an integer file and the third of features.csv (its
+    second entry)."""
+    cases = []
+    for kind, base in BASES.items():
+        n = _rows(base["labels.csv"]) if kind == "node" else _rows(
+            base["graph_indicator.csv"])
+        f = int(base["features.csv"].split("\n")[0].split(",")[1])
+
+        def add(name, cls, corrupt, line, refusing=None):
+            cases.append((kind, name, cls, corrupt, refusing or name, line))
+
+        int_files = {"edges.csv": {"out-of-range": str(n)},
+                     "labels.csv": {},
+                     "graph_indicator.csv": {"out-of-range": str(n)},
+                     "masks.csv": {"out-of-range": "2"}}
+        for name, ranged in int_files.items():
+            if name not in base:
+                continue
+            for cls, value in (("non-numeric", "x"), ("fractional", "1.5"),
+                               ("nan", "nan"), ("inf", "inf"), ("negative", "-1"),
+                               *ranged.items()):
+                add(name, cls, _set_field(2, 1, value), 2)
+            add(name, "extra-field", _append_field(2), 2)
+            if "," in base[name]:
+                # in a one-field file these leave a blank line, which is skipped
+                add(name, "empty-field", _set_field(2, 1, ""), 2)
+                add(name, "missing-field", _drop_field(2), 2)
+            if name != "edges.csv":
+                rows = _rows(base[name])
+                add(name, "short", lambda t: t.rsplit("\n", 2)[0] + "\n", rows)
+                add(name, "surplus", lambda t: t + t.split("\n")[0] + "\n", rows + 1)
+                add(name, "empty", _replace(""), 1)
+            if name != "masks.csv":
+                add(name, "missing", None, None)
+        if kind == "node":
+            add("masks.csv", "two-masks", _set_field(2, 1, "1"), 2)
+
+        name = "features.csv"
+        for cls, field, value in (("node-non-numeric", 1, "x"),
+                                  ("node-fractional", 1, "1.5"),
+                                  ("node-nan", 1, "nan"), ("node-inf", 1, "inf"),
+                                  ("node-negative", 1, "-1"),
+                                  ("node-out-of-range", 1, str(n)),
+                                  ("feature-fractional", 2, "0.5"),
+                                  ("feature-negative", 2, "-1"),
+                                  ("feature-out-of-range", 2, str(f)),
+                                  ("value-non-numeric", 3, "x"),
+                                  ("value-empty", 3, ""),
+                                  ("value-nan", 3, "nan"), ("value-inf", 3, "inf"),
+                                  ("value--inf", 3, "-inf")):
+            add(name, cls, _set_field(3, field, value), 3)
+        add(name, "extra-field", _append_field(3), 3)
+        add(name, "missing-field", _drop_field(3), 3)
+        for cls, header in (("header-one-field", f"{n}"),
+                            ("header-three-fields", f"{n},{f},1"),
+                            ("header-non-numeric", f"{n},x"),
+                            ("header-fractional", f"{n}.0,{f}.0"),
+                            ("header-zero-nodes", f"0,{f}"),
+                            ("header-zero-features", f"{n},0"),
+                            ("header-negative", f"-{n},{f}")):
+            add(name, cls, lambda t, h=header: h + t[t.index("\n"):], 1)
+        add(name, "header-after-blank-lines",
+            lambda t: "\n \n" + t.split(",", 1)[0] + t[t.index("\n"):], 3)
+        add(name, "duplicate", lambda t: t + t.split("\n")[2] + "\n",
+            _rows(base[name]) + 1)
+        add(name, "dense-form", _dense, 1)
+        add(name, "empty", _replace(""), None)
+        add(name, "blank-only", _replace("\n \n\t\n"), None)
+        add(name, "missing", None, None)
+        # one node more in the header than the other files hold
+        add(name, "header-n-too-large", lambda t, n=n: f"{n + 1}" + t[t.index(","):],
+            n + 1, "labels.csv" if kind == "node" else "graph_indicator.csv")
+    return cases
+
+
+REFUSALS = _refusals()
+
+
+@pytest.mark.parametrize("kind,name,cls,corrupt,refusing,line", REFUSALS,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in REFUSALS])
+def test_refusal_names_file_and_line(tmp_path, capsys, kind, name, cls, corrupt,
+                                     refusing, line):
+    files = dict(BASES[kind])
+    files[name] = None if corrupt is None else corrupt(files[name])
+    data, cfg = _write_dataset(str(tmp_path), kind, files)
+    assert main(["pretrain", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "VEPM-ERROR kind=config" in err
+    path = os.path.join(data, refusing)
+    if line is None:
+        assert path in err
+    else:
+        assert f"{path}:{line}: " in err
+
+
+def test_dense_feature_file_names_the_sparse_form(tmp_path, capsys):
+    files = dict(NODE, **{"features.csv": _dense(NODE["features.csv"])})
+    data, cfg = _write_dataset(str(tmp_path), "node", files)
+    assert main(["pretrain", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"features.csv:1: expected the header 'N,F'" in err
+    assert "'node,feature,value'" in err
+
+
+def test_duplicate_entry_names_both_lines(tmp_path, capsys):
+    # the repeat comes before the entry it repeats in the sorted order
+    files = dict(NODE, **{"features.csv": "5,3\n3,0,4.0\n0,0,1.0\n\n3,0,2.0\n"})
+    data, cfg = _write_dataset(str(tmp_path), "node", files)
+    assert main(["pretrain", "--config", cfg]) == 2
+    assert ("features.csv:5: repeats the entry of node 3, feature 0 from line 2"
+            in capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# accepted by design: (kind, files replaced, README sentence)
+
+ACCEPTED = {
+    "header-only-features": (
+        "node", {"features.csv": "5,3\n"},
+        "A `features.csv` that holds its header alone loads as all-zero features."),
+    "entries-in-any-order-and-explicit-zero": (
+        "node", {"features.csv": "5,3\n3,0,4.0\n0,0,1.0\n2,1,-2.0\n4,2,0.0\n1,2,0.5\n"},
+        "Entries may come in any order, and an entry may list the value 0."),
+    "node-with-no-edges": (
+        "node", {"edges.csv": "0,1\n1,2\n2,3\n"},
+        "A node with no edges, and an `edges.csv` with no line at all, load."),
+    "no-edges": (
+        "node", {"edges.csv": ""},
+        "A node with no edges, and an `edges.csv` with no line at all, load."),
+    "no-validation-node": (
+        "node", {"masks.csv": "1,0,0\n0,0,1\n0,0,1\n1,0,0\n0,0,1\n"},
+        "A `masks.csv` with no validation node trains every finetune epoch"),
+    "directed-duplicate-and-self-loop-edges": (
+        "node", {"edges.csv": "1,0\n0,1\n1,2\n2,3\n3,3\n3,4\n"},
+        "a self-loop line such as `3,3` is dropped"),
+    "blank-and-whitespace-lines": (
+        "node", {"features.csv": "\n 5,3\n\n0,0,1.0\n \t\n1,2,0.5\n2,1,-2.0\n3,0,4.0",
+                 "labels.csv": "0\n1\n\n0\n1\n0\n  \n"},
+        "Blank and whitespace-only lines are skipped."),
+    "one-node-graph": (
+        "graph", {"edges.csv": "0,1\n1,2\n", "graph_indicator.csv": "0\n0\n0\n1\n2\n2\n",
+                  "labels.csv": "0\n1\n0\n", "features.csv": GRAPH["features.csv"]},
+        "A graph collection may hold a graph of one node"),
+    "collection-with-no-edges": (
+        "graph", {"edges.csv": ""},
+        "A node with no edges, and an `edges.csv` with no line at all, load."),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_accepted_by_design_trains(tmp_path, case):
+    kind, replaced, sentence = ACCEPTED[case]
+    with open(README, encoding="utf-8") as fh:
+        readme = re.sub(r"\s+", " ", fh.read())
+    assert sentence in readme
+    data, cfg = _write_dataset(str(tmp_path), kind, dict(BASES[kind], **replaced))
+    loaded = (load_node_dataset if kind == "node" else load_graph_dataset)(data)
+    assert (loaded.n_nodes if kind == "node" else len(loaded)) > 0
+    assert main(["train", "--config", cfg]) == 0
+    with open(os.path.join(str(tmp_path), "out", "train_metrics.csv")) as fh:
+        header, *rows = fh.read().split()
+    for row in rows:
+        values = dict(zip(header.split(","), row.split(",")))
+        for term in ("l_task", "l_egen", "l_kl"):
+            assert np.isfinite(float(values[term])), (term, row)
+
+
+def test_header_only_features_are_all_zero(tmp_path):
+    data, _cfg = _write_dataset(str(tmp_path), "node", dict(NODE, **{"features.csv": "5,3\n"}))
+    graph = load_node_dataset(data)
+    np.testing.assert_array_equal(graph.features, np.zeros((5, 3)))
+
+
+def test_readme_recipe_rewrites_a_dense_file(tmp_path):
+    """The README's recipe turns a dense features.csv into the sparse form
+    with the same values."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    (recipe,) = [block for block in blocks if "features.csv" in block]
+    files = dict(NODE, **{"features.csv": _dense(NODE["features.csv"])})
+    data, _cfg = _write_dataset(str(tmp_path), "node", files)
+    cwd = os.getcwd()
+    try:
+        os.chdir(data)
+        exec(recipe, {})
+    finally:
+        os.chdir(cwd)
+    expected = np.zeros((5, 3))
+    expected[[0, 1, 2, 3], [0, 2, 1, 0]] = [1.0, 0.5, -2.0, 4.0]
+    np.testing.assert_array_equal(load_node_dataset(data).features, expected)
+
+
+# ---------------------------------------------------------------------------
+# round trips
+
+# -0.0, subnormals, an all-zero row (1) and a trailing all-zero column (4)
+AWKWARD = np.array([[-0.0, 5e-324, 0.0, 0.1, 0.0],
+                    [0.0, 0.0, 0.0, 0.0, 0.0],
+                    [1.5, -2.5e-308, -0.0, 1.7976931348623157e308, 0.0],
+                    [0.0, 2.0 ** -1074, 1.0 / 3.0, -np.pi, 0.0]])
+
+
+def _assert_bit_identical(a, b):
+    assert a.dtype == np.float64 and a.shape == b.shape
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestRoundTrip:
+    def test_node_dataset(self, tmp_path):
+        adj = adjacency_from_edges(4, np.array([[0, 2], [2, 3]]))
+        graph = Graph(adjacency=adj, features=AWKWARD, labels=np.array([0, 1, 0, 1]))
+        path = str(tmp_path / "node")
+        save_node_dataset(path, graph)
+        _assert_bit_identical(load_node_dataset(path).features, AWKWARD)
+
+    def test_graph_collection(self, tmp_path):
+        graphs = [Graph(adjacency=adjacency_from_edges(2, np.array([[0, 1]])),
+                        features=AWKWARD[lo:lo + 2]) for lo in (0, 2)]
+        path = str(tmp_path / "coll")
+        save_graph_dataset(path, GraphCollection(graphs=graphs, graph_labels=[1, 0]))
+        loaded = load_graph_dataset(path)
+        for graph, lo in zip(loaded.graphs, (0, 2)):
+            _assert_bit_identical(graph.features, AWKWARD[lo:lo + 2])
+
+    def test_writer_lists_nonzero_and_negative_zero_entries_in_row_major_order(self, tmp_path):
+        adj = adjacency_from_edges(4, np.array([[0, 2]]))
+        path = str(tmp_path / "node")
+        save_node_dataset(path, Graph(adjacency=adj, features=AWKWARD))
+        with open(os.path.join(path, "features.csv")) as fh:
+            lines = fh.read().split("\n")
+        assert lines[0] == "4,5" and lines[-1] == ""
+        listed = [tuple(map(int, line.split(",")[:2])) for line in lines[1:-1]]
+        stored = (AWKWARD != 0) | np.signbit(AWKWARD)
+        assert listed == [tuple(ij) for ij in np.argwhere(stored).tolist()]
+
+    def test_entries_out_of_order_with_an_explicit_zero(self, tmp_path):
+        adj = adjacency_from_edges(4, np.array([[0, 2]]))
+        path = str(tmp_path / "node")
+        save_node_dataset(path, Graph(adjacency=adj, features=AWKWARD))
+        feats = os.path.join(path, "features.csv")
+        with open(feats) as fh:
+            head, *entries = fh.read().split("\n")[:-1]
+        with open(feats, "w") as fh:
+            fh.write("\n".join([head, "1,3,0.0"] + entries[::-1]) + "\n")
+        _assert_bit_identical(load_node_dataset(path).features, AWKWARD)
+
+    def test_synth_writes_one_line_per_node_after_the_header(self, tmp_path):
+        out = str(tmp_path / "synth")
+        assert main(["synth", "--n", "300", "--c", "2", "--gamma", "0.001,0.001",
+                     "--seed", "1", "--out", out]) == 0
+        with open(os.path.join(out, "features.csv")) as fh:
+            lines = fh.read().split("\n")
+        assert len(lines) == 302 and lines[0] == "300,300" and lines[-1] == ""
+        np.testing.assert_array_equal(load_node_dataset(out).features, np.eye(300))
+
+    def test_convert_tu_output_loads(self, tmp_path):
+        raw = tmp_path / "turaw"
+        raw.mkdir()
+        (raw / "TOY_A.txt").write_text("1, 2\n2, 1\n2, 3\n3, 2\n4, 5\n5, 4\n")
+        (raw / "TOY_graph_indicator.txt").write_text("1\n1\n1\n2\n2\n")
+        (raw / "TOY_graph_labels.txt").write_text("1\n-1\n")
+        (raw / "TOY_node_labels.txt").write_text("3\n7\n3\n5\n3\n")
+        out = str(tmp_path / "tu")
+        converted = convert_tu(str(raw), "TOY", out)
+        loaded = load_graph_dataset(out)
+        np.testing.assert_array_equal(loaded.graph_labels, converted.graph_labels)
+        for a, b in zip(loaded.graphs, converted.graphs):
+            _assert_bit_identical(a.features, b.features)
+            np.testing.assert_array_equal(a.adjacency.cols, b.adjacency.cols)

@@ -123,7 +123,7 @@ class TestDatasetIO:
         path = tmp_path / "dir"
         path.mkdir()
         (path / "edges.csv").write_text("0,1\n1,0\n0,1\n")
-        (path / "features.csv").write_text("1.0\n2.0\n3.0\n")
+        (path / "features.csv").write_text("3,1\n0,0,1.0\n1,0,2.0\n2,0,3.0\n")
         (path / "labels.csv").write_text("0\n1\n0\n")
         graph = load_node_dataset(str(path))
         assert graph.n_edges == 1
@@ -132,13 +132,14 @@ class TestDatasetIO:
         path = tmp_path / "bad"
         path.mkdir()
         (path / "edges.csv").write_text("0,5\n")
-        (path / "features.csv").write_text("1.0\n2.0\n")
+        (path / "features.csv").write_text("2,1\n0,0,1.0\n1,0,2.0\n")
         (path / "labels.csv").write_text("0\n1\n")
         with pytest.raises(DatasetError, match="out of range"):
             load_node_dataset(str(path))
 
     @staticmethod
-    def _write(tmp_path, edges="0,1\n1,2\n", features="1.0,2.0\n3.0,4.0\n5.0,6.0\n",
+    def _write(tmp_path, edges="0,1\n1,2\n",
+               features="3,2\n0,0,1.0\n0,1,2.0\n1,0,3.0\n1,1,4.0\n2,0,5.0\n2,1,6.0\n",
                labels="0\n1\n0\n"):
         path = tmp_path / "ds"
         path.mkdir(exist_ok=True)
@@ -149,7 +150,7 @@ class TestDatasetIO:
 
     def test_blank_and_whitespace_lines_skipped(self, tmp_path):
         path = self._write(tmp_path, edges="\n0,1\n  \n1,2\n\t\n",
-                           features="\n 1.0,2.0 \n\n3.0 , 4.0\n   \n5.0,6.0",
+                           features="\n 3,2 \n\n0,0,1.0\n 0 , 1 , 2.0 \n   \n1,0,3.0\n1,1, 4.0\n\t\n2,0,5.0\n2,1,6.0",
                            labels="0\n\n1\r\n0\n \n")
         graph = load_node_dataset(path)
         np.testing.assert_array_equal(graph.features, [[1, 2], [3, 4], [5, 6]])
@@ -157,8 +158,9 @@ class TestDatasetIO:
         assert graph.n_edges == 2
 
     def test_ragged_feature_row_names_its_line(self, tmp_path):
-        path = self._write(tmp_path, features="1.0,2.0\n\n3.0\n5.0,6.0\n")
-        with pytest.raises(DatasetError, match=r"features\.csv:3: ragged feature row"):
+        path = self._write(tmp_path, features="3,2\n\n0,1\n2,1,6.0\n")
+        with pytest.raises(DatasetError,
+                           match=r"features\.csv:3: expected 3 fields: node,feature,value$"):
             load_node_dataset(path)
 
     def test_wrong_field_count_names_its_line(self, tmp_path):
@@ -171,7 +173,7 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_names_its_line(self, tmp_path, cell):
-        path = self._write(tmp_path, features=f"1.0,2.0\n\n3.0,{cell}\n5.0,6.0\n")
+        path = self._write(tmp_path, features=f"3,2\n\n1,1,{cell}\n2,0,5.0\n")
         with pytest.raises(DatasetError, match=r"features\.csv:3: non-finite feature value"):
             load_node_dataset(path)
 
@@ -192,7 +194,7 @@ class TestDatasetIO:
     @pytest.mark.parametrize("field", ["x", "", "0x10", "#1"])
     def test_non_numeric_feature_is_a_value_error(self, tmp_path, field):
         # '#' is data like any other character, not the start of a comment
-        path = self._write(tmp_path, features=f"1.0,2.0\n\n{field},4.0\n5.0,6.0\n")
+        path = self._write(tmp_path, features=f"3,2\n\n{field},1,4.0\n2,0,5.0\n")
         with pytest.raises(ValueError, match=r"features\.csv:3: .* in field 1$") as info:
             load_node_dataset(path)
         assert isinstance(info.value, DatasetError)
@@ -234,7 +236,7 @@ class TestDatasetIO:
         path = tmp_path / "gc"
         path.mkdir()
         (path / "edges.csv").write_text("\n0,1\n  \n2,3\n\t\n")
-        (path / "features.csv").write_text("1.0\n\n2.0\n \n3.0\n4.0\n\n")
+        (path / "features.csv").write_text("\n4,1\n0,0,1.0\n\n1,0,2.0\n \n2,0,3.0\n3,0,4.0\n\n")
         (path / "graph_indicator.csv").write_text("0\n \n0\n1\n\n1\n")
         (path / "labels.csv").write_text("\t\n1\n\n0\n  \n")
         coll = load_graph_dataset(str(path))

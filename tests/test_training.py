@@ -13,6 +13,7 @@ from vepm.distributions import bernoulli_poisson_loglik
 from vepm.graphs import batch_graphs, sample_epm_graph
 from vepm.model import (
     ModelConfig,
+    bank_inputs,
     encoder_uniforms,
     init_params,
     prepare_graph_batch,
@@ -29,6 +30,7 @@ from vepm.training import (
     _pair_count,
     _elbo_step,
     _task_logprob,
+    _theta_loss,
     accuracy,
     adam_step,
     elbo,
@@ -50,6 +52,54 @@ def node_setup(seed=0, **cfg_kw):
     prep = prepare_node_graph(graph)
     store = init_params(cfg, graph.n_features, graph.n_classes(), seed, "node")
     return graph, cfg, prep, store
+
+
+# A pairwise covering set of whole-objective gradient checks over (layer
+# kind and task, composer kind, partition mode, objective), each at dropout
+# 0.3 and training step 3: "bound" is the full ELBO, "theta" the theta
+# step's loss on its frozen sample, partition and bank input, and "sub"
+# the ELBO with a subsampled edge term (node tasks only).
+COVERING_SET = [
+    ("gcn", "gnn", "learned", "sub"),
+    ("gcn", "dense", "even", "theta"),
+    ("gcn", "gnn", "random", "bound"),
+    ("gcn", "dense", "random", "sub"),
+    ("gcn", "dense", "learned", "bound"),
+    ("gcn", "gnn", "even", "sub"),
+    ("gcn", "gnn", "random", "theta"),
+    ("gin", "dense", "learned", "theta"),
+    ("gin", "gnn", "even", "bound"),
+    ("gin", "dense", "random", "bound"),
+    ("gin", "gnn", "learned", "theta"),
+]
+COVERING_STEP = 3
+
+
+def _covering_check(case, seed):
+    """Max relative error of one covering-set case: the GCN node setup or
+    the conditioned GIN graph setup of `vepm verify`, at 200 coordinates."""
+    layer, composer, mode, objective = case
+    setup = elbo_check_setup if layer == "gcn" else gin_elbo_check_setup
+    prep, store, cfg, tcfg, uniforms = setup(seed, composer_kind=composer,
+                                             partition_mode=mode, dropout=0.3)
+    step = COVERING_STEP
+    if objective == "theta":
+        z, _gamma, partition, x_star = bank_inputs(prep, store.detached(), cfg,
+                                                   uniforms, seed, step)
+
+        def builder():
+            return _theta_loss(prep, store, cfg, tcfg, z, partition, x_star,
+                               step + 1, seed)
+    else:
+        sub = None
+        if objective == "sub":
+            sub = sample_subgraph(prep.graph, SamplerConfig(enabled=True, n_sub=20),
+                                  substream(seed, "sampler", step))
+
+        def builder():
+            return elbo(prep, store, cfg, uniforms, tcfg, seed=seed, step=step,
+                        sub=sub)[1]
+    return finite_difference_check(builder, store, eps=1e-5, samples=200, seed=seed)
 
 
 class TestElbo:
@@ -133,6 +183,39 @@ class TestElbo:
                             ("full_elbo_gin", gin_elbo_check_setup)):
             result = _full_elbo_check(name, setup, 0)
             assert not result.passed, result.line()
+
+    def test_covering_set_is_pairwise(self):
+        """Every pair of values of any two factors occurs in some case;
+        the subsampled bound exists for node tasks only."""
+        levels = [("gcn", "gin"), ("gnn", "dense"), ("learned", "even", "random"),
+                  ("bound", "theta", "sub")]
+        for a in range(4):
+            for b in range(a + 1, 4):
+                seen = {(case[a], case[b]) for case in COVERING_SET}
+                for pair in ((u, v) for u in levels[a] for v in levels[b]):
+                    if pair != ("gin", "sub"):
+                        assert pair in seen, pair
+
+    @pytest.mark.parametrize("case", COVERING_SET, ids="-".join)
+    def test_whole_objective_gradcheck_covering_set(self, case):
+        err = _covering_check(case, 0)
+        assert err < 1e-4, (case, err)
+
+    def test_covering_set_fails_on_a_wrong_dropout_mask(self, monkeypatch):
+        """A planted reverse-rule bug: relu_dropout's reverse rule passes
+        the gradient of every positive unit, dropped or kept, unscaled.
+        Every case of the covering set must catch it."""
+        original = dm.relu_dropout
+
+        def relu_mask_only(a, rate, rng):
+            node = original(a, rate, rng)
+            positive = a.value > 0
+            node.vjp = lambda g, needs: (g * positive,)
+            return node
+
+        monkeypatch.setattr(dm, "relu_dropout", relu_mask_only)
+        for case in COVERING_SET:
+            assert _covering_check(case, 0) >= 1e-4, case
 
     def test_elbo_terms_have_expected_signs(self):
         graph, cfg, prep, store = node_setup()
