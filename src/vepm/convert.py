@@ -18,7 +18,8 @@ import pickle
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import (DatasetError, Graph, GraphCollection, save_graph_dataset,
+from .graphs import (Graph, GraphCollection, _first_outside, _read_int_rows,
+                     _refuse_count, _refuse_row, _require, save_graph_dataset,
                      save_node_dataset, split_graphs)
 from .sparse import adjacency_from_edges
 
@@ -71,30 +72,40 @@ def convert_planetoid(raw_dir: str, name: str, out_dir: str) -> Graph:
 
 
 def convert_tu(raw_dir: str, name: str, out_dir: str) -> GraphCollection:
-    """TU text files -> documented layout with one-hot node-label features."""
+    """TU text files -> documented layout with one-hot node-label features.
+
+    Each file is parsed as the package's own files are, so a bad field,
+    an id out of range, a gap in the graph ids or an edge between two
+    graphs exits naming the raw file and its 1-based line."""
     def path(kind):
         return os.path.join(raw_dir, f"{name}_{kind}.txt")
 
-    # ndmin=1: a collection of one graph has one-line label files
-    edges = np.loadtxt(path("A"), delimiter=",", dtype=np.int64).reshape(-1, 2)
-    indicator = np.loadtxt(path("graph_indicator"), dtype=np.int64, ndmin=1) - 1
-    graph_labels = np.loadtxt(path("graph_labels"), dtype=np.int64, ndmin=1)
-    if not os.path.isfile(path("node_labels")):
-        raise DatasetError(f"missing {path('node_labels')}")
-    node_labels = np.loadtxt(path("node_labels"), dtype=np.int64, ndmin=1)
-    outside = edges[(edges < 1) | (edges > node_labels.size)]
-    if outside.size:
-        raise DatasetError(f"{path('A')}: node id {outside[0]} outside "
-                           f"1..{node_labels.size}")
-    edges = edges - 1
+    for kind in ("A", "graph_indicator", "graph_labels", "node_labels"):
+        _require(path(kind))
+    # the files count nodes and graphs from 1; these arrays count from 0
+    edges = _read_int_rows(path("A"), 2) - 1
+    indicator = _read_int_rows(path("graph_indicator"), 1) - 1
+    graph_labels = _read_int_rows(path("graph_labels"), 1)[:, 0]
+    node_labels = _read_int_rows(path("node_labels"), 1)[:, 0]
+    n = node_labels.size
+    if indicator.shape[0] != n:
+        _refuse_count(path("graph_indicator"), indicator.shape[0], n, "graph ids, one per node")
+    for ids, kind, what in ((edges, "A", "node id"), (indicator, "graph_indicator", "graph id")):
+        hit = _first_outside(ids, n)
+        if hit is not None:
+            row, field = hit
+            _refuse_row(path(kind), row, f"{what} {ids[row, field - 1] + 1} outside "
+                        f"1..{n} in field {field}")
+    indicator = indicator[:, 0]
 
     uniq = np.unique(node_labels)
-    features = np.zeros((node_labels.size, uniq.size))
-    features[np.arange(node_labels.size), np.searchsorted(uniq, node_labels)] = 1.0
+    features = np.zeros((n, uniq.size))
+    features[np.arange(n), np.searchsorted(uniq, node_labels)] = 1.0
 
     label_ids = np.unique(graph_labels)
     graph_labels = np.searchsorted(label_ids, graph_labels)
 
-    collection = split_graphs(features, edges, indicator, graph_labels)
+    collection = split_graphs(features, edges, indicator, graph_labels, base=1,
+                              files=(path("A"), path("graph_indicator"), path("graph_labels")))
     save_graph_dataset(out_dir, collection)
     return collection

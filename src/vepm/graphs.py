@@ -125,6 +125,12 @@ class PlantedCommunities:
             raise DatasetError("gamma_true must be positive")
 
 
+# pairs drawn at a time; bounds the generator's working memory whatever the rates
+_PAIR_CHUNK = 1 << 20
+# the largest mean numpy's Generator.poisson accepts
+_POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
 def sample_epm_graph(
     n: int,
     c: int,
@@ -139,41 +145,77 @@ def sample_epm_graph(
     """Draw a graph whose edges follow the overlapping-community edge model.
 
     Affiliations Z[i,k] ~ Gamma(alpha, beta) independently; each unordered
-    pair (i, j) is an edge with probability 1 - exp(-sum_k gamma_k Z_ik Z_jk).
-    A positive `within_boost` is added to each node's affiliation with one
-    planted block (contiguous groups of n/c nodes), producing separable
-    communities for oracle tests; the default 0 leaves Z exactly i.i.d.
+    pair (i, j) is an edge with probability 1 - exp(-sum_k gamma_k Z_ik Z_jk),
+    independently of every other pair. A positive `within_boost` is added to
+    each node's affiliation with one planted block (contiguous groups of n/c
+    nodes), producing separable communities for oracle tests; the default 0
+    leaves Z exactly i.i.d.
+
+    The edges are drawn by Poisson splitting, the edge partition model's own
+    augmentation. With S_k = sum_i Z_ik, community k makes
+    M_k ~ Poisson(gamma_k S_k^2 / 2) draws of an ordered pair (i, j), i and j
+    independent with P(i) = Z_ik / S_k; pairs with i = j are dropped. Split
+    over the pairs, the draws landing on (i, j) or (j, i) are independent
+    Poisson counts with mean gamma_k Z_ik Z_jk, and summed over the
+    communities, with mean sum_k gamma_k Z_ik Z_jk. A pair is an edge when
+    its count is nonzero, which has the probability above; repeated draws of
+    one pair make one edge.
+
+    Cost: with M = sum_k M_k, about the expected edge count while the rates
+    are small, O(N C + M log N) time and O(N C + E + 2^20) memory, with no
+    N^2 stage. The draws are made 2^20 pairs at a time, and the pairs held
+    are reduced to distinct keys before they outgrow the edges, so
+    saturated rates (more draws than the N^2 / 2 pairs) still fit. The
+    graph drawn for a seed differs from the one earlier versions of this
+    function, which drew one uniform per pair, drew for it.
     """
     if n < 2 or c < 1:
         raise DatasetError("need n >= 2 and c >= 1")
-    if alpha <= 0 or beta <= 0:
-        raise DatasetError("alpha and beta must be positive")
+    if not (np.isfinite(alpha) and np.isfinite(beta) and alpha > 0 and beta > 0):
+        raise DatasetError("alpha and beta must be positive and finite")
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.shape != (c,):
         raise DatasetError(f"gamma must have length c={c}")
-    if np.any(gamma <= 0):
-        raise DatasetError("gamma entries must be > 0")
-    if within_boost < 0:
-        raise DatasetError("within_boost must be nonnegative")
+    if not np.all(np.isfinite(gamma) & (gamma > 0)):
+        raise DatasetError("gamma entries must be finite and > 0")
+    if not (np.isfinite(within_boost) and within_boost >= 0):
+        raise DatasetError("within_boost must be finite and nonnegative")
 
     rng = substream(seed, "epm")
     if z_override is not None:
         z = np.asarray(z_override, dtype=np.float64)
-        if z.shape != (n, c) or np.any(z < 0):
-            raise DatasetError("z_override must be a nonnegative n-by-c matrix")
+        if z.shape != (n, c) or not np.all(np.isfinite(z) & (z >= 0)):
+            raise DatasetError("z_override must be a finite nonnegative n-by-c matrix")
     else:
         z = rng.gamma(shape=alpha, scale=1.0 / beta, size=(n, c))
         blocks = (np.arange(n) * c) // n
         if within_boost > 0.0:
             z[np.arange(n), blocks] += within_boost
 
-    rates = (z * gamma) @ z.T
-    prob = 1.0 - np.exp(-rates)
-    iu, ju = np.triu_indices(n, k=1)
-    draw = rng.random(iu.size)
-    hit = draw < prob[iu, ju]
-    edges = np.stack([iu[hit], ju[hit]], axis=1)
-    adjacency = adjacency_from_edges(n, edges)
+    with np.errstate(over="ignore"):
+        means = gamma * z.sum(axis=0) ** 2 / 2
+        total = means.sum()
+    if total > _POISSON_MAX:
+        raise DatasetError(f"the rates ask for {total:.3g} pair draws, more than "
+                           f"the {_POISSON_MAX:.3g} one Poisson count can hold")
+    draws = rng.poisson(means)
+    keys, held = np.zeros(0, np.int64), []
+    for k in np.flatnonzero(draws):
+        nodes = np.flatnonzero(z[:, k])
+        cdf = np.cumsum(z[nodes, k])
+        for start in range(0, int(draws[k]), _PAIR_CHUNK):
+            # consecutive (m, 2) blocks read one stream, so the graph does
+            # not depend on the chunk size
+            u = rng.random((min(_PAIR_CHUNK, int(draws[k]) - start), 2))
+            u *= cdf[-1]
+            pairs = nodes[np.minimum(np.searchsorted(cdf, u, side="right"), nodes.size - 1)]
+            pairs.sort(axis=1)
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            held.append(pairs[:, 0] * n + pairs[:, 1])
+            if sum(h.size for h in held) >= max(keys.size, _PAIR_CHUNK):
+                keys, held = np.unique(np.concatenate([keys, *held])), []
+    keys = np.unique(np.concatenate([keys, *held]))
+    adjacency = adjacency_from_edges(n, np.stack([keys // n, keys % n], axis=1))
 
     if features is None:
         features = np.eye(n)
@@ -388,36 +430,64 @@ def load_graph_dataset(path: str) -> GraphCollection:
     hit = _first_outside(indicator, n)
     if hit is not None:
         _refuse_row(ind_f, hit[0], f"graph id {indicator[hit[0]]} outside 0..{n - 1}")
-    n_graphs = int(indicator.max()) + 1 if n else 0
-    _check_labels(os.path.join(path, "labels.csv"), labels, n_graphs, "graph labels")
-    return split_graphs(features, edges, indicator, labels)
+    return split_graphs(features, edges, indicator, labels,
+                        files=(os.path.join(path, "edges.csv"), ind_f,
+                               os.path.join(path, "labels.csv")))
+
+
+def _refuse_at(path: Optional[str], row: int, problem: str):
+    """Raise DatasetError for data row `row` of `path`, naming its line,
+    or for `problem` alone when the rows come from no file."""
+    if path is None:
+        raise DatasetError(problem)
+    _refuse_row(path, row, problem)
 
 
 def split_graphs(features: np.ndarray, edges: np.ndarray, indicator: np.ndarray,
-                 labels: np.ndarray) -> GraphCollection:
+                 labels: np.ndarray, files: Optional[tuple[str, str, str]] = None,
+                 base: int = 0) -> GraphCollection:
     """Cut one node-indexed edge list into the graphs that `indicator`
     names: one graph id per node, consecutive from 0, one nonnegative label
     per graph, and no edge between two graphs. The nodes may come in any
     order; each graph keeps its own in id order.
 
+    `files` names the (edges, graph indicator, graph labels) files that the
+    arrays were parsed from, one row per data line, so that a refusal names
+    its file and line; `base` is the id those files give their first node
+    and graph (1 in the TU format), so that a refusal quotes their ids.
+
     One stable sort renumbers the nodes graph by graph, so each graph is a
     diagonal block of one adjacency over all nodes, and its entries and
     features are slices: no step scans all nodes once per graph.
     """
+    edges_f, ind_f, labels_f = files or (None, None, None)
     n = features.shape[0]
     if indicator.shape[0] != n:
         raise DatasetError("the graph indicator must have one entry per node")
     order = np.argsort(indicator, kind="stable")
     ids = indicator[order]
-    if n and (ids[0] != 0 or np.any(np.diff(ids) > 1)):
-        raise DatasetError("graph ids must be consecutive from 0")
+    gaps = np.flatnonzero(np.diff(ids) > 1) + 1
+    if n and (ids[0] != 0 or gaps.size):
+        # named at the first node, in file order, of the id that breaks the run
+        p = 0 if ids[0] != 0 else int(gaps[0])
+        found = (f"the smallest is {ids[0] + base}" if p == 0
+                 else f"no node has graph id {ids[p - 1] + 1 + base}")
+        _refuse_at(ind_f, int(order[p]),
+                   f"graph ids must be consecutive from {base}, and {found}")
     n_graphs = int(ids[-1]) + 1 if n else 0
     if labels.shape[0] != n_graphs:
-        raise DatasetError(f"expected {n_graphs} graph labels, found {labels.shape[0]}")
+        if labels_f is None:
+            raise DatasetError(f"expected {n_graphs} graph labels, found {labels.shape[0]}")
+        _refuse_count(labels_f, labels.shape[0], n_graphs, "graph labels")
     if labels.size and labels.min() < 0:
-        raise DatasetError("graph labels must be nonnegative")
-    if edges.size and np.any(indicator[edges[:, 0]] != indicator[edges[:, 1]]):
-        raise DatasetError("edge crosses graph boundary")
+        _refuse_at(labels_f, int(np.argmin(labels)), "graph labels must be nonnegative")
+    if edges.size:
+        cross = np.flatnonzero(indicator[edges[:, 0]] != indicator[edges[:, 1]])
+        if cross.size:
+            e = int(cross[0])
+            (i, j), (gi, gj) = edges[e] + base, indicator[edges[e]] + base
+            _refuse_at(edges_f, e, f"edge crosses graph boundary: node {i} is in "
+                       f"graph {gi}, node {j} in graph {gj}")
 
     renumber = np.empty(n, dtype=np.int64)
     renumber[order] = np.arange(n)

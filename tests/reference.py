@@ -5,7 +5,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from vepm.distributions import EDGE_EPS, block_structure
-from vepm.sparse import SparseMatrix
+from vepm.rng import substream
+from vepm.sparse import SparseMatrix, adjacency_from_edges
 
 
 def weibull_cdf(x: np.ndarray, k: float, lam: float) -> np.ndarray:
@@ -85,3 +86,31 @@ def block_affine(h: np.ndarray, w: np.ndarray, b, g: np.ndarray) -> tuple:
         gw[w_rows] = h[rows].T @ g[rows]
         gb[i] = np.ones(n) @ g[rows]
     return out, gh, gw, gb
+
+
+def epm_edge_probability(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The N x N edge probabilities 1 - exp(-sum_k gamma_k z_ik z_jk)."""
+    return 1.0 - np.exp(-((z * gamma) @ z.T))
+
+
+def sample_epm_graph_dense(n: int, c: int, alpha: float, beta: float, gamma: np.ndarray,
+                           seed: int, within_boost: float = 0.0,
+                           z_override=None) -> tuple[SparseMatrix, np.ndarray]:
+    """The edge model drawn directly: z as `vepm.graphs.sample_epm_graph`
+    draws it, then one uniform per unordered pair against its edge
+    probability, over dense N x N matrices. Returns (adjacency, z)."""
+    gamma = np.asarray(gamma, dtype=np.float64)
+    rng = substream(seed, "epm")
+    if z_override is not None:
+        z = np.asarray(z_override, dtype=np.float64)
+    else:
+        z = rng.gamma(shape=alpha, scale=1.0 / beta, size=(n, c))
+        blocks = (np.arange(n) * c) // n
+        if within_boost > 0.0:
+            z[np.arange(n), blocks] += within_boost
+    prob = epm_edge_probability(z, gamma)
+    iu, ju = np.triu_indices(n, k=1)
+    draw = rng.random(iu.size)
+    hit = draw < prob[iu, ju]
+    edges = np.stack([iu[hit], ju[hit]], axis=1)
+    return adjacency_from_edges(n, edges), z

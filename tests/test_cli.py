@@ -97,6 +97,14 @@ class TestSynth:
         assert rc == 2
         assert "VEPM-ERROR kind=config" in capsys.readouterr().err
 
+    def test_non_finite_gamma_exit_2_writes_nothing(self, tmp_path, capsys):
+        out = str(tmp_path / "x")
+        rc = main(["synth", "--n", "50", "--c", "2", "--gamma", "nan,0.1", "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err and "gamma entries" in err
+        assert not os.path.exists(out)
+
 
 class TestPipelineCommands:
     def test_non_numeric_feature_exit_2(self, synth_run, capsys):

@@ -1,5 +1,6 @@
 """The dataset contract, file by file: a generated matrix of corrupted
-inputs, each refused with exit code 2, `VEPM-ERROR kind=config`, the file's
+inputs, of the package layout and of the raw TU files that `convert-tu`
+reads, each refused with exit code 2, `VEPM-ERROR kind=config`, the file's
 path and its 1-based line; the inputs accepted by design, each with the
 README sentence that documents it; and exact round trips of the writers."""
 
@@ -155,6 +156,11 @@ def _refusals():
                 add(name, "missing", None, None)
         if kind == "node":
             add("masks.csv", "two-masks", _set_field(2, 1, "1"), 2)
+        else:
+            # named at the first node of the graph id after the gap
+            add("graph_indicator.csv", "gap", _replace("0\n0\n0\n2\n2\n2\n"), 4)
+            add("graph_indicator.csv", "from-one", _replace("1\n1\n1\n2\n2\n2\n"), 1)
+            add("edges.csv", "between-graphs", _set_field(2, 2, "3"), 2)
 
         name = "features.csv"
         for cls, field, value in (("node-non-numeric", 1, "x"),
@@ -230,6 +236,79 @@ def test_duplicate_entry_names_both_lines(tmp_path, capsys):
     assert main(["pretrain", "--config", cfg]) == 2
     assert ("features.csv:5: repeats the entry of node 3, feature 0 from line 2"
             in capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# the raw TU files under `vepm convert-tu`: two graphs of three and two nodes
+
+TU = {
+    "A": "1, 2\n2, 1\n2, 3\n3, 2\n4, 5\n5, 4\n",
+    "graph_indicator": "1\n1\n1\n2\n2\n",
+    "graph_labels": "1\n-1\n",
+    "node_labels": "3\n7\n3\n5\n3\n",
+}
+
+
+def _tu_refusals():
+    """(file, class, corrupt, refusing file, line or None) for the raw TU
+    files, whose ids count from 1."""
+    cases = [("A", "non-numeric", _replace("1, 2\n2, x\n"), "A", 2)]
+    for cls, value in (("fractional", " 1.5"), ("zero", " 0"), ("out-of-range", " 6"),
+                       ("between-graphs", " 4")):
+        cases.append(("A", cls, _set_field(2, 2, value), "A", 2))
+    cases += [("A", "extra-field", _append_field(2), "A", 2),
+              ("A", "missing-field", _drop_field(2), "A", 2)]
+    for name in ("graph_indicator", "graph_labels", "node_labels"):
+        cases += [(name, "non-numeric", _set_field(2, 1, "x"), name, 2),
+                  (name, "extra-field", _append_field(2), name, 2),
+                  (name, "missing", None, name, None)]
+    cases += [("A", "missing", None, "A", None),
+              ("graph_indicator", "gap", _replace("1\n1\n1\n3\n3\n"), "graph_indicator", 4),
+              ("graph_indicator", "from-two", _replace("2\n2\n2\n3\n3\n"),
+               "graph_indicator", 1),
+              ("graph_indicator", "zero", _set_field(2, 1, "0"), "graph_indicator", 2),
+              ("graph_indicator", "short", _replace("1\n1\n1\n2\n"), "graph_indicator", 5),
+              ("graph_indicator", "surplus", lambda t: t + "2\n", "graph_indicator", 6),
+              ("node_labels", "short", _replace("3\n7\n3\n5\n"), "graph_indicator", 5),
+              ("graph_labels", "short", _replace("1\n"), "graph_labels", 2),
+              ("graph_labels", "surplus", lambda t: t + "1\n", "graph_labels", 3)]
+    return cases
+
+
+TU_REFUSALS = _tu_refusals()
+
+
+@pytest.mark.parametrize("name,cls,corrupt,refusing,line", TU_REFUSALS,
+                         ids=[f"{c[0]}-{c[1]}" for c in TU_REFUSALS])
+def test_convert_tu_refusal_names_file_and_line(tmp_path, capsys, name, cls, corrupt,
+                                                refusing, line):
+    files = dict(TU)
+    files[name] = None if corrupt is None else corrupt(files[name])
+    for kind, text in files.items():
+        if text is not None:
+            (tmp_path / f"T_{kind}.txt").write_text(text)
+    assert main(["convert-tu", "--raw", str(tmp_path), "--name", "T",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "VEPM-ERROR kind=config" in err
+    path = os.path.join(str(tmp_path), f"T_{refusing}.txt")
+    assert (path in err) if line is None else (f"{path}:{line}: " in err), err
+
+
+def test_convert_tu_quotes_the_raw_files_ids(tmp_path, capsys):
+    files = dict(TU, A=_set_field(2, 2, " 4")(TU["A"]),
+                 graph_indicator="1\n1\n1\n3\n3\n")
+    for kind, text in files.items():
+        (tmp_path / f"T_{kind}.txt").write_text(text)
+    assert main(["convert-tu", "--raw", str(tmp_path), "--name", "T",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert ("T_graph_indicator.txt:4: graph ids must be consecutive from 1, and no node "
+            "has graph id 2") in capsys.readouterr().err
+    (tmp_path / "T_graph_indicator.txt").write_text(TU["graph_indicator"])
+    assert main(["convert-tu", "--raw", str(tmp_path), "--name", "T",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert ("T_A.txt:2: edge crosses graph boundary: node 2 is in graph 1, node 4 in "
+            "graph 2") in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

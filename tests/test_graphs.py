@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import reference
 from conftest import require_dataset
+from vepm import graphs
 from vepm.graphs import (
     DatasetError,
     Graph,
@@ -70,6 +75,103 @@ class TestSyntheticGenerator:
                 p = p_true[i, j]
                 se = max(np.sqrt(p * (1 - p) / trials), 1e-4)
                 assert abs(counts[i, j] / trials - p) < 3 * se + 1e-9, (i, j)
+
+    def test_pair_frequencies_match_the_dense_rule(self):
+        # 7 nodes, z drawn with a within-block boost: each pair's hit count
+        # over the seeds against the sum of its per-seed dense-rule
+        # probabilities, within 4 standard deviations of that sum
+        n, c, trials = 7, 2, 4000
+        gamma = np.array([0.3, 0.5])
+        hits, expected, variance = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+        for t in range(trials):
+            g, planted = sample_epm_graph(n, c, 1.0, 2.0, gamma, seed=t, within_boost=0.8)
+            hits[g.adjacency.rows, g.adjacency.cols] += 1
+            p = reference.epm_edge_probability(planted.z_true, gamma)
+            expected += p
+            variance += p * (1 - p)
+        _, z_dense = reference.sample_epm_graph_dense(n, c, 1.0, 2.0, gamma, seed=trials - 1,
+                                                      within_boost=0.8)
+        np.testing.assert_array_equal(z_dense, planted.z_true)
+        iu, ju = np.triu_indices(n, k=1)
+        assert np.all(np.abs(hits - expected)[iu, ju] < 4 * np.sqrt(variance[iu, ju]))
+
+    def test_edge_count_and_within_block_fraction_match_the_dense_rule(self):
+        # the planted-200 shape, 100 seeds of each rule: the means agree
+        # within 3 standard errors of their difference
+        n, c, gamma, boost, trials = 200, 4, np.full(4, 8e-4), 30.0, 100
+        blocks = (np.arange(n) * c) // n
+
+        def stats(adjacency):
+            upper = adjacency.rows < adjacency.cols
+            rows, cols = adjacency.rows[upper], adjacency.cols[upper]
+            return rows.size, np.mean(blocks[rows] == blocks[cols])
+
+        drawn = np.array([stats(sample_epm_graph(n, c, 1.0, 1.0, gamma, seed=s,
+                                                 within_boost=boost)[0].adjacency)
+                          for s in range(trials)])
+        dense = np.array([stats(reference.sample_epm_graph_dense(
+            n, c, 1.0, 1.0, gamma, seed=s, within_boost=boost)[0]) for s in range(trials)])
+        se = np.sqrt(drawn.var(axis=0, ddof=1) / trials + dense.var(axis=0, ddof=1) / trials)
+        assert np.all(np.abs(drawn.mean(axis=0) - dense.mean(axis=0)) < 3 * se), (
+            drawn.mean(axis=0), dense.mean(axis=0), se)
+
+    def test_saturated_rates_give_the_complete_graph_quickly(self):
+        # every pair's rate is at least 50 * 0.5: about 720k draws for 435 pairs
+        t0 = time.perf_counter()
+        graph, _ = sample_epm_graph(30, 2, 4.0, 1.0, np.full(2, 50.0), seed=0)
+        assert graph.n_edges == 30 * 29 // 2
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_graph_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        # about 20k draws over 780 pairs, merged every 64 pairs
+        expected, _ = sample_epm_graph(40, 3, 1.0, 1.0, np.full(3, 10.0), seed=4)
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", 64)
+        graph, _ = sample_epm_graph(40, 3, 1.0, 1.0, np.full(3, 10.0), seed=4)
+        assert 0 < graph.n_edges < 40 * 39 // 2
+        np.testing.assert_array_equal(graph.adjacency.rows, expected.adjacency.rows)
+        np.testing.assert_array_equal(graph.adjacency.cols, expected.adjacency.cols)
+
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/status"),
+                        reason="needs /proc/self/status to read the peak resident size")
+    def test_twenty_thousand_nodes_in_linear_memory(self):
+        # a child's own VmHWM: its ru_maxrss would start at pytest's peak.
+        # About 51k edges; 66 MB measured (2-core x86-64, numpy 2.4), where
+        # one N x N float matrix alone is 3.2 GB.
+        code = (
+            "import numpy as np\n"
+            "from vepm.graphs import sample_epm_graph\n"
+            "n = 20000\n"
+            "g, _ = sample_epm_graph(n, 7, 1.0, 1.0, np.full(7, 6e-6 * 2708 / n), 7,\n"
+            "                        within_boost=40.0, features=np.zeros((n, 1)))\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(g.n_edges, int(status.split()[0]) / 1024)\n")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        edges, peak_mb = proc.stdout.split()
+        assert 40_000 < int(edges) < 60_000
+        assert float(peak_mb) < 128, peak_mb
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(alpha=float("nan")), "alpha and beta"),
+        (dict(beta=float("inf")), "alpha and beta"),
+        (dict(gamma=np.array([float("nan"), 0.1])), "gamma entries"),
+        (dict(gamma=np.array([0.1, float("inf")])), "gamma entries"),
+        (dict(within_boost=float("nan")), "within_boost"),
+        (dict(within_boost=float("inf")), "within_boost"),
+        (dict(z_override=np.full((10, 2), float("nan"))), "z_override"),
+        (dict(z_override=np.full((10, 2), float("inf"))), "z_override"),
+        # 5e19 draws in each community, past the largest Poisson mean
+        (dict(z_override=np.full((10, 2), 1e9)), "pair draws"),
+        (dict(gamma=np.array([1e300, 0.1])), "pair draws"),
+    ], ids=["alpha-nan", "beta-inf", "gamma-nan", "gamma-inf", "boost-nan", "boost-inf",
+            "z-nan", "z-inf", "draws-past-poisson", "draws-overflow"])
+    def test_non_finite_or_unbounded_input_rejected(self, kwargs, message):
+        args = dict(n=10, c=2, alpha=1.0, beta=1.0, gamma=np.array([0.1, 0.1]), seed=0)
+        with pytest.raises(DatasetError, match=message):
+            sample_epm_graph(**dict(args, **kwargs))
 
 
 class TestDatasetIO:

@@ -5,9 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import reference
 from conftest import masked_node_graph, planted_graph, synthetic_collection
 from vepm import diffmath as dm
-from vepm import training
+from vepm import model, training
 from vepm.diffmath import ParameterStore, finite_difference_check
 from vepm.distributions import bernoulli_poisson_loglik
 from vepm.graphs import batch_graphs, sample_epm_graph
@@ -100,6 +101,74 @@ def _covering_check(case, seed):
             return elbo(prep, store, cfg, uniforms, tcfg, seed=seed, step=step,
                         sub=sub)[1]
     return finite_difference_check(builder, store, eps=1e-5, samples=200, seed=seed)
+
+
+def _rewritten_block_mlp(original, fault):
+    """block_mlp with its reverse rule rewritten from the per-block
+    reference products; the fault passes the hidden gradient through every
+    unit, as if the ReLU had no mask."""
+    def block_mlp(h, w1, b1, w2, b2):
+        node = original(h, w1, b1, w2, b2)
+        b1r = b1.value.reshape(-1, b1.value.shape[-1])
+        b2r = b2.value.reshape(-1, b2.value.shape[-1])
+
+        def vjp(g, needs):
+            pre = reference.block_affine(h.value, w1.value, b1r,
+                                         np.zeros((h.value.shape[0], b1r.shape[1])))[0]
+            _, gm, gw2, gb2 = reference.block_affine(np.maximum(pre, 0), w2.value, b2r, g)
+            mask = np.ones_like(pre) if fault else pre > 0
+            _, gh, gw1, gb1 = reference.block_affine(h.value, w1.value, b1r, gm * mask)
+            return gh, gw1, gb1.reshape(b1.value.shape), gw2, gb2.reshape(b2.value.shape)
+
+        node.vjp = vjp
+        return node
+    return block_mlp
+
+
+def _rewritten_partition(original, fault):
+    """The learned partition with its reverse rule rewritten pair by pair;
+    the fault drops the gradient of each pair's mirrored (lower) entry."""
+    def learned_partition(adjacency, z, gamma, k, tau):
+        node = original(adjacency, z, gamma, k, tau)
+        zv, gv = z.value, gamma.value
+        iu, ju, _entry_pair, upper, lower, _mirror = adjacency.pair_layout()
+        w_pair = node.value[upper]
+
+        def vjp(g, needs):
+            g_pair = g[upper] if fault else g[upper] + g[lower]
+            q = np.repeat(dm.softmax_rows_grad(w_pair, g_pair, tau), zv.shape[1] // k, axis=1)
+            g_z = np.zeros_like(zv)
+            np.add.at(g_z, iu, q * gv * zv[ju])
+            np.add.at(g_z, ju, q * gv * zv[iu])
+            return g_z, (q * zv[iu] * zv[ju]).sum(axis=0)
+
+        node.vjp = vjp
+        return node
+    return learned_partition
+
+
+def _rewritten_gcn_norm(original, fault):
+    """The GCN normalization with its edge-side reverse rule rewritten
+    entry by entry: w_e s_i s_j with s = deg^{-1/2} and deg_i summing the
+    weights of row i; the fault drops each entry's column-side term."""
+    def gcn_normalization(weights, support):
+        edges, self_loops = original(weights, support)
+        wv, rows, cols = weights.value, support.rows, support.cols
+        deg = np.ones((support.n_rows, wv.shape[1]))
+        np.add.at(deg, rows, wv)
+        s = deg ** -0.5
+
+        def vjp(g, needs):
+            t = g * wv
+            g_s = np.zeros_like(deg)
+            np.add.at(g_s, rows, t * s[cols])
+            if not fault:
+                np.add.at(g_s, cols, t * s[rows])
+            return (g * s[rows] * s[cols] + (g_s * -0.5 * s ** 3)[rows],)
+
+        edges.vjp = vjp
+        return edges, self_loops
+    return gcn_normalization
 
 
 class TestElbo:
@@ -216,6 +285,30 @@ class TestElbo:
         monkeypatch.setattr(dm, "relu_dropout", relu_mask_only)
         for case in COVERING_SET:
             assert _covering_check(case, 0) >= 1e-4, case
+
+    @pytest.mark.parametrize("op,faithful", [
+        ("block_mlp", ("gin", "gnn", "even", "bound")),
+        ("partition", ("gcn", "dense", "learned", "bound")),
+        ("gcn_norm", ("gcn", "dense", "learned", "bound")),
+    ], ids=["block_mlp", "partition", "gcn_norm"])
+    def test_covering_set_fails_on_a_planted_reverse_rule(self, monkeypatch, op, faithful):
+        """An op's reverse rule rewritten from its definition passes its
+        first case; with one planted fault it fails at least one of the
+        cases that reach it (a theta case freezes the partition)."""
+        reaches = {"block_mlp": lambda case: case[0] == "gin",
+                   "partition": lambda case: case[2:] in (("learned", "bound"),
+                                                          ("learned", "sub"))}
+        reaches["gcn_norm"] = lambda case: case[0] == "gcn" and reaches["partition"](case)
+        patch = {"block_mlp": (dm, "block_mlp", _rewritten_block_mlp),
+                 "partition": (model, "_learned_partition", _rewritten_partition),
+                 "gcn_norm": (model, "_gcn_normalization", _rewritten_gcn_norm)}
+        module, name, rewrite = patch[op]
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, rewrite(original, fault=False))
+        assert _covering_check(faithful, 0) < 1e-4
+        monkeypatch.setattr(module, name, rewrite(original, fault=True))
+        assert any(_covering_check(case, 0) >= 1e-4
+                   for case in COVERING_SET if reaches[op](case))
 
     def test_elbo_terms_have_expected_signs(self):
         graph, cfg, prep, store = node_setup()
