@@ -18,43 +18,87 @@ import pickle
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import (Graph, GraphCollection, _first_outside, _read_int_rows,
+from .graphs import (DatasetError, Graph, GraphCollection, _first_outside, _read_int_rows,
                      _refuse_count, _refuse_row, _require, save_graph_dataset,
                      save_node_dataset, split_graphs)
-from .sparse import adjacency_from_edges
+from .sparse import SparseMatrix, adjacency_from_edges
 
 
-def _load_pickle(path: str):
-    with open(path, "rb") as fh:
-        return pickle.load(fh, encoding="latin1")
+_MATRIX = (lambda o: (sp.issparse(o) or isinstance(o, np.ndarray)) and o.ndim == 2,
+           "a 2-D feature matrix")
+_LABELS = (lambda o: isinstance(o, np.ndarray) and o.ndim == 2, "a 2-D label array")
+# per pickle: what it must hold, as a check and as the refusal names it
+_PICKLED = {"x": _MATRIX, "tx": _MATRIX, "allx": _MATRIX,
+            "y": _LABELS, "ty": _LABELS, "ally": _LABELS,
+            "graph": (lambda o: isinstance(o, dict), "a dict of neighbour lists")}
+
+
+def _load_pickle(path: str, suffix: str):
+    """The object pickled in `path`, checked to be of the type the
+    planetoid format gives `suffix`. A missing file, one that does not
+    unpickle, or one of another type raises DatasetError naming it."""
+    _require(path)
+    try:
+        with open(path, "rb") as fh:
+            obj = pickle.load(fh, encoding="latin1")
+    # a truncated or foreign file fails with any of a dozen exception types
+    except Exception as exc:
+        raise DatasetError(f"{path}: not a readable pickle "
+                           f"({type(exc).__name__}: {exc})") from None
+    check, what = _PICKLED[suffix]
+    if not check(obj):
+        raise DatasetError(f"{path}: expected {what}, found {type(obj).__name__}")
+    return obj
 
 
 def convert_planetoid(raw_dir: str, name: str, out_dir: str) -> Graph:
     """Rebuild the standard split: train = first len(y) nodes, val = the
-    next 500, test = the published test index list."""
-    parts = {}
-    for suffix in ("x", "tx", "allx", "y", "ty", "ally"):
-        parts[suffix] = _load_pickle(os.path.join(raw_dir, f"ind.{name}.{suffix}"))
-    test_idx = np.loadtxt(os.path.join(raw_dir, f"ind.{name}.test.index"),
-                          dtype=np.int64)
-    graph_dict = _load_pickle(os.path.join(raw_dir, f"ind.{name}.graph"))
+    next 500, test = the published test index list. The features stay
+    sparse throughout; every file is checked, and a fault exits naming it."""
+    def path(suffix):
+        return os.path.join(raw_dir, f"ind.{name}.{suffix}")
 
-    test_sorted = np.sort(test_idx)
-    allx = sp.vstack([parts["allx"], parts["tx"]]).tolil()
-    ally = np.vstack([parts["ally"], parts["ty"]])
+    parts = {suffix: _load_pickle(path(suffix), suffix) for suffix in _PICKLED}
+    n = parts["allx"].shape[0] + parts["tx"].shape[0]
+    for x, y in (("allx", "ally"), ("tx", "ty"), ("x", "y")):
+        if parts[y].shape[0] != parts[x].shape[0]:
+            raise DatasetError(f"{path(y)}: {parts[y].shape[0]} label rows for the "
+                               f"{parts[x].shape[0]} feature rows of {path(x)}")
+    for a, b in (("allx", "tx"), ("ally", "ty")):
+        if parts[b].shape[1] != parts[a].shape[1]:
+            raise DatasetError(f"{path(b)}: {parts[b].shape[1]} columns, where "
+                               f"{path(a)} has {parts[a].shape[1]}")
+    _require(path("test.index"))
+    test_idx = _read_int_rows(path("test.index"), 1)[:, 0]
+    if test_idx.size != parts["tx"].shape[0]:
+        _refuse_count(path("test.index"), test_idx.size, parts["tx"].shape[0],
+                      "test ids, one per row of tx")
+    hit = _first_outside(test_idx[:, None], n)
+    if hit is not None:
+        _refuse_row(path("test.index"), hit[0],
+                    f"test id {test_idx[hit[0]]} outside 0..{n - 1}")
+    try:
+        edges = np.asarray([(src, dst) for src, neighbors in parts["graph"].items()
+                            for dst in neighbors], dtype=np.int64).reshape(-1, 2)
+    except (TypeError, ValueError):
+        raise DatasetError(f"{path('graph')}: expected a dict of neighbour lists "
+                           f"of integer node ids") from None
+    hit = _first_outside(edges, n)
+    if hit is not None:
+        raise DatasetError(f"{path('graph')}: node id {edges[hit[0], hit[1] - 1]} "
+                           f"outside 0..{n - 1}")
+
     # test rows arrive in published order; place them at their true ids
-    allx[test_idx] = allx[test_sorted]
-    ally[test_idx] = ally[test_sorted]
-    features = np.asarray(allx.todense(), dtype=np.float64)
-    labels = np.argmax(ally, axis=1).astype(np.int64)
-
-    n = features.shape[0]
-    edges = []
-    for src, neighbors in graph_dict.items():
-        for dst in neighbors:
-            if src != dst:
-                edges.append((src, dst))
-    adjacency = adjacency_from_edges(n, np.asarray(edges, dtype=np.int64))
+    source = np.arange(n)
+    source[test_idx] = np.sort(test_idx)
+    x = sp.vstack([sp.csr_matrix(parts["allx"]), sp.csr_matrix(parts["tx"])],
+                  format="csr")[source]
+    x.sum_duplicates()
+    x = x.tocoo()
+    stored = (x.data != 0) | np.signbit(x.data)
+    features = SparseMatrix(n, x.shape[1], x.row[stored], x.col[stored], x.data[stored])
+    labels = np.argmax(np.vstack([parts["ally"], parts["ty"]])[source], axis=1)
+    adjacency = adjacency_from_edges(n, edges)
 
     n_train = parts["y"].shape[0]
     train_mask = np.zeros(n, bool)
@@ -99,8 +143,9 @@ def convert_tu(raw_dir: str, name: str, out_dir: str) -> GraphCollection:
     indicator = indicator[:, 0]
 
     uniq = np.unique(node_labels)
-    features = np.zeros((n, uniq.size))
-    features[np.arange(n), np.searchsorted(uniq, node_labels)] = 1.0
+    nodes = np.arange(n)
+    features = SparseMatrix(n, uniq.size, nodes, np.searchsorted(uniq, node_labels),
+                            np.ones(n))
 
     label_ids = np.unique(graph_labels)
     graph_labels = np.searchsorted(label_ids, graph_labels)

@@ -36,22 +36,34 @@ class DatasetError(ValueError):
     pass
 
 
+def _as_features(features) -> SparseMatrix:
+    """`features` as the one form the package keeps them in: a
+    SparseMatrix is kept as it is, and a dense matrix is converted to its
+    entries that are nonzero or -0.0."""
+    if isinstance(features, SparseMatrix):
+        return features
+    if np.ndim(features) != 2:
+        raise DatasetError("features must be a 2-D matrix")
+    return SparseMatrix.from_dense(features)
+
+
 @dataclass
 class Graph:
+    """A graph, its node features as a CSR `SparseMatrix` (a dense N x F
+    array passed in is converted once) and its optional labels and masks."""
+
     adjacency: SparseMatrix
-    features: np.ndarray
+    features: SparseMatrix
     labels: Optional[np.ndarray] = None
     train_mask: Optional[np.ndarray] = None
     val_mask: Optional[np.ndarray] = None
     test_mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise DatasetError("features must be a 2-D matrix")
-        if self.features.shape[0] != self.adjacency.n_rows:
+        self.features = _as_features(self.features)
+        if self.features.n_rows != self.adjacency.n_rows:
             raise DatasetError(
-                f"feature rows ({self.features.shape[0]}) do not match "
+                f"feature rows ({self.features.n_rows}) do not match "
                 f"adjacency dimension ({self.adjacency.n_rows})"
             )
         if self.labels is not None:
@@ -76,7 +88,7 @@ class Graph:
 
     @property
     def n_features(self) -> int:
-        return int(self.features.shape[1])
+        return self.features.n_cols
 
     @property
     def n_edges(self) -> int:
@@ -139,7 +151,7 @@ def sample_epm_graph(
     gamma: np.ndarray,
     seed: int,
     within_boost: float = 0.0,
-    features: Optional[np.ndarray] = None,
+    features=None,
     z_override: Optional[np.ndarray] = None,
 ) -> tuple[Graph, PlantedCommunities]:
     """Draw a graph whose edges follow the overlapping-community edge model.
@@ -160,6 +172,8 @@ def sample_epm_graph(
     communities, with mean sum_k gamma_k Z_ik Z_jk. A pair is an edge when
     its count is nonzero, which has the probability above; repeated draws of
     one pair make one edge.
+
+    `features` defaults to the N x N identity, kept sparse.
 
     Cost: with M = sum_k M_k, about the expected edge count while the rates
     are small, O(N C + M log N) time and O(N C + E + 2^20) memory, with no
@@ -218,7 +232,8 @@ def sample_epm_graph(
     adjacency = adjacency_from_edges(n, np.stack([keys // n, keys % n], axis=1))
 
     if features is None:
-        features = np.eye(n)
+        nodes = np.arange(n)
+        features = SparseMatrix(n, n, nodes, nodes, np.ones(n))
     hard = np.argmax(z, axis=1)
     graph = Graph(adjacency=adjacency, features=features, labels=hard)
     return graph, PlantedCommunities(z_true=z, gamma_true=gamma, hard_labels=hard)
@@ -307,10 +322,12 @@ def _read_int_rows(path: str, width: int) -> np.ndarray:
     return rows.view(np.int64).reshape(-1, width)
 
 
-def _read_features(path: str) -> np.ndarray:
-    """The dense N x F matrix of a sparse features.csv: a header line "N,F"
-    of two positive integers, then one "node,feature,value" line per
-    stored entry, in any order; entries not listed are 0."""
+def _read_features(path: str) -> SparseMatrix:
+    """The N x F matrix of a sparse features.csv: a header line "N,F" of
+    two positive integers, then one "node,feature,value" line per stored
+    entry, in any order; entries not listed are 0. The matrix stores the
+    listed entries that are nonzero or -0.0, in row-major order; memory
+    is linear in the entries and N, whatever F is."""
     with open(path, encoding="utf-8") as fh:
         for head_ln, head in enumerate(fh, 1):
             if not head.isspace():
@@ -339,7 +356,7 @@ def _read_features(path: str) -> np.ndarray:
                     head_ln)
     flat = node * f + feature
     # the writers list entries in row-major order; any other order is
-    # sorted to find a repeated entry
+    # sorted, which also finds a repeated entry
     if np.any(flat[1:] <= flat[:-1]):
         order = np.argsort(flat, kind="stable")
         repeat = np.flatnonzero(flat[order[1:]] == flat[order[:-1]])
@@ -351,14 +368,10 @@ def _read_features(path: str) -> np.ndarray:
             raise DatasetError(
                 f"{path}:{data[second][0]}: repeats the entry of node {node[second]}, "
                 f"feature {feature[second]} from line {data[first][0]}")
-    # numpy advises huge pages for a fresh array of 4 MB or more; with the
-    # cora-shaped benchmark's 31 MB matrix so advised, every later training
-    # step ran about 20% slower (2-core host). Grown by `resize`, the array
-    # is reallocated, as np.loadtxt's arrays are, and not advised.
-    x = np.zeros(0)
-    x.resize((n, f), refcheck=False)
-    x.reshape(-1)[flat] = value
-    return x
+        node, feature, value = node[order], feature[order], value[order]
+    # the stored entries, each field as a contiguous array of its own
+    stored = (value != 0) | np.signbit(value)
+    return SparseMatrix._trusted(n, f, node[stored], feature[stored], value[stored])
 
 
 def _require(path: str):
@@ -374,7 +387,7 @@ def _load_common(path: str):
     _require(feats_f)
     _require(labels_f)
     features = _read_features(feats_f)
-    n = features.shape[0]
+    n = features.n_rows
     edges = _read_int_rows(edges_f, 2)
     hit = _first_outside(edges, n)
     if hit is not None:
@@ -394,7 +407,7 @@ def _check_labels(path: str, labels: np.ndarray, expected: int, what: str):
 def load_node_dataset(path: str) -> Graph:
     """Load a single node-classification graph from the documented layout."""
     features, edges, labels = _load_common(path)
-    n = features.shape[0]
+    n = features.n_rows
     _check_labels(os.path.join(path, "labels.csv"), labels, n, "node labels")
     adjacency = adjacency_from_edges(n, edges)
     masks_f = os.path.join(path, "masks.csv")
@@ -421,7 +434,7 @@ def load_node_dataset(path: str) -> Graph:
 def load_graph_dataset(path: str) -> GraphCollection:
     """Load a multi-graph classification dataset from the documented layout."""
     features, edges, labels = _load_common(path)
-    n = features.shape[0]
+    n = features.n_rows
     ind_f = os.path.join(path, "graph_indicator.csv")
     _require(ind_f)
     indicator = _read_int_rows(ind_f, 1)[:, 0]
@@ -443,7 +456,7 @@ def _refuse_at(path: Optional[str], row: int, problem: str):
     _refuse_row(path, row, problem)
 
 
-def split_graphs(features: np.ndarray, edges: np.ndarray, indicator: np.ndarray,
+def split_graphs(features, edges: np.ndarray, indicator: np.ndarray,
                  labels: np.ndarray, files: Optional[tuple[str, str, str]] = None,
                  base: int = 0) -> GraphCollection:
     """Cut one node-indexed edge list into the graphs that `indicator`
@@ -457,11 +470,14 @@ def split_graphs(features: np.ndarray, edges: np.ndarray, indicator: np.ndarray,
     and graph (1 in the TU format), so that a refusal quotes their ids.
 
     One stable sort renumbers the nodes graph by graph, so each graph is a
-    diagonal block of one adjacency over all nodes, and its entries and
-    features are slices: no step scans all nodes once per graph.
+    diagonal block of one adjacency over all nodes, and a row block of the
+    features (a SparseMatrix, or a dense matrix, converted once); both are
+    cut from slices of the validated whole: no step scans all nodes once
+    per graph.
     """
     edges_f, ind_f, labels_f = files or (None, None, None)
-    n = features.shape[0]
+    features = _as_features(features)
+    n = features.n_rows
     if indicator.shape[0] != n:
         raise DatasetError("the graph indicator must have one entry per node")
     order = np.argsort(indicator, kind="stable")
@@ -492,18 +508,12 @@ def split_graphs(features: np.ndarray, edges: np.ndarray, indicator: np.ndarray,
     renumber = np.empty(n, dtype=np.int64)
     renumber[order] = np.arange(n)
     union = adjacency_from_edges(n, renumber[edges])
-    starts = np.searchsorted(ids, np.arange(n_graphs + 1))
-    shift = starts[ids[union.rows]]
-    rows, cols = union.rows - shift, union.cols - shift
+    features = features.take_rows(order)
     # as Python ints, so each SparseMatrix gets int dimensions
-    nodes, entries = starts.tolist(), np.searchsorted(union.rows, starts).tolist()
-    features = features[order]
-    graphs = []
-    for g in range(n_graphs):
-        lo, hi = nodes[g], nodes[g + 1]
-        a, b = entries[g], entries[g + 1]
-        adjacency = SparseMatrix(hi - lo, hi - lo, rows[a:b], cols[a:b], union.vals[a:b])
-        graphs.append(Graph(adjacency=adjacency, features=features[lo:hi]))
+    starts = np.searchsorted(ids, np.arange(n_graphs + 1)).tolist()
+    graphs = [Graph(adjacency=union.diagonal_block(lo, hi),
+                    features=features.row_block(lo, hi))
+              for lo, hi in zip(starts[:-1], starts[1:])]
     return GraphCollection(graphs=graphs, graph_labels=labels)
 
 
@@ -513,14 +523,14 @@ def _write_rows(path: str, rows: np.ndarray):
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows.tolist())
 
 
-def _write_features(path: str, features: np.ndarray):
+def _write_features(path: str, features: SparseMatrix):
     """Write `features` in the sparse form: the header "N,F", then one
-    "node,feature,value" line per entry that is nonzero or -0.0, in
+    "node,feature,value" line per stored entry that is nonzero or -0.0, in
     row-major order, with `repr` values (an exact round trip)."""
     n, f = features.shape
-    stored = np.flatnonzero((features != 0) | np.signbit(features))
-    nodes, feats = np.unravel_index(stored, (n, f))
-    values = features.ravel()[stored]
+    stored = (features.vals != 0) | np.signbit(features.vals)
+    nodes, feats = features.rows[stored], features.cols[stored]
+    values = features.vals[stored]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{n},{f}\n")
         fh.writelines(f"{i},{j},{v!r}\n" for i, j, v in
@@ -559,7 +569,7 @@ def save_graph_dataset(path: str, collection: GraphCollection):
     _write_rows(os.path.join(path, "edges.csv"), np.concatenate(
         [_upper_edges(g.adjacency, o) for g, o in zip(graphs, offsets)]))
     _write_features(os.path.join(path, "features.csv"),
-                    np.concatenate([g.features for g in graphs]))
+                    SparseMatrix.vstack([g.features for g in graphs]))
     _write_rows(os.path.join(path, "graph_indicator.csv"),
                 np.repeat(np.arange(len(graphs)), sizes)[:, None])
     _write_rows(os.path.join(path, "labels.csv"), collection.graph_labels[:, None])
@@ -608,5 +618,5 @@ def batch_graphs(
     rows = np.concatenate(rows) if rows else np.zeros(0, np.int64)
     cols = np.concatenate(cols) if cols else np.zeros(0, np.int64)
     adjacency = SparseMatrix(offset, offset, rows, cols, np.ones(rows.size))
-    union = Graph(adjacency=adjacency, features=np.concatenate(feats, axis=0))
+    union = Graph(adjacency=adjacency, features=SparseMatrix.vstack(feats))
     return union, np.concatenate(gids), collection.graph_labels[indices]

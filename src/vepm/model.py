@@ -136,7 +136,6 @@ class PreparedGraph:
     task: str
     n_classes: int
     a_norm: SparseMatrix = field(init=False)
-    x_csr: SparseMatrix = field(init=False)
     graph_ids: Optional[np.ndarray] = None
     graph_labels: Optional[np.ndarray] = None
 
@@ -144,12 +143,16 @@ class PreparedGraph:
         if self.task not in ("node", "graph"):
             raise ModelError("task must be 'node' or 'graph'")
         self.a_norm = normalize_adjacency(self.graph.adjacency)
-        self.x_csr = SparseMatrix.from_dense(self.graph.features)
         if self.task == "graph":
             if self.graph_ids is None or self.graph_labels is None:
                 raise ModelError("graph task requires graph_ids and graph_labels")
             self.graph_ids = np.asarray(self.graph_ids, dtype=np.int64)
             self.graph_labels = np.asarray(self.graph_labels, dtype=np.int64)
+
+    @property
+    def x_csr(self) -> SparseMatrix:
+        """The node features, the graph's own CSR matrix."""
+        return self.graph.features
 
     @property
     def n_nodes(self) -> int:
@@ -445,12 +448,13 @@ def build_input_features(prep: PreparedGraph, z: Node, cfg: ModelConfig,
 
     For GCN the node features stay the CSR constant `prep.x_csr`, which the
     fused first transform multiplies with the sparse kernel. GIN aggregates
-    x* before transforming it, so it gets one dense [X | z] block.
+    x* before transforming it, so it gets one dense [X | z] block, the
+    features densified here, a batch at a time.
     """
     if cfg.input_mode == "random":
-        noise = substream(seed, "input-noise").standard_normal(prep.graph.features.shape)
+        noise = substream(seed, "input-noise").standard_normal(prep.x_csr.shape)
         return [dm.constant(noise)]
-    x = prep.x_csr if cfg.layer_kind == "gcn" else dm.constant(prep.graph.features)
+    x = prep.x_csr if cfg.layer_kind == "gcn" else dm.constant(prep.x_csr.to_dense())
     blocks = {"features_and_z": [x, z], "features_only": [x], "z_only": [z]}[cfg.input_mode]
     if len(blocks) > 1 and cfg.layer_kind == "gin":
         return [dm.concat_columns(blocks)]

@@ -75,10 +75,75 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseMatrix":
-        """The nonzero entries of a dense matrix (already row-major sorted)."""
+        """The entries of a dense matrix that are nonzero or -0.0; an
+        explicit +0.0 is not stored. A stored -0.0 keeps its sign through
+        `to_dense`, and adds nothing to a product, whose sums start at
+        +0.0."""
+        dense = np.asarray(dense, dtype=np.float64)
         # numpy scans a boolean mask about twice as fast as a float array
-        rows, cols = np.nonzero(dense != 0)
-        return cls(dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols])
+        rows, cols = np.nonzero((dense != 0) | np.signbit(dense))
+        return cls._trusted(dense.shape[0], dense.shape[1], rows, cols,
+                            dense[rows, cols])
+
+    @classmethod
+    def _trusted(cls, n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray, indptr=None) -> "SparseMatrix":
+        """A matrix of int64 `rows`, `cols` and float64 `vals` that are in
+        range, free of duplicates and in row-major order, as a valid
+        matrix's slices or a row-major scan are, stored as given: none of
+        the checks and copies of the constructor."""
+        m = cls.__new__(cls)
+        m.n_rows, m.n_cols, m.rows, m.cols, m.vals = n_rows, n_cols, rows, cols, vals
+        m._indptr = (np.searchsorted(rows, np.arange(n_rows + 1)) if indptr is None
+                     else indptr)
+        m._csr = m._csr_t = m._pair_layout = m._incidence = None
+        m._block_layouts = {}
+        return m
+
+    def row_block(self, lo: int, hi: int) -> "SparseMatrix":
+        """Rows lo..hi-1 as a (hi - lo) x n_cols matrix, cut from this
+        one's arrays without re-validating them."""
+        a, b = self._indptr[lo], self._indptr[hi]
+        return SparseMatrix._trusted(hi - lo, self.n_cols, self.rows[a:b] - lo,
+                                     self.cols[a:b], self.vals[a:b],
+                                     self._indptr[lo:hi + 1] - a)
+
+    def diagonal_block(self, lo: int, hi: int) -> "SparseMatrix":
+        """Rows and columns lo..hi-1 as a square matrix, cut without
+        re-validation, for a block-diagonal matrix: every stored entry of
+        rows lo..hi-1 must lie in columns lo..hi-1, which is not checked."""
+        block = self.row_block(lo, hi)
+        block.n_cols, block.cols = hi - lo, block.cols - lo
+        return block
+
+    def take_rows(self, order: np.ndarray) -> "SparseMatrix":
+        """The matrix whose row i is row order[i] of this one; `order` is a
+        permutation of the rows."""
+        counts = np.diff(self._indptr)[order]
+        indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        # entry e of new row i is entry e - indptr[i] + old_indptr[order[i]]
+        source = np.arange(self.nnz) + np.repeat(self._indptr[:-1][order] - indptr[:-1],
+                                                  counts)
+        return SparseMatrix._trusted(self.n_rows, self.n_cols,
+                                     np.repeat(np.arange(self.n_rows), counts),
+                                     self.cols[source], self.vals[source], indptr)
+
+    @classmethod
+    def vstack(cls, blocks: list) -> "SparseMatrix":
+        """The matrices of `blocks`, which share their column count, stacked
+        as row blocks, without re-validation."""
+        n_cols = blocks[0].n_cols
+        if any(b.n_cols != n_cols for b in blocks):
+            raise SparseError("stacked blocks must have the same column count")
+        offsets = np.cumsum([0] + [b.n_rows for b in blocks])
+        starts = np.cumsum([0] + [b.nnz for b in blocks])
+        return cls._trusted(
+            int(offsets[-1]), n_cols,
+            np.concatenate([b.rows + o for b, o in zip(blocks, offsets)]),
+            np.concatenate([b.cols for b in blocks]),
+            np.concatenate([b.vals for b in blocks]),
+            np.concatenate([[0]] + [b._indptr[1:] + s for b, s in zip(blocks, starts)]))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -227,22 +292,45 @@ def adjacency_from_edges(n: int, edges: np.ndarray) -> SparseMatrix:
     """Binary symmetric adjacency from an undirected edge list.
 
     Directed duplicates and self-loops are dropped; each surviving edge is
-    stored in both directions.
+    stored in both directions. The entries are placed in row-major order
+    directly: row r holds its edges (j, r) with j < r, which are the
+    deduplicated pairs in the order of their larger end, then its edges
+    (r, j) with j > r, which are the pairs in their own sorted order.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        keep = edges[:, 0] != edges[:, 1]
-        edges = edges[keep]
-    if edges.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return SparseMatrix(n, n, empty, empty, np.zeros(0))
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise SparseError("row index out of range")
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    key = np.unique(lo * n + hi)
-    lo, hi = key // n, key % n
-    rows = np.concatenate([lo, hi])
-    cols = np.concatenate([hi, lo])
-    return SparseMatrix(n, n, rows, cols, np.ones(rows.size))
+    keep = lo != hi
+    # each pair once as the key lo * n + hi; every array is dropped once
+    # used, as at Pubmed scale and beyond this call bounds a synthetic
+    # draw's memory
+    lo *= n
+    lo += hi
+    del hi
+    key = np.unique(lo[keep])
+    del lo, keep
+    lo, hi = np.divmod(key, n)
+    del key
+    m = lo.size
+    below = np.bincount(hi, minlength=n)  # per row, its entries left of the diagonal
+    above = np.bincount(lo, minlength=n)  # and right of it
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + above, out=indptr[1:])
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    cols = np.empty(2 * m, dtype=np.int64)
+    # pair e, e-th in sorted order, sits right of the diagonal in row lo[e]
+    # after the entries left of the diagonal in rows <= lo[e]
+    np.cumsum(below, out=below)
+    cols[np.arange(m) + below[lo]] = hi
+    # and left of it in row hi[e], in the order of the larger end
+    order = np.argsort(hi, kind="stable")
+    hi, lo = hi[order], lo[order]
+    del order
+    np.cumsum(above, out=above)
+    cols[np.arange(m) + above[hi - 1]] = lo
+    return SparseMatrix._trusted(n, n, rows, cols, np.ones(2 * m), indptr)
 
 
 def degree_vector(adjacency: SparseMatrix) -> np.ndarray:

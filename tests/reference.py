@@ -114,3 +114,15 @@ def sample_epm_graph_dense(n: int, c: int, alpha: float, beta: float, gamma: np.
     hit = draw < prob[iu, ju]
     edges = np.stack([iu[hit], ju[hit]], axis=1)
     return adjacency_from_edges(n, edges), z
+
+
+def adjacency_from_edges_mirrored(n: int, edges: np.ndarray) -> SparseMatrix:
+    """The adjacency of an undirected edge list built by stacking the
+    deduplicated pairs and their mirrors, then sorted by the validating
+    constructor."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    key = np.unique(edges.min(axis=1) * n + edges.max(axis=1))
+    lo, hi = key // n, key % n
+    return SparseMatrix(n, n, np.concatenate([lo, hi]), np.concatenate([hi, lo]),
+                        np.ones(2 * key.size))

@@ -787,7 +787,7 @@ class TestConverters:
         assert loaded.train_mask.sum() == n_train
         assert loaded.val_mask.sum() == 5  # next-500 window minus test ids
         assert loaded.test_mask.sum() == n_test
-        np.testing.assert_allclose(loaded.features[test_idx].sum(axis=1),
+        np.testing.assert_allclose(loaded.features.to_dense()[test_idx].sum(axis=1),
                                    np.asarray(x_all[test_sorted].sum(axis=1)).ravel())
 
     def test_tu_fixture(self, tmp_path):

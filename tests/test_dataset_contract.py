@@ -1,17 +1,21 @@
 """The dataset contract, file by file: a generated matrix of corrupted
-inputs, of the package layout and of the raw TU files that `convert-tu`
-reads, each refused with exit code 2, `VEPM-ERROR kind=config`, the file's
-path and its 1-based line; the inputs accepted by design, each with the
+inputs, of the package layout, of the raw TU files that `convert-tu` reads
+and of the pickles that `convert-planetoid` reads, each refused with exit
+code 2, `VEPM-ERROR kind=config`, the file's path and, for a text file,
+its 1-based line; the inputs accepted by design, each with the
 README sentence that documents it; and exact round trips of the writers."""
 
 import os
+import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vepm.cli import main
-from vepm.convert import convert_tu
+from vepm.convert import convert_planetoid, convert_tu
 from vepm.graphs import (
     Graph,
     GraphCollection,
@@ -20,7 +24,8 @@ from vepm.graphs import (
     save_graph_dataset,
     save_node_dataset,
 )
-from vepm.sparse import adjacency_from_edges
+from vepm.model import prepare_node_graph
+from vepm.sparse import SparseMatrix, adjacency_from_edges
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -312,6 +317,132 @@ def test_convert_tu_quotes_the_raw_files_ids(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the pickled planetoid bundle under `vepm convert-planetoid`: 12 nodes, the
+# last 3 the published test ids, 4 training nodes and 5 features
+
+
+def _stored_csr(dense):
+    """`dense` as a scipy CSR matrix that stores its -0.0 entries too."""
+    rows, cols = np.nonzero((dense != 0) | np.signbit(dense))
+    return sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
+
+
+def _planetoid_bundle(raw):
+    """Write a miniature ind.tiny.* bundle; returns its dense features and
+    one-hot labels, in node order."""
+    rng = np.random.default_rng(0)
+    n, n_train, n_feat = 12, 4, 5
+    x_all = rng.random((n, n_feat)) * (rng.random((n, n_feat)) < 0.5)
+    x_all[1, 2] = -0.0
+    y_all = np.eye(2)[rng.integers(0, 2, n)]
+    test_idx = np.array([9, 11, 10])
+    parts = {"x": _stored_csr(x_all[:n_train]), "y": y_all[:n_train],
+             "allx": _stored_csr(x_all[:9]), "ally": y_all[:9],
+             "tx": _stored_csr(x_all[test_idx]), "ty": y_all[test_idx],
+             "graph": {i: [int(j) for j in rng.integers(0, n, 2)] for i in range(n)}}
+    for suffix, obj in parts.items():
+        with open(os.path.join(raw, f"ind.tiny.{suffix}"), "wb") as fh:
+            pickle.dump(obj, fh)
+    with open(os.path.join(raw, "ind.tiny.test.index"), "w") as fh:
+        fh.write("".join(f"{i}\n" for i in test_idx))
+    return x_all, y_all
+
+
+def _truncate(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+
+
+def _pickle_of(obj):
+    def corrupt(path):
+        with open(path, "wb") as fh:
+            pickle.dump(obj, fh)
+    return corrupt
+
+
+def _planetoid_refusals():
+    """(file, class, corrupt) for the planetoid files; corrupt rewrites the
+    file at the path it is given, or None deletes it."""
+    cases = []
+    for suffix in ("x", "tx", "allx", "y", "ty", "ally", "graph"):
+        cases += [(suffix, "missing", None), (suffix, "truncated", _truncate),
+                  (suffix, "wrong-type", _pickle_of("not a matrix")),
+                  (suffix, "not-a-pickle", _replace_bytes(b"1,2,3\n"))]
+    cases += [("x", "one-dimensional", _pickle_of(np.ones(4))),
+              ("y", "sparse-labels", _pickle_of(sp.csr_matrix(np.eye(2)))),
+              ("ty", "short", _pickle_of(np.eye(2))),
+              ("tx", "narrow", _pickle_of(sp.csr_matrix(np.ones((3, 4))))),
+              ("graph", "node-out-of-range", _pickle_of({0: [12]})),
+              ("graph", "neighbours-not-a-list", _pickle_of({0: 3})),
+              ("test.index", "missing", None),
+              ("test.index", "non-numeric", _replace_bytes(b"9\nx\n10\n")),
+              ("test.index", "out-of-range", _replace_bytes(b"9\n12\n10\n")),
+              ("test.index", "short", _replace_bytes(b"9\n11\n"))]
+    return cases
+
+
+def _replace_bytes(data):
+    def corrupt(path):
+        with open(path, "wb") as fh:
+            fh.write(data)
+    return corrupt
+
+
+PLANETOID_REFUSALS = _planetoid_refusals()
+
+
+@pytest.mark.parametrize("suffix,cls,corrupt", PLANETOID_REFUSALS,
+                         ids=[f"{c[0]}-{c[1]}" for c in PLANETOID_REFUSALS])
+def test_convert_planetoid_refusal_names_the_file(tmp_path, capsys, suffix, cls, corrupt):
+    _planetoid_bundle(str(tmp_path))
+    path = os.path.join(str(tmp_path), f"ind.tiny.{suffix}")
+    if corrupt is None:
+        os.remove(path)
+    else:
+        corrupt(path)
+    assert main(["convert-planetoid", "--raw", str(tmp_path), "--name", "tiny",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "VEPM-ERROR kind=config" in err and path in err, err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_convert_planetoid_keeps_the_features_sparse_and_exact(tmp_path):
+    x_all, y_all = _planetoid_bundle(str(tmp_path))
+    out = str(tmp_path / "out")
+    graph = convert_planetoid(str(tmp_path), "tiny", out)
+    assert isinstance(graph.features, SparseMatrix)
+    # the pickled matrices hold every row in node order, test rows included
+    _assert_bit_identical(graph.features.to_dense(), x_all)
+    _assert_bit_identical(load_node_dataset(out).features.to_dense(), x_all)
+    np.testing.assert_array_equal(graph.labels, np.argmax(y_all, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# no loader allocates N x F
+
+
+def test_loading_never_allocates_the_dense_feature_matrix(tmp_path):
+    # 50,000 x 50,000 would be 20 GB dense
+    n = 50_000
+    data, _cfg = _write_dataset(str(tmp_path), "node", {
+        "edges.csv": "0,1\n1,2\n49998,49999\n",
+        "features.csv": f"{n},{n}\n0,0,1.0\n7,49999,-0.0\n49999,3,2.5\n",
+        "labels.csv": "0\n1\n" * (n // 2)})
+    tracemalloc.start()
+    try:
+        prep = prepare_node_graph(load_node_dataset(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prep.x_csr.shape == (n, n) and prep.x_csr.nnz == 3
+    # a few arrays of N ints: about 6 MB measured
+    assert peak < 16 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
 # accepted by design: (kind, files replaced, README sentence)
 
 ACCEPTED = {
@@ -368,7 +499,7 @@ def test_accepted_by_design_trains(tmp_path, case):
 def test_header_only_features_are_all_zero(tmp_path):
     data, _cfg = _write_dataset(str(tmp_path), "node", dict(NODE, **{"features.csv": "5,3\n"}))
     graph = load_node_dataset(data)
-    np.testing.assert_array_equal(graph.features, np.zeros((5, 3)))
+    np.testing.assert_array_equal(graph.features.to_dense(), np.zeros((5, 3)))
 
 
 def test_readme_recipe_rewrites_a_dense_file(tmp_path):
@@ -387,7 +518,7 @@ def test_readme_recipe_rewrites_a_dense_file(tmp_path):
         os.chdir(cwd)
     expected = np.zeros((5, 3))
     expected[[0, 1, 2, 3], [0, 2, 1, 0]] = [1.0, 0.5, -2.0, 4.0]
-    np.testing.assert_array_equal(load_node_dataset(data).features, expected)
+    np.testing.assert_array_equal(load_node_dataset(data).features.to_dense(), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +543,7 @@ class TestRoundTrip:
         graph = Graph(adjacency=adj, features=AWKWARD, labels=np.array([0, 1, 0, 1]))
         path = str(tmp_path / "node")
         save_node_dataset(path, graph)
-        _assert_bit_identical(load_node_dataset(path).features, AWKWARD)
+        _assert_bit_identical(load_node_dataset(path).features.to_dense(), AWKWARD)
 
     def test_graph_collection(self, tmp_path):
         graphs = [Graph(adjacency=adjacency_from_edges(2, np.array([[0, 1]])),
@@ -421,7 +552,7 @@ class TestRoundTrip:
         save_graph_dataset(path, GraphCollection(graphs=graphs, graph_labels=[1, 0]))
         loaded = load_graph_dataset(path)
         for graph, lo in zip(loaded.graphs, (0, 2)):
-            _assert_bit_identical(graph.features, AWKWARD[lo:lo + 2])
+            _assert_bit_identical(graph.features.to_dense(), AWKWARD[lo:lo + 2])
 
     def test_writer_lists_nonzero_and_negative_zero_entries_in_row_major_order(self, tmp_path):
         adj = adjacency_from_edges(4, np.array([[0, 2]]))
@@ -443,7 +574,7 @@ class TestRoundTrip:
             head, *entries = fh.read().split("\n")[:-1]
         with open(feats, "w") as fh:
             fh.write("\n".join([head, "1,3,0.0"] + entries[::-1]) + "\n")
-        _assert_bit_identical(load_node_dataset(path).features, AWKWARD)
+        _assert_bit_identical(load_node_dataset(path).features.to_dense(), AWKWARD)
 
     def test_synth_writes_one_line_per_node_after_the_header(self, tmp_path):
         out = str(tmp_path / "synth")
@@ -452,7 +583,7 @@ class TestRoundTrip:
         with open(os.path.join(out, "features.csv")) as fh:
             lines = fh.read().split("\n")
         assert len(lines) == 302 and lines[0] == "300,300" and lines[-1] == ""
-        np.testing.assert_array_equal(load_node_dataset(out).features, np.eye(300))
+        np.testing.assert_array_equal(load_node_dataset(out).features.to_dense(), np.eye(300))
 
     def test_convert_tu_output_loads(self, tmp_path):
         raw = tmp_path / "turaw"
@@ -466,5 +597,5 @@ class TestRoundTrip:
         loaded = load_graph_dataset(out)
         np.testing.assert_array_equal(loaded.graph_labels, converted.graph_labels)
         for a, b in zip(loaded.graphs, converted.graphs):
-            _assert_bit_identical(a.features, b.features)
+            _assert_bit_identical(a.features.to_dense(), b.features.to_dense())
             np.testing.assert_array_equal(a.adjacency.cols, b.adjacency.cols)

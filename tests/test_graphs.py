@@ -21,7 +21,8 @@ from vepm.graphs import (
     save_node_dataset,
     split_graphs,
 )
-from vepm.sparse import adjacency_from_edges
+from vepm.model import prepare_node_graph
+from vepm.sparse import SparseMatrix, adjacency_from_edges
 from conftest import synthetic_collection
 
 
@@ -55,7 +56,7 @@ class TestSyntheticGenerator:
 
     def test_one_hot_default_features(self):
         graph, _ = sample_epm_graph(15, 2, 1.0, 1.0, np.full(2, 0.01), seed=3)
-        np.testing.assert_array_equal(graph.features, np.eye(15))
+        np.testing.assert_array_equal(graph.features.to_dense(), np.eye(15))
 
     def test_empirical_edge_frequency_matches_rates(self):
         # fixed affiliations injected; resample the graph many times and
@@ -154,6 +155,45 @@ class TestSyntheticGenerator:
         assert 40_000 < int(edges) < 60_000
         assert float(peak_mb) < 128, peak_mb
 
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/status"),
+                        reason="needs /proc/self/status to read the peak resident size")
+    def test_twenty_thousand_node_synth_then_train_in_linear_memory(self):
+        # default identity features, saved, loaded, then one pretrain and one
+        # finetune epoch of the cora-shaped model in a child, whose own
+        # VmHWM is read. 496 MB and about 3 s measured (2-core x86-64,
+        # numpy 2.4); the dense identity alone would be 3.2 GB.
+        code = (
+            "import tempfile, time\n"
+            "import numpy as np\n"
+            "from vepm import graphs, model, training\n"
+            "t0 = time.perf_counter()\n"
+            "n = 20000\n"
+            "g, _ = graphs.sample_epm_graph(n, 7, 1.0, 1.0, np.full(7, 6e-6 * 2708 / n), 7,\n"
+            "                               within_boost=40.0)\n"
+            "g.train_mask, g.val_mask, g.test_mask = (np.arange(n) % 10 == r for r in range(3))\n"
+            "with tempfile.TemporaryDirectory() as d:\n"
+            "    graphs.save_node_dataset(d, g)\n"
+            "    g = graphs.load_node_dataset(d)\n"
+            "cfg = model.ModelConfig(n_metacommunities=4, communities_per_block=4,\n"
+            "                        hidden_dim=64, mc_samples=4)\n"
+            "tcfg = training.TrainConfig(pretrain_epochs=1, finetune_epochs=1)\n"
+            "prep = model.prepare_node_graph(g)\n"
+            "store = model.init_params(cfg, g.n_features, g.n_classes(), 7, 'node')\n"
+            "training.pretrain(prep, store, cfg, tcfg, seed=7)\n"
+            "training.finetune(prep, store, cfg, tcfg, seed=7)\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(g.n_features, g.features.nnz, time.perf_counter() - t0,\n"
+            "      int(status.split()[0]) / 1024)\n")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        n_features, stored, seconds, peak_mb = proc.stdout.split()
+        assert int(n_features) == int(stored) == 20000
+        assert float(seconds) < 60, seconds
+        assert float(peak_mb) < 1024, peak_mb
+
     @pytest.mark.parametrize("kwargs,message", [
         (dict(alpha=float("nan")), "alpha and beta"),
         (dict(beta=float("inf")), "alpha and beta"),
@@ -174,6 +214,35 @@ class TestSyntheticGenerator:
             sample_epm_graph(**dict(args, **kwargs))
 
 
+class TestFeatures:
+    def test_dense_features_are_stored_once_as_csr(self):
+        dense = np.array([[0.0, -0.0, 2.0], [0.0, 0.0, 0.0], [-1.5, 0.0, 0.0]])
+        graph = Graph(adjacency=adjacency_from_edges(3, np.array([[0, 1]])), features=dense)
+        assert isinstance(graph.features, SparseMatrix)
+        # every entry that is nonzero or -0.0; the explicit +0.0 is dropped
+        np.testing.assert_array_equal(graph.features.rows, [0, 0, 2])
+        np.testing.assert_array_equal(graph.features.cols, [1, 2, 0])
+        assert graph.n_features == 3
+        again = Graph(adjacency=graph.adjacency, features=graph.features)
+        assert again.features is graph.features
+        graph.labels = np.array([0, 1, 0])
+        assert prepare_node_graph(graph).x_csr is graph.features
+
+    def test_feature_rows_must_match_the_adjacency(self):
+        adj = adjacency_from_edges(3, np.array([[0, 1]]))
+        with pytest.raises(DatasetError, match="feature rows"):
+            Graph(adjacency=adj, features=SparseMatrix(4, 1, np.arange(4), np.zeros(4),
+                                                       np.ones(4)))
+        with pytest.raises(DatasetError, match="2-D"):
+            Graph(adjacency=adj, features=np.ones(3))
+
+    def test_batch_stacks_the_feature_rows(self):
+        coll = synthetic_collection(n_graphs=5, seed=6)
+        union, _gids, _labels = batch_graphs(coll, np.array([3, 0, 4]))
+        expected = np.concatenate([coll.graphs[g].features.to_dense() for g in (3, 0, 4)])
+        np.testing.assert_array_equal(union.features.to_dense(), expected)
+
+
 class TestDatasetIO:
     def test_node_round_trip_exact(self, tmp_path):
         graph, _ = sample_epm_graph(25, 3, 1.0, 1.0, np.full(3, 0.02), seed=5,
@@ -190,7 +259,7 @@ class TestDatasetIO:
         loaded = load_node_dataset(path)
         np.testing.assert_array_equal(loaded.adjacency.rows, graph.adjacency.rows)
         np.testing.assert_array_equal(loaded.adjacency.cols, graph.adjacency.cols)
-        np.testing.assert_array_equal(loaded.features, graph.features)
+        np.testing.assert_array_equal(loaded.features.to_dense(), graph.features.to_dense())
         np.testing.assert_array_equal(loaded.labels, graph.labels)
         np.testing.assert_array_equal(loaded.train_mask, graph.train_mask)
 
@@ -203,9 +272,9 @@ class TestDatasetIO:
         path = str(tmp_path / "awk")
         save_node_dataset(path, graph)
         loaded = load_node_dataset(path)
-        assert loaded.features.dtype == np.float64
-        np.testing.assert_array_equal(loaded.features, feats)
-        np.testing.assert_array_equal(np.signbit(loaded.features), np.signbit(feats))
+        assert loaded.features.to_dense().dtype == np.float64
+        np.testing.assert_array_equal(loaded.features.to_dense(), feats)
+        np.testing.assert_array_equal(np.signbit(loaded.features.to_dense()), np.signbit(feats))
         np.testing.assert_array_equal(loaded.labels, graph.labels)
         assert loaded.labels.dtype == np.int64
         np.testing.assert_array_equal(loaded.adjacency.cols, adj.cols)
@@ -219,7 +288,7 @@ class TestDatasetIO:
         np.testing.assert_array_equal(loaded.graph_labels, coll.graph_labels)
         for a, b in zip(loaded.graphs, coll.graphs):
             np.testing.assert_array_equal(a.adjacency.rows, b.adjacency.rows)
-            np.testing.assert_array_equal(a.features, b.features)
+            np.testing.assert_array_equal(a.features.to_dense(), b.features.to_dense())
 
     def test_directed_input_symmetrized_and_deduplicated(self, tmp_path):
         path = tmp_path / "dir"
@@ -255,7 +324,7 @@ class TestDatasetIO:
                            features="\n 3,2 \n\n0,0,1.0\n 0 , 1 , 2.0 \n   \n1,0,3.0\n1,1, 4.0\n\t\n2,0,5.0\n2,1,6.0",
                            labels="0\n\n1\r\n0\n \n")
         graph = load_node_dataset(path)
-        np.testing.assert_array_equal(graph.features, [[1, 2], [3, 4], [5, 6]])
+        np.testing.assert_array_equal(graph.features.to_dense(), [[1, 2], [3, 4], [5, 6]])
         np.testing.assert_array_equal(graph.labels, [0, 1, 0])
         assert graph.n_edges == 2
 
@@ -345,7 +414,7 @@ class TestDatasetIO:
         np.testing.assert_array_equal(coll.graph_labels, [1, 0])
         for g, graph in enumerate(coll.graphs):
             assert graph.n_edges == 1
-            np.testing.assert_array_equal(graph.features[:, 0], [2 * g + 1, 2 * g + 2])
+            np.testing.assert_array_equal(graph.features.to_dense()[:, 0], [2 * g + 1, 2 * g + 2])
 
     def test_negative_graph_label_rejected(self, tmp_path):
         path = str(tmp_path / "gc")
@@ -417,7 +486,7 @@ class TestSplitGraphs:
             for name in ("rows", "cols", "vals"):
                 np.testing.assert_array_equal(getattr(graph.adjacency, name),
                                               getattr(adjacency, name))
-            np.testing.assert_array_equal(graph.features, feats)
+            np.testing.assert_array_equal(graph.features.to_dense(), feats)
 
     @pytest.mark.parametrize("indicator,labels,message", [
         ([0, 0, 1], [0], "expected 2 graph labels, found 1"),

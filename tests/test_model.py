@@ -353,7 +353,7 @@ class TestBankAndComposer:
                                ModelConfig(n_metacommunities=2,
                                            communities_per_block=1,
                                            partition_mode="even"), 0)
-        x_star = [dm.constant(graph.features)]
+        x_star = [dm.constant(graph.features.to_dense())]
         h = np.hsplit(community_gnn_forward(x_star, part, store, cfg, 0).value, 2)
         np.testing.assert_allclose(h[0], h[1], atol=1e-12)
 
@@ -366,8 +366,8 @@ class TestBankAndComposer:
 
         part = EdgePartition(support=graph.adjacency,
                              weights=dm.constant(np.zeros((e, 1))))
-        h = community_gnn_forward([dm.constant(graph.features)], part, store, cfg, 0)
-        expected = graph.features @ store["bank.0.W"].value + store["bank.0.b"].value
+        h = community_gnn_forward([dm.constant(graph.features.to_dense())], part, store, cfg, 0)
+        expected = graph.features.to_dense() @ store["bank.0.W"].value + store["bank.0.b"].value
         np.testing.assert_allclose(h.value, expected, atol=1e-12)
 
     def test_sparse_feature_blocks_match_dense_input(self):
@@ -377,7 +377,7 @@ class TestBankAndComposer:
         part = partition_edges(graph.adjacency, z, gamma_node(store), cfg, 0)
         blocks = build_input_features(prep, z, cfg, 0)
         assert isinstance(blocks[0], SparseMatrix)
-        dense = dm.concat_columns([dm.constant(graph.features), z])
+        dense = dm.concat_columns([dm.constant(graph.features.to_dense()), z])
         k = cfg.n_metacommunities
         for a, b in zip(np.hsplit(community_gnn_forward(blocks, part, store, cfg, 0).value, k),
                         np.hsplit(community_gnn_forward([dense], part, store, cfg, 0).value, k)):
@@ -493,7 +493,7 @@ class TestStackedBank:
         u = encoder_uniforms(n, cfg.total_communities, 0, "ref")
         z = encode_communities(prep, store, cfg, u, 0).z
         part = partition_edges(graph.adjacency, z, gamma_node(store), cfg, 0)
-        x = dm.concat_columns([dm.constant(graph.features), z])
+        x = dm.concat_columns([dm.constant(graph.features.to_dense()), z])
         mix = substream(4, "ref-mix").standard_normal((n, k_meta * cfg.bank_width))
         names = [name for name in store.names() if name.startswith("bank.")]
 
@@ -751,7 +751,7 @@ class TestEquivariance:
         inv = np.argsort(perm)
         adj = graph.adjacency
         padj = SparseMatrix(40, 40, inv[adj.rows], inv[adj.cols], adj.vals.copy())
-        pgraph = Graph(adjacency=padj, features=graph.features[perm],
+        pgraph = Graph(adjacency=padj, features=graph.features.to_dense()[perm],
                        labels=graph.labels[perm])
         pprep = prepare_node_graph(pgraph)
         permuted = predict_probabilities(pprep, store, cfg, u[perm], 0)
@@ -769,7 +769,7 @@ class TestEquivariance:
                                ModelConfig(layer_kind="gin", n_metacommunities=2,
                                            communities_per_block=1,
                                            partition_mode="even"), 0)
-        x_star = [dm.constant(union.features)]
+        x_star = [dm.constant(union.features.to_dense())]
         h = np.hsplit(community_gnn_forward(x_star, part, store, cfg, 0).value, 2)
         n = union.n_nodes
         perm = substream(2, "gperm").permutation(n)
@@ -780,8 +780,8 @@ class TestEquivariance:
                                  ModelConfig(layer_kind="gin", n_metacommunities=2,
                                              communities_per_block=1,
                                              partition_mode="even"), 0)
-        h_p = np.hsplit(community_gnn_forward([dm.constant(union.features[perm])], part_p,
-                                              store, cfg, 0).value, 2)
+        h_p = np.hsplit(community_gnn_forward([dm.constant(union.features.to_dense()[perm])],
+                                              part_p, store, cfg, 0).value, 2)
         for a, b in zip(h, h_p):
             assert np.abs(b - a[perm]).max() < 1e-9
 

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from reference import undirected_pairs
+from reference import adjacency_from_edges_mirrored, undirected_pairs
 from vepm.sparse import (
     SparseError,
     SparseMatrix,
@@ -76,6 +78,91 @@ def test_edge_list_dedup_and_self_loop_drop():
     adj = adjacency_from_edges(3, np.array([[0, 1], [1, 0], [0, 1], [2, 2]]))
     assert adj.nnz == 2
     assert adj.has_zero_diagonal()
+
+
+def _assert_same_matrix(a, b):
+    assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
+    for name in ("rows", "cols", "vals", "_indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+        np.testing.assert_array_equal(np.signbit(x), np.signbit(y), err_msg=name)
+
+
+def test_edge_list_is_placed_in_row_major_order_directly():
+    rng = substream(5, "edge-lists")
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, (int(rng.integers(0, 120)), 2))
+        # repeated pairs in both directions, and self-loops
+        edges = np.concatenate([edges, edges[: trial % 7, ::-1], edges[: trial % 3],
+                                np.repeat(np.arange(min(n, trial % 4))[:, None], 2, 1)])
+        _assert_same_matrix(adjacency_from_edges(n, edges),
+                            adjacency_from_edges_mirrored(n, edges))
+
+
+def test_edge_list_out_of_range_rejected():
+    for edges in ([[0, 3]], [[-1, 1]]):
+        with pytest.raises(SparseError, match="out of range"):
+            adjacency_from_edges(3, np.array(edges))
+
+
+def test_edge_list_memory_is_a_few_arrays_per_edge():
+    # 100k nodes and about 256k edges, as a Pubmed-sized planted draw. The
+    # result holds 48 bytes per edge (rows, cols, vals, both directions);
+    # 81 bytes per edge measured at peak, where stacking the mirrored
+    # halves and sorting them took 201 (2-core x86-64, numpy 2.4).
+    n = 100_000
+    edges = substream(6, "edge-memory").integers(0, n, (256_000, 2))
+    tracemalloc.start()
+    try:
+        adj = adjacency_from_edges(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_edge = peak / (adj.nnz // 2)
+    assert per_edge < 110, per_edge
+
+
+def _random_matrix(rng, n_rows, n_cols, density=0.3):
+    dense = rng.standard_normal((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < density)
+    dense[rng.random((n_rows, n_cols)) < 0.05] = -0.0
+    return dense
+
+
+def test_from_dense_stores_nonzero_and_negative_zero_entries():
+    dense = np.array([[0.0, -0.0, 1.5], [0.0, 0.0, 0.0], [-2.0, 0.0, -0.0]])
+    x = SparseMatrix.from_dense(dense)
+    np.testing.assert_array_equal(x.rows, [0, 0, 2, 2])
+    np.testing.assert_array_equal(x.cols, [1, 2, 0, 2])
+    np.testing.assert_array_equal(np.signbit(x.to_dense()), np.signbit(dense))
+    _assert_same_matrix(x, SparseMatrix(3, 3, x.rows, x.cols, x.vals))
+
+
+def test_row_and_diagonal_blocks_equal_validated_matrices():
+    rng = substream(7, "row-blocks")
+    dense = _random_matrix(rng, 9, 4)
+    x = SparseMatrix.from_dense(dense)
+    for lo, hi in ((0, 9), (0, 0), (2, 5), (8, 9), (4, 4)):
+        _assert_same_matrix(x.row_block(lo, hi), SparseMatrix.from_dense(dense[lo:hi]))
+    # two diagonal blocks, nodes 0..2 and 3..6
+    adj = adjacency_from_edges(7, np.array([[0, 1], [1, 2], [3, 6], [4, 5], [3, 4]]))
+    for lo, hi in ((0, 3), (3, 7)):
+        block = adj.diagonal_block(lo, hi)
+        _assert_same_matrix(block, SparseMatrix.from_dense(adj.to_dense()[lo:hi, lo:hi]))
+        block.check_adjacency()
+
+
+def test_take_rows_and_vstack_equal_validated_matrices():
+    rng = substream(8, "take-rows")
+    dense = _random_matrix(rng, 12, 5)
+    x = SparseMatrix.from_dense(dense)
+    for order in (np.arange(12), rng.permutation(12), np.arange(12)[::-1]):
+        _assert_same_matrix(x.take_rows(order), SparseMatrix.from_dense(dense[order]))
+    parts = [dense[:4], dense[4:4], dense[4:11], dense[11:]]
+    _assert_same_matrix(SparseMatrix.vstack([SparseMatrix.from_dense(p) for p in parts]), x)
+    with pytest.raises(SparseError, match="column count"):
+        SparseMatrix.vstack([x, SparseMatrix.from_dense(dense[:, :3])])
 
 
 def test_undirected_pairs_each_edge_once():
