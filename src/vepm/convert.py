@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from .graphs import (DatasetError, Graph, GraphCollection, _first_outside, _read_int_rows,
                      _refuse_count, _refuse_row, _require, save_graph_dataset,
                      save_node_dataset, split_graphs)
-from .sparse import SparseMatrix, adjacency_from_edges
+from .sparse import SparseMatrix, adjacency_from_edges, stored_mask
 
 
 _MATRIX = (lambda o: (sp.issparse(o) or isinstance(o, np.ndarray)) and o.ndim == 2,
@@ -95,7 +95,7 @@ def convert_planetoid(raw_dir: str, name: str, out_dir: str) -> Graph:
                   format="csr")[source]
     x.sum_duplicates()
     x = x.tocoo()
-    stored = (x.data != 0) | np.signbit(x.data)
+    stored = stored_mask(x.data)
     features = SparseMatrix(n, x.shape[1], x.row[stored], x.col[stored], x.data[stored])
     labels = np.argmax(np.vstack([parts["ally"], parts["ty"]])[source], axis=1)
     adjacency = adjacency_from_edges(n, edges)

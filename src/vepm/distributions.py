@@ -29,22 +29,6 @@ class DistributionError(ValueError):
     pass
 
 
-class CommunityActivations:
-    """Positive per-community activations, stored unconstrained.
-
-    gamma = softplus(raw); raw initializes to softplus^{-1}(1) so training
-    starts from unit activations.
-    """
-
-    @staticmethod
-    def initial_raw(c: int) -> np.ndarray:
-        return np.full(c, float(np.log(np.expm1(1.0))))
-
-    @staticmethod
-    def gamma(raw: Node) -> Node:
-        return dm.softplus(raw)
-
-
 def clamp_weibull(shape_raw: Node, scale_raw: Node) -> tuple[Node, Node]:
     """Positive shape/scale from unconstrained encoder outputs.
 

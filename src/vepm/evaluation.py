@@ -10,13 +10,13 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, GraphCollection, batch_graphs, kfold_split
+from .graphs import Graph, GraphCollection, kfold_split
 from .model import (
     ModelConfig,
     init_params,
     mu_statistic,
     posterior_predictive,
-    prepare_graph_batch,
+    prepare_graph_selection,
     prepare_node_graph,
 )
 from .rng import substream
@@ -91,23 +91,15 @@ def hard_assign_communities(z: np.ndarray, gamma: np.ndarray, k: int) -> np.ndar
 
 
 def _train_fold(collection, train_idx, test_idx, val_idx, cfg, tcfg, seed):
-    union, gids, labels = batch_graphs(collection, train_idx)
-    prep = prepare_graph_batch(union, gids, labels, collection.n_classes())
-    present = np.unique(labels)
-    if present.size < collection.n_classes():
-        warnings.warn(f"training fold is missing classes "
-                      f"{sorted(set(range(collection.n_classes())) - set(present))}")
-    store = init_params(cfg, collection.n_features, collection.n_classes(), seed,
-                        task="graph")
+    prep = prepare_graph_selection(collection, train_idx)
+    missing = set(range(prep.n_classes)) - set(prep.graph_labels.tolist())
+    if missing:
+        warnings.warn(f"training fold is missing classes {sorted(missing)}")
+    store = init_params(cfg, collection.n_features, prep.n_classes, seed, task="graph")
     pretrain(prep, store, cfg, tcfg, seed=seed)
 
-    t_union, t_gids, t_labels = batch_graphs(collection, test_idx)
-    test_prep = prepare_graph_batch(t_union, t_gids, t_labels, collection.n_classes())
-    val_prep = None
-    if val_idx is not None:
-        v_union, v_gids, v_labels = batch_graphs(collection, val_idx)
-        val_prep = prepare_graph_batch(v_union, v_gids, v_labels,
-                                       collection.n_classes())
+    test_prep = prepare_graph_selection(collection, test_idx)
+    val_prep = None if val_idx is None else prepare_graph_selection(collection, val_idx)
     return finetune(prep, store, cfg, tcfg, seed=seed, test_prep=test_prep,
                     val_prep=val_prep, eval_samples=cfg.mc_samples,
                     eval_train=False)
@@ -128,6 +120,9 @@ def cross_validate_graphs(collection: GraphCollection, cfg: ModelConfig,
         raise EvaluationError("folds must be >= 2")
     if protocol == "zhang" and folds < 3:
         raise EvaluationError("the train-validation-test protocol needs >= 3 folds")
+    if tcfg.finetune_epochs < 1:
+        raise EvaluationError("graph cross-validation picks a finetuning epoch, so it "
+                              "needs train.finetune_epochs >= 1")
     splits = kfold_split(len(collection), folds, seed)
     chunks = [test for _train, test in splits]
 

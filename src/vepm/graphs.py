@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .rng import substream
-from .sparse import SparseMatrix, adjacency_from_edges
+from .sparse import SparseMatrix, adjacency_from_edges, stored_mask
 
 
 class DatasetError(ValueError):
@@ -370,7 +370,7 @@ def _read_features(path: str) -> SparseMatrix:
                 f"feature {feature[second]} from line {data[first][0]}")
         node, feature, value = node[order], feature[order], value[order]
     # the stored entries, each field as a contiguous array of its own
-    stored = (value != 0) | np.signbit(value)
+    stored = stored_mask(value)
     return SparseMatrix._trusted(n, f, node[stored], feature[stored], value[stored])
 
 
@@ -525,10 +525,10 @@ def _write_rows(path: str, rows: np.ndarray):
 
 def _write_features(path: str, features: SparseMatrix):
     """Write `features` in the sparse form: the header "N,F", then one
-    "node,feature,value" line per stored entry that is nonzero or -0.0, in
-    row-major order, with `repr` values (an exact round trip)."""
+    "node,feature,value" line per `stored_mask` entry, in row-major order,
+    with `repr` values (an exact round trip)."""
     n, f = features.shape
-    stored = (features.vals != 0) | np.signbit(features.vals)
+    stored = stored_mask(features.vals)
     nodes, feats = features.rows[stored], features.cols[stored]
     values = features.vals[stored]
     with open(path, "w", encoding="utf-8") as fh:

@@ -25,13 +25,8 @@ import scipy.sparse as sp
 
 from . import diffmath as dm
 from .diffmath import Node, ParameterStore
-from .distributions import (
-    CommunityActivations,
-    block_structure,
-    clamp_weibull,
-    weibull_rsample,
-)
-from .graphs import Graph
+from .distributions import block_structure, clamp_weibull, weibull_rsample
+from .graphs import Graph, GraphCollection, batch_graphs
 from .rng import substream
 from .sparse import SparseMatrix, normalize_adjacency
 
@@ -150,11 +145,6 @@ class PreparedGraph:
             self.graph_labels = np.asarray(self.graph_labels, dtype=np.int64)
 
     @property
-    def x_csr(self) -> SparseMatrix:
-        """The node features, the graph's own CSR matrix."""
-        return self.graph.features
-
-    @property
     def n_nodes(self) -> int:
         return self.graph.n_nodes
 
@@ -170,6 +160,12 @@ def prepare_node_graph(graph: Graph) -> PreparedGraph:
 def prepare_graph_batch(union: Graph, graph_ids, graph_labels, n_classes) -> PreparedGraph:
     return PreparedGraph(graph=union, task="graph", n_classes=n_classes,
                          graph_ids=graph_ids, graph_labels=graph_labels)
+
+
+def prepare_graph_selection(collection: GraphCollection, indices) -> PreparedGraph:
+    """The selected graphs of `collection` as one prepared batch."""
+    union, gids, labels = batch_graphs(collection, indices)
+    return prepare_graph_batch(union, gids, labels, collection.n_classes())
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,8 @@ def init_params(cfg: ModelConfig, n_features: int, n_classes: int, seed: int,
         rng = substream(seed, "init", "enc", li)
         _add_layer(store, rng, f"enc.{li}", dims[li], dims[li + 1], "gcn", "phi")
 
-    store.add("gamma_raw", CommunityActivations.initial_raw(c_total), "shared")
+    # softplus^{-1}(1), so that training starts from unit activations
+    store.add("gamma_raw", np.full(c_total, float(np.log(np.expm1(1.0)))), "shared")
 
     _add_bank(store, cfg, _bank_input_dim(cfg, n_features), seed)
 
@@ -265,7 +262,9 @@ def init_params(cfg: ModelConfig, n_features: int, n_classes: int, seed: int,
 
 
 def gamma_node(store: ParameterStore) -> Node:
-    return CommunityActivations.gamma(store["gamma_raw"])
+    """The positive community activations, softplus of the unconstrained
+    `gamma_raw`."""
+    return dm.softplus(store["gamma_raw"])
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def encode_communities(prep: PreparedGraph, store: ParameterStore, cfg: ModelCon
     for li in range(cfg.encoder_layers):
         name = f"enc.{li}"
         if li == 0:
-            m = dm.sparse_dense_matmul(prep.x_csr, store[f"{name}.W"]) + store[f"{name}.b"]
+            m = _blocks_matmul([prep.graph.features], store[f"{name}.W"]) + store[f"{name}.b"]
         else:
             m = _linear(h, store, name)
         h = dm.sparse_dense_matmul(prep.a_norm, m)
@@ -446,15 +445,16 @@ def build_input_features(prep: PreparedGraph, z: Node, cfg: ModelConfig,
                          seed: int) -> list:
     """The bank input x* as a list of column blocks.
 
-    For GCN the node features stay the CSR constant `prep.x_csr`, which the
-    fused first transform multiplies with the sparse kernel. GIN aggregates
-    x* before transforming it, so it gets one dense [X | z] block, the
-    features densified here, a batch at a time.
+    For GCN the node features stay the CSR constant `prep.graph.features`,
+    which the fused first transform multiplies with the sparse kernel. GIN
+    aggregates x* before transforming it, so it gets one dense [X | z]
+    block, the features densified here, a batch at a time.
     """
+    x = prep.graph.features
     if cfg.input_mode == "random":
-        noise = substream(seed, "input-noise").standard_normal(prep.x_csr.shape)
-        return [dm.constant(noise)]
-    x = prep.x_csr if cfg.layer_kind == "gcn" else dm.constant(prep.x_csr.to_dense())
+        return [dm.constant(substream(seed, "input-noise").standard_normal(x.shape))]
+    if cfg.layer_kind == "gin":
+        x = dm.constant(x.to_dense())
     blocks = {"features_and_z": [x, z], "features_only": [x], "z_only": [z]}[cfg.input_mode]
     if len(blocks) > 1 and cfg.layer_kind == "gin":
         return [dm.concat_columns(blocks)]

@@ -20,8 +20,9 @@ from .evaluation import (
     reduced_label_run,
     _config_dict,
 )
-from .graphs import batch_graphs, load_graph_dataset, load_node_dataset
+from .graphs import load_graph_dataset, load_node_dataset
 from .model import (
+    ModelError,
     bank_inputs,
     community_gnn_forward,
     encode_communities,
@@ -32,10 +33,10 @@ from .model import (
     init_params,
     mu_statistic,
     posterior_predictive,
-    prepare_graph_batch,
+    prepare_graph_selection,
     prepare_node_graph,
 )
-from .runconfig import ConfigError, RunConfig
+from .runconfig import ConfigError, RunConfig, parse_value
 from .training import (
     OptimizerState,
     TrainResult,
@@ -63,8 +64,7 @@ def load_dataset(cfg: RunConfig):
 def _prepare(cfg: RunConfig, data):
     if cfg.task == "node":
         return prepare_node_graph(data)
-    union, gids, labels = batch_graphs(data, np.arange(len(data)))
-    return prepare_graph_batch(union, gids, labels, data.n_classes())
+    return prepare_graph_selection(data, np.arange(len(data)))
 
 
 def _fresh_store(cfg: RunConfig, prep):
@@ -240,46 +240,52 @@ def run_partition_export(cfg: RunConfig, checkpoint: str, out_dir: str):
     return partition
 
 
-# ablation axis -> (ModelConfig field, value type); the training scheme
+# ablation axis -> the ModelConfig field it sets; the training scheme
 # axis is apart: 'scratch' is pretrain_epochs = 0
 _ABLATION_FIELDS = {
-    "partition_mode": ("partition_mode", str),
-    "composer_kind": ("composer_kind", str),
-    "tau": ("tau", float),
-    "input_mode": ("input_mode", str),
-    "k_meta": ("n_metacommunities", int),
+    "partition_mode": "partition_mode",
+    "composer_kind": "composer_kind",
+    "tau": "tau",
+    "input_mode": "input_mode",
+    "k_meta": "n_metacommunities",
 }
 ABLATION_AXES = (*_ABLATION_FIELDS, "training_scheme")
 
 
-def _ablate_value(cfg: RunConfig, data, axis: str, value: str) -> dict:
-    """Train and score one axis value through eval's protocols."""
+def _ablation_config(cfg: RunConfig, axis: str, value: str) -> RunConfig:
+    """The run configuration of one axis value, parsed and checked."""
     if axis == "training_scheme":
         if value not in ("scratch", "pretrain_finetune"):
             raise ConfigError(f"unknown training scheme {value!r}")
         if value == "scratch":
             cfg = replace(cfg, train=replace(cfg.train, pretrain_epochs=0))
-    else:
-        name, kind = _ABLATION_FIELDS[axis]
-        cfg = replace(cfg, model=replace(cfg.model, **{name: kind(value)}))
-    report = _train_and_score(cfg, data)
-    return {"value": value, "accuracy_mean": report.accuracy_mean,
-            "accuracy_stderr": report.accuracy_stderr,
-            "per_fold": report.per_fold}
+        return cfg
+    name = _ABLATION_FIELDS[axis]
+    key = f"model.{name}"
+    try:
+        return replace(cfg, model=replace(cfg.model, **{name: parse_value(key, value)}))
+    except ModelError as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r}: {exc}") from exc
 
 
 def run_ablate(cfg: RunConfig, axis: str, values: list[str],
                jobs: int = 1) -> list[dict]:
+    """Train and score each axis value through eval's protocols; every value
+    is parsed and checked before the first one trains."""
     if axis not in ABLATION_AXES:
         raise ConfigError(f"axis must be one of {ABLATION_AXES}")
     if not values:
         raise ConfigError("an ablation needs at least one value")
+    cfgs = [_ablation_config(cfg, axis, v) for v in values]
     data = load_dataset(cfg)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda v: _ablate_value(cfg, data, axis, v), values))
+            reports = list(pool.map(lambda c: _train_and_score(c, data), cfgs))
     else:
-        rows = [_ablate_value(cfg, data, axis, v) for v in values]
+        reports = [_train_and_score(c, data) for c in cfgs]
+    rows = [{"value": value, "accuracy_mean": report.accuracy_mean,
+             "accuracy_stderr": report.accuracy_stderr, "per_fold": report.per_fold}
+            for value, report in zip(values, reports)]
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, f"ablation_{axis}.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

@@ -45,9 +45,24 @@ class RunConfig:
             raise ConfigError(f"keep_rate must lie in (0, 1], got {self.keep_rate}")
         if self.keep_rate < 1.0 and self.task != "node":
             raise ConfigError("keep_rate below 1 needs task = node")
+        if self.sampler.enabled and self.task != "node":
+            raise ConfigError("sampler.enabled = true needs task = node; "
+                              "graph tasks train on whole batches")
 
 
-def _coerce(raw: str, target_type, key: str):
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "sampler": SamplerConfig}
+
+
+def parse_value(key: str, raw: str):
+    """`raw` parsed as the type of config key `key`, a top-level field of
+    RunConfig or a dotted `section.field`: the one parser of config files
+    and ablation values."""
+    section, _, name = key.rpartition(".")
+    owner = _SECTIONS.get(section) if section else RunConfig
+    hints = {} if owner is None else get_type_hints(owner)
+    if name not in hints or name in _SECTIONS:
+        raise ConfigError(f"unknown config key {key!r}")
+    target_type = hints[name]
     raw = raw.strip()
     try:
         if target_type is bool:
@@ -81,17 +96,9 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "sampler": SamplerConfig}
-
-
 def build_run_config(raw: dict[str, str], overrides: Optional[dict] = None) -> RunConfig:
     """Assemble a RunConfig from raw strings plus typed overrides of its
     top-level keys (the CLI flags); None means not given."""
-    raw = dict(raw)
-    top_fields = {name: ftype for name, ftype in get_type_hints(RunConfig).items()
-                  if name not in _SECTIONS}
-    section_fields = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
-
     top_kwargs: dict = {}
     section_kwargs: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, value in raw.items():
@@ -99,13 +106,9 @@ def build_run_config(raw: dict[str, str], overrides: Optional[dict] = None) -> R
             raise ConfigError("train.seed is not read; set the run's seed with 'seed'")
         if "." in key:
             section, sub = key.split(".", 1)
-            if section not in _SECTIONS or sub not in section_fields[section]:
-                raise ConfigError(f"unknown config key {key!r}")
-            section_kwargs[section][sub] = _coerce(value, section_fields[section][sub], key)
+            section_kwargs[section][sub] = parse_value(key, value)
         else:
-            if key not in top_fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            top_kwargs[key] = _coerce(value, top_fields[key], key)
+            top_kwargs[key] = parse_value(key, value)
 
     top_kwargs.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     # node tasks default to degree-normalized layers, graph tasks to sum

@@ -17,6 +17,14 @@ class SparseError(ValueError):
     pass
 
 
+def stored_mask(values: np.ndarray) -> np.ndarray:
+    """Which values a `SparseMatrix` built from them stores: those that are
+    nonzero or -0.0; an explicit +0.0 is not stored. A stored -0.0 keeps its sign
+    through `to_dense`, and adds nothing to a product, whose sums start at
+    +0.0."""
+    return (values != 0) | np.signbit(values)
+
+
 class PairLayout(NamedTuple):
     """The mirror structure of a symmetric support without diagonal
     entries, in its row-major entry order."""
@@ -75,13 +83,10 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseMatrix":
-        """The entries of a dense matrix that are nonzero or -0.0; an
-        explicit +0.0 is not stored. A stored -0.0 keeps its sign through
-        `to_dense`, and adds nothing to a product, whose sums start at
-        +0.0."""
+        """The `stored_mask` entries of a dense matrix."""
         dense = np.asarray(dense, dtype=np.float64)
         # numpy scans a boolean mask about twice as fast as a float array
-        rows, cols = np.nonzero((dense != 0) | np.signbit(dense))
+        rows, cols = np.nonzero(stored_mask(dense))
         return cls._trusted(dense.shape[0], dense.shape[1], rows, cols,
                             dense[rows, cols])
 

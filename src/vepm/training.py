@@ -531,12 +531,6 @@ def _theta_loss(prep, store, cfg, tcfg, z, partition, x_star, step, seed) -> Nod
     return dm.negate(dm.constant(tcfg.elbo_weights[0]) * _task_logprob(prep, logits))
 
 
-def _theta_step(prep, store, cfg, tcfg, state, names, z, partition, x_star, step,
-                seed):
-    loss = _theta_loss(prep, store, cfg, tcfg, z, partition, x_star, step, seed)
-    _descend(store, loss, state, tcfg.lr_theta, names)
-
-
 def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
              tcfg: TrainConfig, seed: int = 0,
              test_prep: Optional[PreparedGraph] = None,
@@ -587,8 +581,10 @@ def finetune(prep: PreparedGraph, store: ParameterStore, cfg: ModelConfig,
         z, _gamma, partition, x_star = bank_inputs(prep, store.detached(), cfg,
                                                    uniforms, seed, base)
         for m in range(m_steps):
-            _theta_step(prep, store, cfg, tcfg, adam_theta, theta_names, z, partition,
-                        x_star, base + 1 + m, seed)
+            # the loss is bound to no name here, so its tape dies with the step
+            _descend(store, _theta_loss(prep, store, cfg, tcfg, z, partition, x_star,
+                                        base + 1 + m, seed),
+                     adam_theta, tcfg.lr_theta, theta_names)
             if step_callback is not None:
                 step_callback(epoch=epoch, phase="theta", inner=m,
                               partition=partition.weights.value, store=store)

@@ -29,7 +29,7 @@ from .model import (
     init_params,
     encoder_uniforms,
     partition_edges,
-    prepare_graph_batch,
+    prepare_graph_selection,
     prepare_node_graph,
 )
 from .rng import substream
@@ -343,12 +343,11 @@ def gin_elbo_check_setup(seed: int = 7, **overrides):
         graph, _ = sample_epm_graph(n, 2, 1.0, 1.0, np.full(2, 0.5), seed=seed + g,
                                     within_boost=3.0, features=feats)
         graphs.append(graph)
-    union, gids, labels = batch_graphs(
+    prep = prepare_graph_selection(
         GraphCollection(graphs=graphs, graph_labels=np.array([0, 1, 1, 0])), np.arange(4))
     cfg = replace(ModelConfig(n_metacommunities=2, communities_per_block=1,
                               hidden_dim=8, layer_kind="gin", dropout=0.0), **overrides)
-    prep = prepare_graph_batch(union, gids, labels, 2)
-    store = init_params(cfg, union.n_features, 2, seed=1, task="graph")
+    store = init_params(cfg, prep.graph.n_features, 2, seed=1, task="graph")
     for name in store.names():
         value = store[name].value
         if name.endswith((".b1", ".b2")):
@@ -356,7 +355,7 @@ def gin_elbo_check_setup(seed: int = 7, **overrides):
         elif name.endswith((".W1", ".W2")):
             store.set_value(name, 0.5 * value)
     store.set_value("out.W", 0.3 * store["out.W"].value)
-    uniforms = encoder_uniforms(union.n_nodes, cfg.total_communities, seed, "gin-check")
+    uniforms = encoder_uniforms(prep.n_nodes, cfg.total_communities, seed, "gin-check")
     tcfg = TrainConfig(pretrain_epochs=1, finetune_epochs=1)
     return prep, store, cfg, tcfg, uniforms
 

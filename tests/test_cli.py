@@ -551,6 +551,31 @@ class TestGraphTaskCommands:
         assert "VEPM-ERROR kind=config" in err
         assert f"{flag[0]} not read by the graph cross-validation" in err
 
+    def test_graph_task_refuses_the_sampler(self, graph_run, capsys):
+        from vepm.runconfig import ConfigError, RunConfig
+        from vepm.training import SamplerConfig
+
+        with pytest.raises(ConfigError, match="sampler.enabled = true needs task = node"):
+            RunConfig(task="graph", sampler=SamplerConfig(enabled=True))
+        _out, cfg = graph_run
+        with open(cfg, "a") as fh:
+            fh.write("sampler.enabled = true\n")
+        for command in ("pretrain", "eval"):
+            assert main([command, "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert "VEPM-ERROR kind=config" in err
+            assert "sampler.enabled = true needs task = node" in err
+
+    @pytest.mark.parametrize("protocol", ["xu", "zhang"])
+    def test_graph_eval_refuses_zero_finetune_epochs(self, graph_run, capsys,
+                                                     protocol):
+        _out, cfg = graph_run
+        with open(cfg, "a") as fh:
+            fh.write("train.finetune_epochs = 0\n")
+        assert main(["eval", "--config", cfg, "--protocol", protocol]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err and "train.finetune_epochs" in err
+
     def test_negative_graph_label_exit_2(self, graph_run, capsys):
         _out, cfg = graph_run
         labels = os.path.join(load_run_config(cfg).dataset, "labels.csv")
@@ -659,6 +684,36 @@ class TestFlags:
         assert f"argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
 
 
+def _readme_flag_table() -> dict:
+    """README's `| command | flags |` table: command -> set of flags."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    start = lines.index("| command | flags |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        commands, flags = [cell.strip() for cell in line.strip("|").split("|")]
+        for command in commands.split(","):
+            assert command.strip().strip("`") not in table, command
+            table[command.strip().strip("`")] = set(flags.strip("`").split())
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    import argparse
+
+    from vepm.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {opt for action in p._actions for opt in action.option_strings
+                     if opt.startswith("--") and opt != "--help"}
+              for name, p in sub.choices.items()}
+    assert _readme_flag_table() == parsed
+
+
 class TestPartitionExport:
     def test_export_files_and_weight_sums(self, synth_run):
         _tmp, _data, out, cfg = synth_run
@@ -727,6 +782,28 @@ class TestAblate:
         err = capsys.readouterr().err
         assert "VEPM-ERROR kind=config" in err and "at least one value" in err
         assert not os.path.exists(os.path.join(out, "ablation_tau.csv"))
+
+    @pytest.mark.parametrize("axis,values,message", [
+        ("tau", "0.1,abc", "bad value for 'model.tau': 'abc'"),
+        ("tau", "0.1,-1", "bad value for 'model.tau': '-1'"),
+        ("k_meta", "2,2.5", "bad value for 'model.n_metacommunities': '2.5'"),
+        ("partition_mode", "even,bogus", "bad value for 'model.partition_mode'"),
+        ("training_scheme", "scratch,twice", "unknown training scheme 'twice'"),
+    ])
+    def test_every_value_is_checked_before_the_first_trains(self, synth_run, capsys,
+                                                            monkeypatch, axis, values,
+                                                            message):
+        import vepm.pipeline as pipeline
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a value trained")
+
+        monkeypatch.setattr(pipeline, "_train_and_score", unreachable)
+        _tmp, _data, out, cfg = synth_run
+        assert main(["ablate", "--config", cfg, "--axis", axis, "--values", values]) == 2
+        err = capsys.readouterr().err
+        assert "VEPM-ERROR kind=config" in err and message in err
+        assert not os.path.exists(os.path.join(out, f"ablation_{axis}.csv"))
 
     def test_rows_follow_the_reduced_label_run(self, synth_run):
         """At keep_rate < 1 each row is the reduced-label run with the axis

@@ -437,7 +437,7 @@ def test_loading_never_allocates_the_dense_feature_matrix(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prep.x_csr.shape == (n, n) and prep.x_csr.nnz == 3
+    assert prep.graph.features.shape == (n, n) and prep.graph.features.nnz == 3
     # a few arrays of N ints: about 6 MB measured
     assert peak < 16 * 2**20, peak
 

@@ -230,6 +230,21 @@ class TestCrossValidation:
         assert len(report.per_fold) == 3
         assert len(report.details["best_epochs"]) == 3
 
+    @pytest.mark.parametrize("protocol", ["xu", "zhang"])
+    def test_zero_finetune_epochs_refused_before_any_fold_trains(self, monkeypatch,
+                                                                 protocol):
+        import vepm.evaluation as ev
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a fold pretrained")
+
+        monkeypatch.setattr(ev, "pretrain", unreachable)
+        cfg, _tcfg = fast_cfgs()
+        tcfg = TrainConfig(pretrain_epochs=1, finetune_epochs=0)
+        with pytest.raises(EvaluationError, match=r"train\.finetune_epochs >= 1"):
+            cross_validate_graphs(synthetic_collection(n_graphs=12, seed=0), cfg, tcfg,
+                                  folds=3, seed=0, protocol=protocol)
+
     def test_report_json_stable_keys(self):
         coll = synthetic_collection(n_graphs=4, seed=4)
         cfg, tcfg = fast_cfgs()

@@ -226,7 +226,7 @@ class TestFeatures:
         again = Graph(adjacency=graph.adjacency, features=graph.features)
         assert again.features is graph.features
         graph.labels = np.array([0, 1, 0])
-        assert prepare_node_graph(graph).x_csr is graph.features
+        assert prepare_node_graph(graph).graph.features is graph.features
 
     def test_feature_rows_must_match_the_adjacency(self):
         adj = adjacency_from_edges(3, np.array([[0, 1]]))
