@@ -167,16 +167,18 @@ def _community_forward(cfg: RunConfig, prep, store, tag: str):
     return z, gamma, partition, np.hsplit(h.value, cfg.model.n_metacommunities)
 
 
-def _community_probes(cfg: RunConfig, prep, store, out_dir: str) -> list:
+def _community_probes(cfg: RunConfig, prep, store, out_dir: str) -> dict:
     """Cross-validated linear probes on each community's embeddings,
-    written as one normalized confusion matrix CSV per community."""
+    written as one normalized confusion matrix CSV per community. Row and
+    column i of each matrix are the i-th label kept, also returned."""
     _z, _gamma, _partition, h_list = _community_forward(cfg, prep, store, "probe")
     matrices, kept = community_confusion_matrices(
         h_list, prep.graph.labels, folds=cfg.folds, seed=cfg.seed)
     os.makedirs(out_dir, exist_ok=True)
     for k, mat in enumerate(matrices):
         np.savetxt(os.path.join(out_dir, f"confusion_{k}.csv"), mat, delimiter=",")
-    return [m.tolist() for m in matrices]
+    return {"community_confusions": [m.tolist() for m in matrices],
+            "community_confusion_classes": kept.tolist()}
 
 
 def _train_and_score(cfg: RunConfig, data) -> EvalReport:
@@ -223,8 +225,7 @@ def run_eval(cfg: RunConfig, checkpoint: Optional[str] = None,
     report.nmi_finetune = _nmi(cfg, prep, store)
     details["mc_samples"] = samples
     if probes:
-        details["community_confusions"] = _community_probes(
-            cfg, prep, store, os.path.join(cfg.out, "probes"))
+        details.update(_community_probes(cfg, prep, store, os.path.join(cfg.out, "probes")))
     report.details = details
     return report
 

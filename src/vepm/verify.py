@@ -9,6 +9,7 @@ wired to the `verify` CLI command and reused by the acceptance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -61,48 +62,16 @@ def _avoid_kinks(rng, shape, low=-2.0, high=2.0, margin=1e-3):
 # gradcheck suite
 
 
-def _primitive_cases(seed=0):
-    """One loss builder per primitive; each mixes the output with a random
-    constant so every input coordinate receives gradient."""
-    rng = substream(seed, "gradcheck-inputs")
-    n, d = 5, 4
-    a = _avoid_kinks(rng, (n, d))
-    b = _avoid_kinks(rng, (n, d))
-    w = _avoid_kinks(rng, (d, 3))
-    pos = rng.uniform(0.5, 2.5, (n, d))
-    mix = {2: rng.standard_normal((n, d)), 3: rng.standard_normal((n, 3)),
-           "vec": rng.standard_normal(n), "cat": rng.standard_normal((n, 2 * d))}
+def _primitive_cases():
+    """The gradient cases by name. Each maps its own generator to the
+    case's parameters (name -> array, drawn on the domain its op is checked
+    on) and to a build that returns the op's output node or nodes."""
+    n, d, k = 5, 4, 3
     adj = adjacency_from_edges(n, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]))
     a_norm = normalize_adjacency(adj)
-    idx = np.array([0, 2, 2, 4, 1])
     # node 4 is isolated: its output row is zero and its input row gets no gradient
     adj_iso = adjacency_from_edges(n, np.array([[0, 1], [1, 2], [2, 3], [0, 3], [1, 3]]))
-    w_edge = rng.uniform(0.5, 2.0, (adj_iso.nnz, 1))
-    bias = rng.standard_normal(3)
-    self_loops = rng.uniform(0.5, 2.0, (n, 1))
-    # K-part inputs, drawn after the rest so no other case's inputs move
-    k = 3
-    w_parts = rng.uniform(0.5, 2.0, (adj_iso.nnz, k))
-    stacked = _avoid_kinks(rng, (k * n, d))
-    loops_parts = rng.uniform(0.5, 2.0, (n, k))
-    loops_shared = rng.uniform(0.5, 2.0, k)
-    w_blocks = _avoid_kinks(rng, (k * d, 3))
-    bias_blocks = rng.standard_normal((k, 3))
-    mix["parts"] = rng.standard_normal((k * n, d))
-    mix["parts3"] = rng.standard_normal((k * n, 3))
-    mix["wide"] = rng.standard_normal((n, k * d))
-    wide = rng.standard_normal((n, k * d))
-    # ELBO-term inputs, drawn after the rest so no other case's inputs move
-    raw = rng.uniform(-3.0, 3.0, (n, d))
-    # bounds halfway between the 4th and 5th softplus values from each end:
-    # 4 entries are clamped on each side, and none sits on a bound
-    ordered = np.sort(np.logaddexp(0.0, raw), axis=None)
-    lo, hi = (ordered[3] + ordered[4]) / 2, (ordered[-5] + ordered[-4]) / 2
-    shape_k = rng.uniform(0.5, 2.5, (n, d))
-    scale = rng.uniform(0.5, 2.5, (n, d))
-    u = rng.uniform(0.05, 0.95, (n, d))
-    z = rng.uniform(0.2, 1.5, (n, d))
-    gamma = rng.uniform(0.3, 1.2, d)
+    idx = np.array([0, 2, 2, 4, 1])
     # a triangle and an edge, batched into one 5-node union
     pieces = [adjacency_from_edges(3, np.array([[0, 1], [1, 2], [0, 2]])),
               adjacency_from_edges(2, np.array([[0, 1]]))]
@@ -111,159 +80,138 @@ def _primitive_cases(seed=0):
                                 for p in pieces], graph_labels=np.array([0, 1])),
         np.arange(2))
     edgeless = adjacency_from_edges(n, np.zeros((0, 2), np.int64))
-    # partition inputs, drawn after the rest so no other case's inputs move:
-    # K = 2 blocks of 2 communities on the support with isolated node 4,
-    # and 3 parts of edge weights, different on the two directions of an edge
+    # K = 2 blocks of 2 communities on the support with isolated node 4
     part_cfg = ModelConfig(n_metacommunities=2, communities_per_block=2, tau=0.7)
-    z_part = rng.uniform(0.2, 1.5, (n, d))
-    gamma_part = rng.uniform(0.3, 1.2, d)
-    w_norm = rng.uniform(0.5, 2.0, (adj_iso.nnz, k))
-    mix["entries"] = rng.standard_normal((adj_iso.nnz, 2))
-    mix["norm_edges"] = rng.standard_normal((adj_iso.nnz, k))
-    mix["norm_loops"] = rng.standard_normal((n, k))
-    # fused-op inputs, drawn after the rest so no other case's inputs move:
-    # a stacked input for relu_dropout, and one K = 1 and one K-block
-    # two-layer transform for block_mlp
-    stacked_relu = _avoid_kinks(rng, (k * n, d))
-    mlp_single = [rng.standard_normal(shape) for shape in ((n, d), (d, 3), (3,), (3, 3), (3,))]
-    mlp_blocks = [rng.standard_normal(shape)
-                  for shape in ((k * n, d), (k * d, 3), (k, 3), (k * 3, 3), (k, 3))]
 
-    def mixed(node, key=2):
-        return dm.reduce_sum(dm.elementwise_mul(node, dm.constant(mix[key])))
+    def kinkfree(*shape):
+        return lambda rng: _avoid_kinks(rng, shape)
 
-    cases = {}
+    def uniform(low, high, *shape):
+        return lambda rng: rng.uniform(low, high, shape)
 
-    def case(name, make_params, build):
-        cases[name] = (make_params, build)
+    def normal(*shape):
+        return lambda rng: rng.standard_normal(shape)
 
-    case("add", lambda s: (s.add("x", a, "phi"), s.add("y", b, "phi")),
-         lambda s: mixed(dm.add(s["x"], s["y"])))
-    case("negate", lambda s: s.add("x", a, "phi"),
-         lambda s: mixed(dm.negate(s["x"])))
-    case("elementwise_mul", lambda s: (s.add("x", a, "phi"), s.add("y", b, "phi")),
-         lambda s: mixed(dm.elementwise_mul(s["x"], s["y"])))
-    case("matmul", lambda s: (s.add("x", a, "phi"), s.add("w", w, "phi")),
-         lambda s: mixed(dm.matmul(s["x"], s["w"]), 3))
-    case("matmul_bias", lambda s: (s.add("x", a, "phi"), s.add("w", w, "phi"),
-                                   s.add("b", bias, "phi")),
-         lambda s: mixed(dm.matmul(s["x"], s["w"], s["b"]), 3))
-    case("sparse_dense_matmul", lambda s: s.add("x", a, "phi"),
-         lambda s: mixed(dm.sparse_dense_matmul(a_norm, s["x"])))
-    case("edge_spmm", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi")),
-         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], dm.constant(np.zeros(1)))))
-    case("edge_spmm_diag", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi"),
-                                      s.add("d", self_loops, "phi")),
-         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"])))
-    case("edge_spmm_diag_scalar", lambda s: (s.add("w", w_edge, "phi"), s.add("x", a, "phi"),
-                                             s.add("d", np.array([1.3]), "phi")),
-         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"])))
-    case("edge_spmm_parts", lambda s: (s.add("w", w_parts, "phi"),
-                                       s.add("x", stacked, "phi"),
-                                       s.add("d", loops_parts, "phi")),
-         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"]), "parts"))
-    case("edge_spmm_parts_shared", lambda s: (s.add("w", w_parts, "phi"),
-                                              s.add("x", a, "phi"),
-                                              s.add("d", loops_shared, "phi")),
-         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"]), "parts"))
-    case("edge_spmm_parts_scalar", lambda s: (s.add("w", w_parts, "phi"),
-                                              s.add("x", stacked, "phi"),
-                                              s.add("d", loops_shared, "phi")),
-         lambda s: mixed(dm.edge_spmm(adj_iso, s["w"], s["x"], s["d"]), "parts"))
-    case("matmul_blocks", lambda s: (s.add("x", stacked, "phi"), s.add("w", w_blocks, "phi"),
-                                     s.add("b", bias_blocks, "phi")),
-         lambda s: mixed(dm.matmul(s["x"], s["w"], s["b"]), "parts3"))
-    case("column_blocks_to_rows", lambda s: s.add("x", wide, "phi"),
-         lambda s: mixed(dm.column_blocks_to_rows(s["x"], k), "parts"))
-    case("row_blocks_to_columns", lambda s: s.add("x", stacked, "phi"),
-         lambda s: mixed(dm.row_blocks_to_columns(s["x"], k), "wide"))
-    case("relu", lambda s: s.add("x", a, "phi"),
-         lambda s: mixed(dm.relu(s["x"])))
-    case("softplus", lambda s: s.add("x", a, "phi"),
-         lambda s: mixed(dm.softplus(s["x"])))
-    case("log", lambda s: s.add("x", pos, "phi"),
-         lambda s: mixed(dm.log(s["x"])))
-    case("exp", lambda s: s.add("x", a, "phi"),
-         lambda s: mixed(dm.exp(s["x"])))
-    case("power", lambda s: s.add("x", pos, "phi"),
-         lambda s: mixed(dm.power(s["x"], -0.5)))
-    case("clip", lambda s: s.add("x", pos, "phi"),
-         lambda s: mixed(dm.clip(s["x"], 0.6, 2.2)))
-    case("gammaln", lambda s: s.add("x", pos, "phi"),
-         lambda s: mixed(dm.gammaln(s["x"])))
-    case("reduce_sum_all", lambda s: s.add("x", a, "phi"),
-         lambda s: dm.reduce_sum(s["x"]))
-    case("reduce_sum_axis0", lambda s: s.add("x", a, "phi"),
-         lambda s: dm.reduce_sum(dm.elementwise_mul(
-             dm.reduce_sum(s["x"], axis=0), dm.constant(mix[2][0]))))
-    case("reduce_sum_axis1", lambda s: s.add("x", a, "phi"),
-         lambda s: dm.reduce_sum(dm.elementwise_mul(
-             dm.reduce_sum(s["x"], axis=1), dm.constant(mix["vec"]))))
-    case("concat_columns", lambda s: (s.add("x", a, "phi"), s.add("y", b, "phi")),
-         lambda s: dm.reduce_sum(dm.elementwise_mul(
-             dm.concat_columns([s["x"], s["y"]]), dm.constant(mix["cat"]))))
-    case("slice_columns", lambda s: s.add("x", a, "phi"),
-         lambda s: dm.reduce_sum(dm.slice_columns(s["x"], 1, 3)))
-    case("slice_rows", lambda s: s.add("x", a, "phi"),
-         lambda s: dm.reduce_sum(dm.elementwise_mul(
-             dm.slice_rows(s["x"], 1, 3), dm.constant(mix[2][1:3]))))
-    case("reshape", lambda s: s.add("x", a, "phi"),
-         lambda s: dm.reduce_sum(dm.elementwise_mul(
-             dm.reshape(s["x"], (d, n)), dm.constant(mix[2].reshape(d, n)))))
-    case("gather_rows", lambda s: s.add("x", a, "phi"),
-         lambda s: mixed(dm.gather_rows(s["x"], idx)))
-    case("scatter_add_rows", lambda s: s.add("x", a, "phi"),
-         lambda s: dm.reduce_sum(dm.elementwise_mul(
-             dm.scatter_add_rows(s["x"], idx, n), dm.constant(mix[2]))))
-    case("row_softmax_tau", lambda s: s.add("x", a, "phi"),
-         lambda s: mixed(dm.row_softmax_with_temperature(s["x"], 0.7)))
-    case("log_softmax_rows", lambda s: s.add("x", a, "phi"),
-         lambda s: mixed(dm.log_softmax_rows(s["x"])))
-    case("dropout", lambda s: s.add("x", a, "phi"),
-         lambda s: mixed(dm.dropout(s["x"], 0.4, [substream(11, "dropmask")])))
-    case("relu_dropout", lambda s: s.add("x", stacked_relu, "phi"),
-         lambda s: mixed(dm.relu_dropout(s["x"], 0.4, substream(11, "relu-dropout")),
-                         "parts"))
-    for name, arrays, key in (("block_mlp", mlp_single, 3),
-                              ("block_mlp_blocks", mlp_blocks, "parts3")):
-        case(name, lambda s, arrays=arrays: [s.add(p, v, "phi") for p, v in
-                                             zip(("h", "w1", "b1", "w2", "b2"), arrays)],
-             lambda s, key=key: mixed(dm.block_mlp(s["h"], s["w1"], s["b1"], s["w2"],
-                                                   s["b2"]), key))
-    case("softplus_bounded", lambda s: s.add("x", raw, "phi"),
-         lambda s: mixed(dm.softplus(s["x"], lo, hi)))
-    case("weibull_rsample", lambda s: (s.add("k", shape_k, "phi"), s.add("lam", scale, "phi")),
-         lambda s: mixed(weibull_rsample(s["k"], s["lam"], u)))
-    case("kl_weibull_gamma", lambda s: (s.add("k", shape_k, "phi"),
-                                        s.add("lam", scale, "phi")),
-         lambda s: mixed(kl_weibull_gamma(s["k"], s["lam"], 1.3, 0.7)))
+    def case(op, **draws):
+        """`op` of the parameters, drawn and passed in keyword order."""
+        return lambda rng: ({p: draw(rng) for p, draw in draws.items()},
+                            lambda s: op(*(s[p] for p in draws)))
+
+    x, pos, stacked = kinkfree(n, d), uniform(0.5, 2.5, n, d), kinkfree(k * n, d)
+    # edge weights of one part, and of K parts, different on the two
+    # directions of an edge
+    w_edge, w_parts = uniform(0.5, 2.0, adj_iso.nnz, 1), uniform(0.5, 2.0, adj_iso.nnz, k)
+    z, gamma = uniform(0.2, 1.5, n, d), uniform(0.3, 1.2, d)
+    spmm = partial(dm.edge_spmm, adj_iso)
+
+    def softplus_bounded(rng):
+        raw = rng.uniform(-3.0, 3.0, (n, d))
+        # bounds halfway between the 4th and 5th softplus values from each
+        # end: 4 entries are clamped on each side, and none sits on a bound
+        ordered = np.sort(np.logaddexp(0.0, raw), axis=None)
+        lo, hi = (ordered[3] + ordered[4]) / 2, (ordered[-5] + ordered[-4]) / 2
+        return {"x": raw}, lambda s: dm.softplus(s["x"], lo, hi)
+
+    def weibull(rng):
+        u = rng.uniform(0.05, 0.95, (n, d))
+        return case(lambda k, lam: weibull_rsample(k, lam, u), k=pos, lam=pos)(rng)
+
+    cases = {
+        "add": case(dm.add, x=x, y=x),
+        "negate": case(dm.negate, x=x),
+        "elementwise_mul": case(dm.elementwise_mul, x=x, y=x),
+        "matmul": case(dm.matmul, x=x, w=kinkfree(d, 3)),
+        "matmul_bias": case(dm.matmul, x=x, w=kinkfree(d, 3), b=normal(3)),
+        "sparse_dense_matmul": case(partial(dm.sparse_dense_matmul, a_norm), x=x),
+        "edge_spmm": case(lambda w, x: spmm(w, x, dm.constant(np.zeros(1))), w=w_edge, x=x),
+        "edge_spmm_diag": case(spmm, w=w_edge, x=x, d=uniform(0.5, 2.0, n, 1)),
+        "edge_spmm_diag_scalar": case(spmm, w=w_edge, x=x, d=lambda rng: np.array([1.3])),
+        "edge_spmm_parts": case(spmm, w=w_parts, x=stacked, d=uniform(0.5, 2.0, n, k)),
+        "edge_spmm_parts_shared": case(spmm, w=w_parts, x=x, d=uniform(0.5, 2.0, k)),
+        "edge_spmm_parts_scalar": case(spmm, w=w_parts, x=stacked, d=uniform(0.5, 2.0, k)),
+        "matmul_blocks": case(dm.matmul, x=stacked, w=kinkfree(k * d, 3), b=normal(k, 3)),
+        "column_blocks_to_rows": case(lambda x: dm.column_blocks_to_rows(x, k),
+                                      x=normal(n, k * d)),
+        "row_blocks_to_columns": case(lambda x: dm.row_blocks_to_columns(x, k), x=stacked),
+        "relu": case(dm.relu, x=x),
+        "softplus": case(dm.softplus, x=x),
+        "log": case(dm.log, x=pos),
+        "exp": case(dm.exp, x=x),
+        "power": case(lambda x: dm.power(x, -0.5), x=pos),
+        "clip": case(lambda x: dm.clip(x, 0.6, 2.2), x=pos),
+        "gammaln": case(dm.gammaln, x=pos),
+        "reduce_sum_all": case(dm.reduce_sum, x=x),
+        "reduce_sum_axis0": case(lambda x: dm.reduce_sum(x, axis=0), x=x),
+        "reduce_sum_axis1": case(lambda x: dm.reduce_sum(x, axis=1), x=x),
+        "concat_columns": case(lambda x, y: dm.concat_columns([x, y]), x=x, y=x),
+        "slice_columns": case(lambda x: dm.slice_columns(x, 1, 3), x=x),
+        "slice_rows": case(lambda x: dm.slice_rows(x, 1, 3), x=x),
+        "reshape": case(lambda x: dm.reshape(x, (d, n)), x=x),
+        "gather_rows": case(lambda x: dm.gather_rows(x, idx), x=x),
+        "scatter_add_rows": case(lambda x: dm.scatter_add_rows(x, idx, n), x=x),
+        "row_softmax_tau": case(lambda x: dm.row_softmax_with_temperature(x, 0.7), x=x),
+        "log_softmax_rows": case(dm.log_softmax_rows, x=x),
+        "dropout": case(lambda x: dm.dropout(x, 0.4, [substream(11, "dropmask")]), x=x),
+        "relu_dropout": case(lambda x: dm.relu_dropout(x, 0.4, substream(11, "relu-dropout")),
+                             x=stacked),
+        # one K = 1 and one K-block two-layer transform
+        "block_mlp": case(dm.block_mlp, h=normal(n, d), w1=normal(d, 3), b1=normal(3),
+                          w2=normal(3, 3), b2=normal(3)),
+        "block_mlp_blocks": case(dm.block_mlp, h=normal(k * n, d), w1=normal(k * d, 3),
+                                 b1=normal(k, 3), w2=normal(k * 3, 3), b2=normal(k, 3)),
+        "softplus_bounded": softplus_bounded,
+        "weibull_rsample": weibull,
+        "kl_weibull_gamma": case(lambda k, lam: kl_weibull_gamma(k, lam, 1.3, 0.7),
+                                 k=pos, lam=pos),
+    }
     for name, support, kw in (
             ("edge_loglik", adj, {}),
             ("edge_loglik_batch", union.adjacency, {"graph_ids": union_ids, "n_graphs": 2}),
             ("edge_loglik_edgeless", edgeless, {})):
-        case(name, lambda s: (s.add("z", z, "phi"), s.add("gamma", gamma, "shared")),
-             lambda s, support=support, kw=kw: bernoulli_poisson_loglik(
-                 support, s["z"], s["gamma"], **kw))
-    case("partition_learned", lambda s: (s.add("z", z_part, "phi"),
-                                         s.add("gamma", gamma_part, "shared")),
-         lambda s: mixed(partition_edges(adj_iso, s["z"], s["gamma"], part_cfg,
-                                         seed).weights, "entries"))
-
-    def gcn_normalization_loss(s):
-        ew, self_w, _ = EdgePartition(support=adj_iso, weights=s["w"]).gcn_normalization()
-        return mixed(ew, "norm_edges") + mixed(self_w, "norm_loops")
-
-    case("gcn_normalization", lambda s: s.add("w", w_norm, "phi"), gcn_normalization_loss)
+        cases[name] = case(lambda z, gamma, support=support, kw=kw: bernoulli_poisson_loglik(
+            support, z, gamma, **kw), z=z, gamma=gamma)
+    cases["partition_learned"] = case(
+        lambda z, gamma: partition_edges(adj_iso, z, gamma, part_cfg, 0).weights,
+        z=z, gamma=gamma)
+    cases["gcn_normalization"] = case(
+        lambda w: EdgePartition(support=adj_iso, weights=w).gcn_normalization()[:2],
+        w=w_parts)
     return cases
+
+
+def gradcheck_case(name: str, seed: int):
+    """The store and loss builder of gradient case `name`, all drawn from
+    the case's own generator: first its parameters, then one constant of
+    each non-scalar output's shape. The loss sums every scalar output and,
+    for each other output, its elementwise product with its constant, so
+    every input coordinate receives gradient."""
+    rng = substream(seed, "gradcheck", name)
+    params, build = _primitive_cases()[name](rng)
+    store = ParameterStore()
+    for p, value in params.items():
+        # the community activations are shared by the phi and theta steps
+        store.add(p, value, "shared" if p == "gamma" else "phi")
+
+    def outputs():
+        out = build(store)
+        return out if isinstance(out, tuple) else (out,)
+
+    mixes = [None if np.ndim(o.value) == 0 else rng.standard_normal(o.value.shape)
+             for o in outputs()]
+
+    def loss():
+        terms = [o if m is None else dm.reduce_sum(dm.elementwise_mul(o, dm.constant(m)))
+                 for o, m in zip(outputs(), mixes)]
+        return sum(terms[1:], terms[0])
+
+    return store, loss
 
 
 def gradcheck_suite(seed: int = 0) -> list[CheckResult]:
     results = []
-    for name, (make_params, build) in _primitive_cases(seed).items():
-        store = ParameterStore()
-        make_params(store)
-        err = finite_difference_check(lambda s=store: build(s), store,
-                                      eps=1e-5, samples=40, seed=seed)
+    for name in _primitive_cases():
+        store, loss = gradcheck_case(name, seed)
+        err = finite_difference_check(loss, store, eps=1e-5, samples=40, seed=seed)
         results.append(CheckResult(f"gradcheck/{name}", err < 1e-6, err, "< 1e-6"))
     results.append(_full_elbo_check("full_elbo", elbo_check_setup, seed))
     results.append(_full_elbo_check("full_elbo_gin", gin_elbo_check_setup, seed))
@@ -304,10 +252,11 @@ def _phi_step_restricted_check(seed: int) -> CheckResult:
     """The phi step differentiates the bound on `detached(keep=phi and
     shared names)`, so every theta weight is a constant on its tape. Its
     gradients must equal those of the same step on the full store, bit for
-    bit, on the GCN-node and GIN-graph setups."""
+    bit, on the GCN-node and GIN-graph setups at dropout 0.3, so that both
+    tapes draw `relu_dropout` masks as training does."""
     worst = 0.0
     for setup in (elbo_check_setup, gin_elbo_check_setup):
-        prep, store, cfg, tcfg, uniforms = setup(seed)
+        prep, store, cfg, tcfg, uniforms = setup(seed, dropout=0.3)
         names = store.names(("phi", "shared"))
         grads = []
         for tape_store in (store, store.detached(keep=names)):

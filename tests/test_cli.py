@@ -316,9 +316,26 @@ class TestPipelineCommands:
         report = json.loads(read(os.path.join(out, "eval_report.json")))
         mats = report["details"]["community_confusions"]
         assert len(mats) == 4
+        assert report["details"]["community_confusion_classes"] == [0, 1, 2, 3]
         for mat in mats:
             np.testing.assert_allclose(np.sum(mat, axis=1), 1.0, atol=1e-9)
         assert os.path.isfile(os.path.join(out, "probes", "confusion_0.csv"))
+
+    def test_eval_probes_name_the_classes_they_keep(self, synth_run):
+        """Class 1 has 3 nodes, fewer than the 10 folds, so the probes drop
+        it: each matrix is 2 x 2 over the kept labels 0 and 2."""
+        _tmp, data, out, cfg = synth_run
+        with open(os.path.join(data, "labels.csv"), "w") as fh:
+            fh.writelines(f"{label}\n" for label in [0] * 30 + [1] * 3 + [2] * 27)
+        assert main(["pretrain", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+        with pytest.warns(UserWarning, match=r"dropping classes with < 10 instances: \[1\]"):
+            assert main(["eval", "--config", cfg, "--probes"]) == 0
+        details = json.loads(read(os.path.join(out, "eval_report.json")))["details"]
+        assert details["community_confusion_classes"] == [0, 2]
+        assert [np.shape(mat) for mat in details["community_confusions"]] == [(2, 2)] * 4
+        csv = np.loadtxt(os.path.join(out, "probes", "confusion_0.csv"), delimiter=",")
+        np.testing.assert_array_equal(csv, details["community_confusions"][0])
 
     def test_eval_scores_random_inputs_drawn_from_the_run_seed(self, synth_run):
         """With random input features, the posterior predictive and `eval`
@@ -625,7 +642,7 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "kl"]) == 0
 
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("suite", ["kl", "sampler", "partition"])
+    @pytest.mark.parametrize("suite", ["gradcheck", "kl", "sampler", "partition"])
     def test_oracle_suite_passes_at_every_seed(self, suite, seed):
         from vepm.verify import run_suite
 

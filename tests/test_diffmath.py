@@ -18,7 +18,8 @@ from vepm.diffmath import (
 from reference import block_affine, dropout_mask
 from vepm.rng import substream
 from vepm.sparse import SparseMatrix
-from vepm.verify import _primitive_cases
+from vepm import verify
+from vepm.verify import _primitive_cases, gradcheck_case
 
 
 def test_softmax_temperature_values():
@@ -69,12 +70,30 @@ def test_backward_requires_scalar():
 
 
 def test_every_primitive_passes_finite_differences():
-    for name, (make_params, build) in _primitive_cases(seed=1).items():
-        store = ParameterStore()
-        make_params(store)
-        err = finite_difference_check(lambda s=store: build(s), store,
-                                      eps=1e-5, samples=30, seed=2)
+    for name in _primitive_cases():
+        store, loss = gradcheck_case(name, 1)
+        err = finite_difference_check(loss, store, eps=1e-5, samples=30, seed=2)
         assert err < 1e-6, f"{name}: {err}"
+
+
+@pytest.mark.parametrize("name", ["add", "edge_spmm_parts", "softplus_bounded",
+                                  "edge_loglik_batch", "gcn_normalization"])
+def test_gradcheck_case_draws_the_same_inputs_without_the_other_cases(name, monkeypatch):
+    """A case's parameters and mixing constants come from its own
+    generator: removing every other case leaves them unchanged."""
+
+    def drawn():
+        store, loss = gradcheck_case(name, 3)
+        return {p: store[p].value.copy() for p in store.names()}, float(loss().value)
+
+    params, value = drawn()
+    alone = {name: _primitive_cases()[name]}
+    monkeypatch.setattr(verify, "_primitive_cases", lambda: alone)
+    params_alone, value_alone = drawn()
+    assert params.keys() == params_alone.keys()
+    for p in params:
+        np.testing.assert_array_equal(params[p], params_alone[p])
+    assert value == value_alone
 
 
 def _make_node_ops():
@@ -97,10 +116,9 @@ def test_every_tape_op_has_a_finite_difference_case():
     ops = _make_node_ops()
     assert None not in ops and "matmul" in ops and "edge_spmm" in ops
     reached = set()
-    for make_params, build in _primitive_cases(seed=1).values():
-        store = ParameterStore()
-        make_params(store)
-        stack = [build(store)]
+    for name in _primitive_cases():
+        _store, loss = gradcheck_case(name, 1)
+        stack = [loss()]
         while stack:
             node = stack.pop()
             reached.add(node.op)
